@@ -36,6 +36,7 @@ main()
         SelectionCriterion::PeAndSwap3,
     };
 
+    SynthEngine engine;
     TextTable table({"criterion", "basis (ns)", "SWAP (ns)",
                      "CNOT (ns)", "SWAP layers", "CNOT layers",
                      "min ep"});
@@ -43,9 +44,10 @@ main()
         const CalibratedBasisSet set =
             calibrateDevice(device, kStrongXi, crit,
                             criterionName(crit), copts);
-        DecompositionCache cache;
+        SharedDecompositionCache cache;
+        const SynthClient client{engine, cache};
         const GateSetSummary s = summarizeGateSet(
-            device, set, cache, SynthOptions{}, kOneQubitNs,
+            device, set, client, SynthOptions{}, kOneQubitNs,
             kCoherenceNs);
         double min_ep = 1.0;
         for (int e = 0; e < copts.edge_limit; ++e) {

@@ -215,8 +215,8 @@ planCompilePass(FleetDriver &driver,
             req.options.t_coherence_ns =
                 driver.options().t_coherence_ns;
             const CompileResponse resp = runCompile(
-                state.device, state.calibration, SynthRoute(client),
-                req, &driver.planCache());
+                state.device, state.calibration, client, req,
+                &driver.planCache());
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
         }

@@ -171,7 +171,7 @@ runWorkload(const std::string &name,
     const double t1 = nowMs();
 
     DepthOracleCache::shared().clear();
-    DecompositionCache cache;
+    SharedDecompositionCache cache;
     const std::vector<TwoQubitDecomposition> fast =
         engine.synthesizeBatch(requests, cache, opts);
     const double t2 = nowMs();

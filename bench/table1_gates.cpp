@@ -49,22 +49,26 @@ main()
         "criterion2", calibrationOptions(30.0));
 
     const SynthOptions synth;
-    DecompositionCache cache_b, cache_1, cache_2;
+    SynthEngine engine;
+    SharedDecompositionCache cache_b, cache_1, cache_2;
+    const SynthClient client_b{engine, cache_b};
+    const SynthClient client_1{engine, cache_1};
+    const SynthClient client_2{engine, cache_2};
     const auto synth_t0 = std::chrono::steady_clock::now();
     const GateSetSummary sb =
-        summarizeGateSet(device, baseline, cache_b, synth,
+        summarizeGateSet(device, baseline, client_b, synth,
                          kOneQubitNs, kCoherenceNs);
     const GateSetSummary s1 = summarizeGateSet(
-        device, crit1, cache_1, synth, kOneQubitNs, kCoherenceNs);
+        device, crit1, client_1, synth, kOneQubitNs, kCoherenceNs);
     const GateSetSummary s2 = summarizeGateSet(
-        device, crit2, cache_2, synth, kOneQubitNs, kCoherenceNs);
+        device, crit2, client_2, synth, kOneQubitNs, kCoherenceNs);
     const double synth_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - synth_t0)
             .count();
     std::printf("synthesis sweep: %.1f ms on %d engine threads, "
                 "%zu Weyl classes for %zu edge summaries\n",
-                synth_ms, SynthEngine::shared().threadCount(),
+                synth_ms, engine.threadCount(),
                 cache_b.size() + cache_1.size() + cache_2.size(),
                 3 * device.coupling().edges().size());
 
@@ -127,8 +131,8 @@ main()
     // Fig. 3 flavor: show one synthesized SWAP decomposition.
     std::printf("\nexample: SWAP on edge 0 of the Criterion-1 set "
                 "(Fig. 3(d) shape):\n");
-    const TwoQubitDecomposition &dec = cache_1.getOrSynthesize(
-        0, swapGate(), crit1.bases[0].gate, synth);
+    const TwoQubitDecomposition dec = client_1.synthesizeBatch(
+        {{0, swapGate(), crit1.bases[0].gate}}, synth)[0];
     std::printf("  %d layers of the %.2f ns basis gate %s, "
                 "infidelity %.1e\n", dec.layers(),
                 crit1.bases[0].duration_ns,

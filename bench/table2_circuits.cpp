@@ -80,7 +80,11 @@ main()
         device, kStrongXi, SelectionCriterion::Criterion2,
         "criterion2", calibrationOptions(30.0));
 
-    DecompositionCache cache_b, cache_1, cache_2;
+    SynthEngine engine;
+    SharedDecompositionCache cache_b, cache_1, cache_2;
+    const SynthClient client_b{engine, cache_b};
+    const SynthClient client_1{engine, cache_1};
+    const SynthClient client_2{engine, cache_2};
     const TranspileOptions topts;
 
     TextTable table({"benchmark", "baseline", "criterion 1",
@@ -98,17 +102,11 @@ main()
         req.options.t_1q_ns = kOneQubitNs;
         req.options.t_coherence_ns = kCoherenceNs;
         const CompiledCircuitResult rb =
-            runCompile(device, baseline,
-                       SynthRoute::local(&cache_b), req)
-                .result;
+            runCompile(device, baseline, client_b, req).result;
         const CompiledCircuitResult r1 =
-            runCompile(device, crit1, SynthRoute::local(&cache_1),
-                       req)
-                .result;
+            runCompile(device, crit1, client_1, req).result;
         const CompiledCircuitResult r2 =
-            runCompile(device, crit2, SynthRoute::local(&cache_2),
-                       req)
-                .result;
+            runCompile(device, crit2, client_2, req).result;
         table.addRow({row.name, fmtPercent(rb.fidelity, 3),
                       fmtPercent(r1.fidelity, 3),
                       fmtPercent(r2.fidelity, 3),
@@ -130,7 +128,7 @@ main()
                 "0.006/5.59/8.56%%\n"
                 "  qaoa 0.33 10: 66.1/81.0/84.3%%  qaoa 0.33 20: "
                 "15.0/42.2/48.2%%\n");
-    auto hit_rate = [](const DecompositionCache &c) {
+    auto hit_rate = [](const SharedDecompositionCache &c) {
         const double total =
             static_cast<double>(c.hits() + c.misses());
         return total > 0.0 ? 100.0 * static_cast<double>(c.hits())
@@ -146,7 +144,6 @@ main()
                 static_cast<unsigned long long>(cache_1.hits()),
                 hit_rate(cache_1), cache_2.size(),
                 static_cast<unsigned long long>(cache_2.hits()),
-                hit_rate(cache_2),
-                SynthEngine::shared().threadCount());
+                hit_rate(cache_2), engine.threadCount());
     return 0;
 }

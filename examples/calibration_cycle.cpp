@@ -7,12 +7,13 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "calib/drift.hpp"
 #include "calib/protocol.hpp"
 #include "core/criteria.hpp"
 #include "sim/device.hpp"
-#include "synth/cache.hpp"
+#include "synth/engine.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
 
@@ -51,16 +52,18 @@ main()
                 cartanCoords(tuneup.gate).str(4).c_str());
 
     std::printf("\n[per-cycle decomposition cache]\n");
-    DecompositionCache cache;
+    SynthEngine engine;
+    SharedDecompositionCache cache;
+    const SynthClient client{engine, cache};
     const SynthOptions synth;
-    const auto &swap_dec =
-        cache.getOrSynthesize(0, swapGate(), tuneup.gate, synth);
-    const auto &cnot_dec =
-        cache.getOrSynthesize(0, cnotGate(), tuneup.gate, synth);
+    const std::vector<TwoQubitDecomposition> decs =
+        client.synthesizeBatch({{0, swapGate(), tuneup.gate},
+                                {0, cnotGate(), tuneup.gate}},
+                               synth);
     std::printf("  SWAP: %d layers (infidelity %.1e); CNOT: %d "
-                "layers (infidelity %.1e)\n", swap_dec.layers(),
-                swap_dec.infidelity, cnot_dec.layers(),
-                cnot_dec.infidelity);
+                "layers (infidelity %.1e)\n", decs[0].layers(),
+                decs[0].infidelity, decs[1].layers(),
+                decs[1].infidelity);
     std::printf("  cache holds %zu entries for this cycle\n",
                 cache.size());
 
@@ -80,8 +83,8 @@ main()
 
     // The cache is rebuilt against the refreshed gate.
     cache.clear();
-    const auto &swap2 =
-        cache.getOrSynthesize(0, swapGate(), r.gate, synth);
+    const TwoQubitDecomposition swap2 =
+        client.synthesizeBatch({{0, swapGate(), r.gate}}, synth)[0];
     std::printf("  new cycle cache: SWAP again %d layers "
                 "(infidelity %.1e)\n", swap2.layers(),
                 swap2.infidelity);

@@ -55,16 +55,15 @@ main()
     std::printf("\nQAOA instance: %d qubits, %zu RZZ gates\n",
                 qaoa.numQubits(), qaoa.count(GateKind::RZZ));
 
-    DecompositionCache cache_b, cache_n;
+    SynthEngine engine;
+    SharedDecompositionCache cache;
+    const SynthClient client{engine, cache};
     CompileRequest req(1, 0, "qaoa", qaoa);
     const CompiledCircuitResult rb =
-        runCompile(device, baseline, SynthRoute::local(&cache_b), req)
-            .result;
+        runCompile(device, baseline, client, req).result;
     req.request_id = 2;
     const CompiledCircuitResult rn =
-        runCompile(device, nonstandard, SynthRoute::local(&cache_n),
-                   req)
-            .result;
+        runCompile(device, nonstandard, client, req).result;
 
     TextTable results({"basis set", "fidelity", "makespan (us)",
                        "2Q gates", "swaps"});

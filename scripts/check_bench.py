@@ -14,8 +14,10 @@ bench/baselines.json:
   * recalibration: sync-vs-overlapped bit-determinism, end-to-end
     speedup, overlap ratio, and a zero-compile-path-stall ceiling,
   * persistence: warm-start speedup and hit rate, warm/cold
-    bit-identical reports, corrupt-snapshot rejection, and the
-    retirement sweep shrinking the snapshot,
+    bit-identical reports, corrupt-snapshot rejection, the
+    retirement sweep shrinking the snapshot, and a snapshot format
+    version equal to kCacheFormatVersion in src/synth/cache_io.hpp
+    (so a committed BENCH_persist.json cannot go stale),
   * mat4 kernels: scalar-vs-SIMD bit-identity on every kernel, and
     speedup floors (per kernel and geomean) that apply only when the
     SIMD backend is available on the runner (simd_available),
@@ -62,6 +64,7 @@ Usage: scripts/check_bench.py [--synth PATH] [--fleet PATH]
 import argparse
 import json
 import pathlib
+import re
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -260,8 +263,27 @@ def check_recalib(bench, base, gate):
         )
 
 
+def cache_format_version():
+    """kCacheFormatVersion as src/synth/cache_io.hpp defines it, read
+    with the same pattern the CI persist job keys its artifact on."""
+    header = REPO / "src" / "synth" / "cache_io.hpp"
+    m = re.search(
+        r"kCacheFormatVersion = ([0-9]+)",
+        header.read_text(encoding="utf-8"),
+    )
+    return int(m.group(1)) if m else None
+
+
 def check_persist(bench, base, gate):
     floors = base.get("persist", {})
+    expected = cache_format_version()
+    observed = bench.get("snapshot", {}).get("format_version")
+    gate.check(
+        "persist.snapshot.format_version",
+        observed,
+        f"== {expected} (kCacheFormatVersion)",
+        expected is not None and observed == expected,
+    )
     if floors.get("require_results_match"):
         gate.check(
             "persist.results_match",

@@ -18,11 +18,17 @@ working tree:
     row-local name like ``async/recalib_scheduler`` matches one
     directory level deeper under ``src/``.
 
+It also scans the code under src/, bench/, tests/ and examples/:
+every ``*.md`` file a comment or string there cites (``DESIGN.md
+section 4``, ``docs/workloads.md``) must exist, resolved against the
+repo root or the citing file's directory.
+
 Failures print ``file:line: message`` (clickable in CI logs) and
 the script exits nonzero. External links (http/https/mailto) and
 pure-``#`` self-links are ignored. Pure stdlib.
 
-Usage: scripts/check_docs.py [files...]   (default: README.md docs/*.md)
+Usage: scripts/check_docs.py [files...]   (default: README.md docs/*.md
+       plus the code citation scan)
 """
 
 import glob
@@ -37,8 +43,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 # mistaken for paths.
 ROOT_SEGMENTS = {
     "src", "docs", "bench", "tests", "scripts", "examples",
-    ".github", "build",
+    ".github", "build", "qbench",
 }
+
+# Code trees whose *.md citations must resolve, and the file types
+# scanned in them.
+CODE_DIRS = ("src", "bench", "tests", "examples")
+CODE_SUFFIXES = {".hpp", ".cpp", ".h", ".py", ".sh"}
 
 # Module paths without a root prefix (`core/fleet`, `obs/trace`)
 # resolve under src/ with these extensions.
@@ -48,6 +59,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_RE = re.compile(r"`([^`]+)`")
 PATHY_RE = re.compile(r"^[A-Za-z0-9_.*/-]+$")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+MD_CITE_RE = re.compile(r"(?<![\w./-])([\w./-]*\w\.md)\b")
 
 
 def heading_slug(text):
@@ -155,6 +167,26 @@ def check_file(md_path, failures):
                 )
 
 
+def check_code_citations(failures):
+    """Every *.md name cited in the code trees names a real file."""
+    for top in CODE_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix not in CODE_SUFFIXES or not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for m in MD_CITE_RE.finditer(line):
+                    name = m.group(1)
+                    if (REPO / name).exists():
+                        continue
+                    if (path.parent / name).exists():
+                        continue
+                    failures.append(
+                        f"{path.relative_to(REPO)}:{lineno}: "
+                        f"cites missing `{name}`"
+                    )
+
+
 def main(argv):
     if argv:
         files = [pathlib.Path(a).resolve() for a in argv]
@@ -170,6 +202,8 @@ def main(argv):
             continue
         checked += 1
         check_file(md, failures)
+    if not argv:
+        check_code_citations(failures)
     for f in failures:
         print(f)
     if failures:

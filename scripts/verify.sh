@@ -7,9 +7,11 @@
 #   --quick    skip the bench pass (bench_synth + bench_fleet +
 #              bench_recalib + bench_persist + bench_serve +
 #              bench_mat4 + bench_obs + bench_scale +
-#              scripts/check_bench.py); the docs gate and the
-#              mat4, fleet, recalib, persist, serve, obs, scale,
-#              and fault smokes still run so every matrix job exercises the SIMD
+#              scripts/check_bench.py); the docs gate, the qbench
+#              build + self-tests, and the mat4, fleet, recalib,
+#              persist, serve, obs, scale, and fault smokes still
+#              run so every matrix job builds the repository
+#              benchmark and exercises the SIMD
 #              kernel bit-identity check, the sharded driver, the
 #              async retune pipeline, the snapshot round trip, the
 #              serving daemon's admission/determinism contracts, the
@@ -86,8 +88,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 1200 \
 "$BUILD_DIR/bench_scale" --smoke
 
 # Docs gate: every intra-repo link and code path in docs/*.md and
-# README.md must resolve against the working tree.
+# README.md, and every *.md file cited in the code, must resolve
+# against the working tree.
 python3 scripts/check_docs.py
+
+# Repository benchmark: build qbench/ from source against the
+# library's current API (into .bench_build) and run its helper
+# self-tests.
+python3 qbench/run.py --selftest
 
 # Fault smokes: degraded-mode replays under pinned fault seeds (ones
 # that retry, contain, and quarantine at smoke scale; for serve, shed

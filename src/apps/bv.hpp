@@ -22,8 +22,9 @@ namespace qbasis {
 Circuit bvCircuit(int total_qubits, const std::vector<bool> &secret);
 
 /**
- * BV with the all-ones secret (the hardest instance; the paper does
- * not specify the secret, see DESIGN.md section 7).
+ * BV with the all-ones secret. The paper does not specify the
+ * secret; all-ones is the hardest instance, since it puts one CX on
+ * every data qubit, the most two-qubit gates any secret needs.
  */
 Circuit bvAllOnesCircuit(int total_qubits);
 

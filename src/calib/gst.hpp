@@ -10,8 +10,7 @@
  * classical processing. This module models GST as an unbiased
  * estimator with a configurable (small) error floor, preserving the
  * protocol's decision structure -- QPT narrows the candidate list,
- * GST delivers the precise unitary used for compilation. DESIGN.md
- * section 4 documents this substitution.
+ * GST delivers the precise unitary used for compilation.
  */
 
 #include "linalg/mat4.hpp"

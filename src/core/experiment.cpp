@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "noise/coherence.hpp"
-#include "synth/engine.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "weyl/gates.hpp"
@@ -107,13 +106,17 @@ gateSetRequests(const CouplingMap &cm, const CalibratedBasisSet &set)
     return requests;
 }
 
-/** Fold the per-edge decompositions into the Table I row. */
+} // namespace
+
 GateSetSummary
-summarizeFromDecompositions(
-    const CouplingMap &cm, const CalibratedBasisSet &set,
-    const std::vector<TwoQubitDecomposition> &decs, double t_1q_ns,
-    double t_coherence_ns)
+summarizeGateSet(const GridDevice &device, const CalibratedBasisSet &set,
+                 const SynthClient &client, const SynthOptions &synth,
+                 double t_1q_ns, double t_coherence_ns)
 {
+    const CouplingMap &cm = device.coupling();
+    const std::vector<TwoQubitDecomposition> decs =
+        client.synthesizeBatch(gateSetRequests(cm, set), synth);
+
     GateSetSummary s;
     s.label = set.label;
 
@@ -160,38 +163,5 @@ summarizeFromDecompositions(
     s.one_q_share_swap = oneq_share.mean();
     return s;
 }
-
-} // namespace
-
-GateSetSummary
-summarizeGateSet(const GridDevice &device, const CalibratedBasisSet &set,
-                 DecompositionCache &cache, const SynthOptions &synth,
-                 double t_1q_ns, double t_coherence_ns)
-{
-    // Batch the whole device sweep (SWAP + CNOT per edge) through
-    // the engine: distinct Weyl classes synthesize in parallel,
-    // repeated basis gates collapse onto shared cache lines.
-    const CouplingMap &cm = device.coupling();
-    const std::vector<TwoQubitDecomposition> decs =
-        SynthEngine::shared().synthesizeBatch(
-            gateSetRequests(cm, set), cache, synth);
-    return summarizeFromDecompositions(cm, set, decs, t_1q_ns,
-                                       t_coherence_ns);
-}
-
-GateSetSummary
-summarizeGateSet(const GridDevice &device, const CalibratedBasisSet &set,
-                 const SynthClient &client, const SynthOptions &synth,
-                 double t_1q_ns, double t_coherence_ns)
-{
-    const CouplingMap &cm = device.coupling();
-    const std::vector<TwoQubitDecomposition> decs =
-        client.synthesizeBatch(gateSetRequests(cm, set), synth);
-    return summarizeFromDecompositions(cm, set, decs, t_1q_ns,
-                                       t_coherence_ns);
-}
-
-// The compileAndScore shims (deprecated Table II entry points) are
-// defined in serve/api.cpp on top of runCompile.
 
 } // namespace qbasis

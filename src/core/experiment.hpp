@@ -18,7 +18,6 @@
 #include "core/selector.hpp"
 #include "sim/device.hpp"
 #include "sim/propagator.hpp"
-#include "synth/cache.hpp"
 #include "synth/engine.hpp"
 #include "transpile/pipeline.hpp"
 
@@ -103,23 +102,13 @@ struct GateSetSummary
  * Synthesize SWAP and CNOT on every calibrated edge and summarize
  * durations/fidelities (Table I).
  *
- * The sweep is batched through SynthEngine::shared() (thread count
- * from QBASIS_SYNTH_THREADS; set it to 1 to pin the sweep to a
- * single worker -- results are bit-identical either way).
+ * The sweep is one batch submitted through `client` into its shared
+ * cache, so a sibling device with byte-identical bases reuses every
+ * class synthesis. Results are bit-identical for any engine thread
+ * count.
  *
  * @param t_1q_ns       single-qubit gate duration (20 ns).
  * @param t_coherence_ns qubit coherence time (80 us).
- */
-GateSetSummary summarizeGateSet(const GridDevice &device,
-                                const CalibratedBasisSet &set,
-                                DecompositionCache &cache,
-                                const SynthOptions &synth,
-                                double t_1q_ns, double t_coherence_ns);
-
-/**
- * Fleet-mode Table I sweep: the device's SWAP/CNOT batch is submitted
- * through `client` into the fleet-wide shared cache, so a sibling
- * device with byte-identical bases reuses every class synthesis.
  */
 GateSetSummary summarizeGateSet(const GridDevice &device,
                                 const CalibratedBasisSet &set,
@@ -136,35 +125,6 @@ struct CompiledCircuitResult
     size_t two_qubit_gates = 0; ///< Basis applications in the result.
     int depth = 0;
 };
-
-/**
- * @deprecated Legacy Table II entry point; use `runCompile` with a
- * `CompileRequest` (serve/api.hpp), which subsumes both overloads
- * via SynthRoute and reports failures as a status instead of
- * throwing. Kept as a thin shim so out-of-tree callers keep
- * building; definitions live in serve/api.cpp.
- */
-[[deprecated("use runCompile(device, set, SynthRoute::local(&cache), "
-             "request) from serve/api.hpp")]]
-CompiledCircuitResult compileAndScore(const GridDevice &device,
-                                      const CalibratedBasisSet &set,
-                                      DecompositionCache &cache,
-                                      const Circuit &logical,
-                                      const TranspileOptions &opts,
-                                      double t_1q_ns,
-                                      double t_coherence_ns);
-
-/** @deprecated Fleet-mode shim; use `runCompile` with
- *  `SynthRoute(client)` (serve/api.hpp). */
-[[deprecated("use runCompile(device, set, SynthRoute(client), "
-             "request) from serve/api.hpp")]]
-CompiledCircuitResult compileAndScore(const GridDevice &device,
-                                      const CalibratedBasisSet &set,
-                                      const SynthClient &client,
-                                      const Circuit &logical,
-                                      const TranspileOptions &opts,
-                                      double t_1q_ns,
-                                      double t_coherence_ns);
 
 } // namespace qbasis
 

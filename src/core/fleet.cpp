@@ -385,7 +385,7 @@ FleetDriver::runDevice(int device_id, const FleetDeviceSpec &spec,
         const CompileRequest req =
             fleetRequest(opts_, fc, device_id);
         const CompileResponse resp = runCompile(
-            device, report.set, SynthRoute(client), req);
+            device, report.set, client, req);
         if (resp.status != CompileStatus::Ok)
             throw std::runtime_error(resp.error);
         cr.result = resp.result;
@@ -762,9 +762,8 @@ FleetDriver::compileCircuits(const std::vector<FleetCircuit> &circuits)
         double waited = 0.0;
         for (const FleetCircuit &fc : circuits) {
             const CompileRequest req = fleetRequest(opts_, fc, d);
-            const CompileResponse resp =
-                runCompile(state.device, state.calibration,
-                           SynthRoute(client), req);
+            const CompileResponse resp = runCompile(
+                state.device, state.calibration, client, req);
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
             VersionedCompileResult r;
@@ -813,7 +812,7 @@ FleetDriver::cycleReport(uint64_t cycle,
             cr.name = fc.name;
             const CompileRequest req = fleetRequest(opts_, fc, d);
             const CompileResponse resp = runCompile(
-                state.device, *snap.set, SynthRoute(client), req);
+                state.device, *snap.set, client, req);
             if (resp.status != CompileStatus::Ok)
                 throw std::runtime_error(resp.error);
             cr.result = resp.result;

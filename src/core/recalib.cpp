@@ -68,9 +68,6 @@ VersionedBasisSet::version() const
     return version_;
 }
 
-// The versioned compileAndScore shim (deprecated) is defined in
-// serve/api.cpp on top of runCompile.
-
 void
 appendLiveContexts(const CalibrationSnapshot &snap,
                    const SynthOptions &synth,

@@ -95,23 +95,6 @@ struct VersionedCompileResult
 };
 
 /**
- * @deprecated Legacy versioned entry point; use `runCompile` with a
- * `CompileRequest` against the VersionedBasisSet (serve/api.hpp),
- * which snapshots identically and additionally reports failures as a
- * status. Kept as a thin shim so out-of-tree callers keep building;
- * the definition lives in serve/api.cpp.
- */
-[[deprecated("use runCompile(device, calibration, "
-             "SynthRoute(client), request) from serve/api.hpp")]]
-VersionedCompileResult compileAndScore(const GridDevice &device,
-                                       const VersionedBasisSet &calibration,
-                                       const SynthClient &client,
-                                       const Circuit &logical,
-                                       const TranspileOptions &opts,
-                                       double t_1q_ns,
-                                       double t_coherence_ns);
-
-/**
  * Append the (basis gate, synthesis options) context hashes of every
  * edge of the snapshot's set to `out` (unsorted, duplicates kept --
  * callers sort+unique fleet-wide). These are the refcount roots of

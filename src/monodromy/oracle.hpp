@@ -12,8 +12,11 @@
  * The outer locals never change the nonlocal class, so only
  * 6(n-1) real parameters need to be searched. This is the functional
  * equivalent of the paper's Theorem 5.1 (Peterson et al.'s monodromy
- * inequalities); DESIGN.md section 4 documents the substitution and
- * the cross-validation against the paper's closed-form regions.
+ * inequalities): the general monodromy polytopes are not reproduced
+ * here, so a numerical search over the middle locals stands in for
+ * them. Regions.OracleAgreesWithSwap3Region and
+ * Regions.OracleAgreesWithCnot2Region (tests/test_monodromy.cpp)
+ * cross-validate it against the paper's closed-form regions.
  */
 
 #include <vector>

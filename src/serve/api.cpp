@@ -109,7 +109,7 @@ scoreCompiled(CompileResponse &resp, const GridDevice &device,
 CompileResponse
 runCompileCaptured(const GridDevice &device,
                    const CalibratedBasisSet &set,
-                   const SynthRoute &route, const CompileRequest &req,
+                   const SynthClient &client, const CompileRequest &req,
                    RoutedCircuit *captured_routing)
 {
     // Root correlation for direct callers (the service's serveOne
@@ -123,7 +123,7 @@ runCompileCaptured(const GridDevice &device,
     try {
         const CouplingMap &cm = device.coupling();
         const TranspileResult compiled = transpileCircuit(
-            req.circuit, cm, set.bases, route, req.options.transpile,
+            req.circuit, cm, set.bases, client, req.options.transpile,
             captured_routing);
         scoreCompiled(resp, device, set, req, compiled);
     } catch (const std::exception &e) {
@@ -143,14 +143,14 @@ runCompileCaptured(const GridDevice &device,
 
 CompileResponse
 runCompile(const GridDevice &device, const CalibratedBasisSet &set,
-           const SynthRoute &route, const CompileRequest &req)
+           const SynthClient &client, const CompileRequest &req)
 {
-    return runCompileCaptured(device, set, route, req, nullptr);
+    return runCompileCaptured(device, set, client, req, nullptr);
 }
 
 CompileResponse
 runCompile(const GridDevice &device,
-           const VersionedBasisSet &calibration, const SynthRoute &route,
+           const VersionedBasisSet &calibration, const SynthClient &client,
            const CompileRequest &req)
 {
     TraceCorrelation correlation(req.request_id);
@@ -163,7 +163,7 @@ runCompile(const GridDevice &device,
     const double wait_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-    CompileResponse resp = runCompile(device, *snap.set, route, req);
+    CompileResponse resp = runCompile(device, *snap.set, client, req);
     resp.basis_epoch = snap.version;
     resp.snapshot_wait_ms = wait_ms;
     return resp;
@@ -195,34 +195,15 @@ toPlanMemo(const CompiledCircuitResult &r)
     return m;
 }
 
-/** Published-class peek of the route's cache, or an empty callback
- *  when the route has no persistent cache to replay against. */
-PlanClassLookup
-planPeekOf(const SynthRoute &route)
-{
-    if (route.isFleet()) {
-        SharedDecompositionCache &shared = route.client().cache;
-        return [&shared](const DecompositionCache::ClassKey &key) {
-            return shared.peekPublished(key);
-        };
-    }
-    if (DecompositionCache *local = route.localCache()) {
-        return [local](const DecompositionCache::ClassKey &key) {
-            return local->peekClass(key);
-        };
-    }
-    return {};
-}
-
 } // namespace
 
 CompileResponse
 runCompile(const GridDevice &device,
-           const VersionedBasisSet &calibration, const SynthRoute &route,
+           const VersionedBasisSet &calibration, const SynthClient &client,
            const CompileRequest &req, PlanCache *plans)
 {
     if (plans == nullptr)
-        return runCompile(device, calibration, route, req);
+        return runCompile(device, calibration, client, req);
 
     TraceCorrelation correlation(req.request_id);
     const auto t0 = std::chrono::steady_clock::now();
@@ -275,38 +256,38 @@ runCompile(const GridDevice &device,
     // pipeline so failure behavior matches the plan-off path exactly.
     if (const std::shared_ptr<const TranspilePlan> plan =
             plans->lookup(key)) {
-        if (const PlanClassLookup peek = planPeekOf(route)) {
-            const auto tr0 = std::chrono::steady_clock::now();
-            try {
-                QBASIS_TRACE_SCOPE("compile.plan_replay",
-                                   "request_id", req.request_id);
-                TranspileResult compiled;
-                if (replayTranspilePlan(
-                        *plan, req.circuit, device.coupling(),
-                        snap.set->bases,
-                        req.options.transpile.synth, peek,
-                        &compiled)) {
-                    CompileResponse resp;
-                    resp.request_id = req.request_id;
-                    resp.basis_epoch = snap.version;
-                    resp.snapshot_wait_ms = wait_ms;
-                    resp.plan_path = PlanServePath::Replay;
-                    scoreCompiled(resp, device, *snap.set, req,
-                                  compiled);
-                    plans->noteReplayHit();
-                    plans->memoize(key, fingerprint,
-                                   toPlanMemo(resp.result));
-                    resp.compile_ms =
-                        std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - tr0)
-                            .count();
-                    return resp;
-                }
-            } catch (const std::exception &) {
-                // Fall through to the full pipeline, which contains
-                // (or reproduces) the failure identically to a
-                // plan-off compile.
+        const PlanClassLookup peek =
+            [&cache = client.cache](const DecompositionCache::ClassKey &k) {
+                return cache.peekPublished(k);
+            };
+        const auto tr0 = std::chrono::steady_clock::now();
+        try {
+            QBASIS_TRACE_SCOPE("compile.plan_replay", "request_id",
+                               req.request_id);
+            TranspileResult compiled;
+            if (replayTranspilePlan(*plan, req.circuit,
+                                    device.coupling(), snap.set->bases,
+                                    req.options.transpile.synth, peek,
+                                    &compiled)) {
+                CompileResponse resp;
+                resp.request_id = req.request_id;
+                resp.basis_epoch = snap.version;
+                resp.snapshot_wait_ms = wait_ms;
+                resp.plan_path = PlanServePath::Replay;
+                scoreCompiled(resp, device, *snap.set, req, compiled);
+                plans->noteReplayHit();
+                plans->memoize(key, fingerprint,
+                               toPlanMemo(resp.result));
+                resp.compile_ms =
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - tr0)
+                        .count();
+                return resp;
             }
+        } catch (const std::exception &) {
+            // Fall through to the full pipeline, which contains (or
+            // reproduces) the failure identically to a plan-off
+            // compile.
         }
     }
 
@@ -315,7 +296,7 @@ runCompile(const GridDevice &device,
     plans->noteMiss();
     RoutedCircuit routed;
     CompileResponse resp =
-        runCompileCaptured(device, *snap.set, route, req, &routed);
+        runCompileCaptured(device, *snap.set, client, req, &routed);
     resp.basis_epoch = snap.version;
     resp.snapshot_wait_ms = wait_ms;
     if (resp.status == CompileStatus::Ok) {
@@ -329,76 +310,6 @@ runCompile(const GridDevice &device,
         }
     }
     return resp;
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims (declared in core/experiment.hpp and
-// core/recalib.hpp). They preserve the historical throwing behavior
-// by re-throwing a Failed response's error.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-CompiledCircuitResult
-shimCompile(const GridDevice &device, const CalibratedBasisSet &set,
-            const SynthRoute &route, const Circuit &logical,
-            const TranspileOptions &opts, double t_1q_ns,
-            double t_coherence_ns)
-{
-    CompileRequest req;
-    req.circuit = logical;
-    req.options.transpile = opts;
-    req.options.t_1q_ns = t_1q_ns;
-    req.options.t_coherence_ns = t_coherence_ns;
-    const CompileResponse resp = runCompile(device, set, route, req);
-    if (resp.status != CompileStatus::Ok)
-        throw std::runtime_error(resp.error);
-    return resp.result;
-}
-
-} // namespace
-
-CompiledCircuitResult
-compileAndScore(const GridDevice &device, const CalibratedBasisSet &set,
-                DecompositionCache &cache, const Circuit &logical,
-                const TranspileOptions &opts, double t_1q_ns,
-                double t_coherence_ns)
-{
-    return shimCompile(device, set, SynthRoute::local(&cache), logical,
-                       opts, t_1q_ns, t_coherence_ns);
-}
-
-CompiledCircuitResult
-compileAndScore(const GridDevice &device, const CalibratedBasisSet &set,
-                const SynthClient &client, const Circuit &logical,
-                const TranspileOptions &opts, double t_1q_ns,
-                double t_coherence_ns)
-{
-    return shimCompile(device, set, SynthRoute(client), logical, opts,
-                       t_1q_ns, t_coherence_ns);
-}
-
-VersionedCompileResult
-compileAndScore(const GridDevice &device,
-                const VersionedBasisSet &calibration,
-                const SynthClient &client, const Circuit &logical,
-                const TranspileOptions &opts, double t_1q_ns,
-                double t_coherence_ns)
-{
-    CompileRequest req;
-    req.circuit = logical;
-    req.options.transpile = opts;
-    req.options.t_1q_ns = t_1q_ns;
-    req.options.t_coherence_ns = t_coherence_ns;
-    const CompileResponse resp =
-        runCompile(device, calibration, SynthRoute(client), req);
-    if (resp.status != CompileStatus::Ok)
-        throw std::runtime_error(resp.error);
-    VersionedCompileResult out;
-    out.basis_version = resp.basis_epoch;
-    out.snapshot_wait_ms = resp.snapshot_wait_ms;
-    out.result = resp.result;
-    return out;
 }
 
 } // namespace qbasis

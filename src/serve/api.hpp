@@ -3,17 +3,14 @@
 
 /**
  * @file
- * The unified compile request/response API.
+ * The compile request/response API.
  *
- * Before this layer existed, every caller picked from an
- * overload zoo: two `transpileCircuit` overloads, two (plus one
- * versioned) `compileAndScore` overloads, and hand-threaded
- * `SynthClient` construction. This header collapses all of that into
- * three value types — CompileRequest in, CompileOptions inside,
- * CompileResponse out — consumed identically by the batch
- * `FleetDriver::compileCircuits` path and the streaming
- * `CompileService` (serve/compile_service.hpp). The old entry points
- * survive as `[[deprecated]]` shims defined in serve/api.cpp.
+ * Three value types — CompileRequest in, CompileOptions inside,
+ * CompileResponse out — and one entry point, runCompile, which
+ * synthesizes through a SynthClient (synth/engine.hpp). The batch
+ * `FleetDriver::compileCircuits` path, the streaming
+ * `CompileService` (serve/compile_service.hpp), the bench drivers and
+ * the examples all compile through it.
  *
  * Determinism contract: a CompileResponse is a pure function of
  * (CompileRequest, calibrated basis set at the served epoch,
@@ -131,10 +128,10 @@ uint64_t compileRequestFingerprint(const CompileRequest &req);
 /**
  * Compile one request against a frozen calibrated set.
  *
- * The single compile entry point: transpile via `route` (local cache
- * or fleet shared cache — see SynthRoute), schedule ASAP against the
- * set's per-edge durations, and score with the paper's e^{-t/T}
- * model. Pipeline exceptions are contained into status == Failed
+ * The single compile entry point: transpile with synthesis through
+ * `client`, schedule ASAP against the set's per-edge durations, and
+ * score with the paper's e^{-t/T} model. Pipeline exceptions are
+ * contained into status == Failed
  * (with `error` = what()) rather than thrown, because a serving
  * daemon must not die on one bad request; batch callers that want
  * the old throwing behavior re-throw on !Ok.
@@ -144,7 +141,7 @@ uint64_t compileRequestFingerprint(const CompileRequest &req);
  */
 CompileResponse runCompile(const GridDevice &device,
                            const CalibratedBasisSet &set,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req);
 
 /**
@@ -154,7 +151,7 @@ CompileResponse runCompile(const GridDevice &device,
  */
 CompileResponse runCompile(const GridDevice &device,
                            const VersionedBasisSet &calibration,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req);
 
 /**
@@ -179,7 +176,7 @@ CompileResponse runCompile(const GridDevice &device,
  */
 CompileResponse runCompile(const GridDevice &device,
                            const VersionedBasisSet &calibration,
-                           const SynthRoute &route,
+                           const SynthClient &client,
                            const CompileRequest &req, PlanCache *plans);
 
 } // namespace qbasis

@@ -214,8 +214,8 @@ CompileService::serveOne(PendingRequest &pending,
             driver_.device(pending.req.device_id);
         // runCompile contains pipeline errors into status == Failed;
         // this try only guards pre-pipeline faults (unknown device).
-        resp = runCompile(state.device, state.calibration,
-                          SynthRoute(client), pending.req,
+        resp = runCompile(state.device, state.calibration, client,
+                          pending.req,
                           opts_.plan_cache ? &driver_.planCache()
                                            : nullptr);
     } catch (const std::exception &e) {

@@ -109,14 +109,6 @@ DecompositionCache::peekClass(const ClassKey &key) const
     return it == cache_.end() ? nullptr : &it->second;
 }
 
-void
-DecompositionCache::storeClass(const ClassKey &key,
-                               TwoQubitDecomposition dec)
-{
-    ++misses_;
-    cache_[key] = std::move(dec);
-}
-
 TwoQubitDecomposition
 DecompositionCache::dressClassDecomposition(
     const TwoQubitDecomposition &cls, const CanonicalKak &kak,
@@ -159,8 +151,10 @@ DecompositionCache::getOrSynthesize(int edge_id, const Mat4 &target,
         ++hits_;
         return dressClassDecomposition(*cls, kak, target);
     }
-    storeClass(key, synthesizeGate(classGate(key), basis, opts));
-    return dressClassDecomposition(*peekClass(key), kak, target);
+    ++misses_;
+    const TwoQubitDecomposition &cls = cache_[key] =
+        synthesizeGate(classGate(key), basis, opts);
+    return dressClassDecomposition(cls, kak, target);
 }
 
 void

@@ -3,8 +3,9 @@
 
 /**
  * @file
- * Per-calibration-cycle decomposition cache (paper Section VII),
- * keyed on Weyl equivalence classes.
+ * Weyl-class decomposition cache (paper Section VII): the class key
+ * and re-dressing helpers every cache shares, plus the serial
+ * reference cache the parallel engine is checked against.
  *
  * Synthesis cost depends on the target gate only through its
  * canonical Cartan (Weyl-chamber) coordinates: if T and T' are
@@ -33,7 +34,14 @@
 
 namespace qbasis {
 
-/** Cache of Weyl-class -> decomposition of the canonical gate. */
+/**
+ * Serial cache of Weyl-class -> decomposition of the canonical gate.
+ * Compilation synthesizes through SynthClient into a
+ * SharedDecompositionCache; this class supplies that cache's key and
+ * re-dressing helpers (the static members) and, through
+ * getOrSynthesize, the one-request-at-a-time reference the tests
+ * compare the engine against.
+ */
 class DecompositionCache
 {
   public:
@@ -90,7 +98,7 @@ class DecompositionCache
                                           const Mat4 &basis,
                                           const SynthOptions &opts = {});
 
-    // -- Class-level interface (used by SynthEngine) ----------------
+    // -- Class-level interface (shared by every cache) --------------
 
     /** Key of the class with the given canonical coordinates. */
     static ClassKey classKey(const CartanCoords &canonical,
@@ -103,14 +111,6 @@ class DecompositionCache
     /** Look up a class without touching the hit/miss counters.
      *  Pointers stay valid until clear(). */
     const TwoQubitDecomposition *peekClass(const ClassKey &key) const;
-
-    /** Insert a synthesized class decomposition (counts one miss). */
-    void storeClass(const ClassKey &key, TwoQubitDecomposition dec);
-
-    /** Credit `n` batched lookups that were served from classes
-     *  already present (or just stored) -- keeps engine-batch counter
-     *  semantics identical to the serial lookup loop. */
-    void noteHits(uint64_t n) { hits_ += n; }
 
     /**
      * Re-dress a class decomposition for a concrete target:

@@ -3,10 +3,9 @@
 #include <atomic>
 #include <climits>
 #include <condition_variable>
-#include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -439,21 +438,6 @@ SynthEngine::SynthEngine(int threads)
 
 SynthEngine::SynthEngine(ThreadPool &pool) : pool_(&pool) {}
 
-SynthEngine &
-SynthEngine::shared()
-{
-    static SynthEngine engine = [] {
-        int threads = 0;
-        if (const char *env = std::getenv("QBASIS_SYNTH_THREADS")) {
-            threads = std::atoi(env);
-            if (threads < 0)
-                threads = 0;
-        }
-        return SynthEngine(threads);
-    }();
-    return engine;
-}
-
 SynthEngine::Stats
 SynthEngine::stats() const
 {
@@ -471,67 +455,6 @@ SynthEngine::resetStats()
     restarts_run_.store(0);
     restarts_pruned_.store(0);
     restarts_failed_.store(0);
-}
-
-std::vector<TwoQubitDecomposition>
-SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
-                             DecompositionCache &cache,
-                             const SynthOptions &opts,
-                             TaskPriority priority)
-{
-    const size_t n = requests.size();
-    std::vector<TwoQubitDecomposition> results(n);
-    if (n == 0)
-        return results;
-    QBASIS_TRACE_SCOPE("synth.batch", "requests", n);
-    SynthMetrics::instance().batches.add();
-    SynthMetrics::instance().requests.add(n);
-
-    // Phase 1: canonical KAK of every target (embarrassingly
-    // parallel; deterministic because results land in per-index
-    // slots).
-    std::vector<CanonicalKak> kaks(n);
-    pool_->parallelFor(n, [&](size_t i) {
-        kaks[i] = canonicalKakDecompose(requests[i].target);
-    });
-
-    // Phase 2: dedupe into class jobs, in request order so job
-    // indices (and therefore cache insertion order) are deterministic.
-    std::vector<DecompositionCache::ClassKey> keys(n);
-    std::set<DecompositionCache::ClassKey> scheduled;
-    std::vector<std::unique_ptr<ClassJob>> jobs;
-    for (size_t i = 0; i < n; ++i) {
-        keys[i] = DecompositionCache::classKey(kaks[i].coords,
-                                               requests[i].basis, opts);
-        if (cache.peekClass(keys[i]) || !scheduled.insert(keys[i]).second)
-            continue;
-        auto job = std::make_unique<ClassJob>();
-        job->key = keys[i];
-        job->class_gate = DecompositionCache::classGate(keys[i]);
-        job->basis = requests[i].basis;
-        jobs.push_back(std::move(job));
-    }
-
-    // Phase 3: batch the depth-oracle verdicts through the pool,
-    // then run all jobs to completion and insert in job order
-    // (= first-appearance order) so cache contents never depend on
-    // completion order.
-    prefetchDepthVerdicts(*pool_, opts, jobs);
-    runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
-                  restarts_pruned_, restarts_failed_);
-    for (auto &job : jobs)
-        cache.storeClass(job->key, std::move(job->result));
-    cache.noteHits(n - jobs.size());
-
-    // Phase 4: dress every request from its class decomposition.
-    pool_->parallelFor(n, [&](size_t i) {
-        const TwoQubitDecomposition *cls = cache.peekClass(keys[i]);
-        if (cls == nullptr)
-            panic("SynthEngine: class missing after batch");
-        results[i] = DecompositionCache::dressClassDecomposition(
-            *cls, kaks[i], requests[i].target);
-    });
-    return results;
 }
 
 std::vector<TwoQubitDecomposition>

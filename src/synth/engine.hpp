@@ -7,8 +7,8 @@
  *
  * The engine batches every synthesis job of a compilation pass (all
  * 2Q gates of a circuit, or all SWAP/CNOT summaries of a device
- * sweep), dedupes them through the Weyl-class cache, and fans the
- * remaining class syntheses over a work-stealing thread pool:
+ * sweep), dedupes them through the shared Weyl-class cache, and fans
+ * the remaining class syntheses over a work-stealing thread pool:
  *
  *  - one *job* per distinct (basis, options, canonical-coords) class;
  *  - per job, a *wave* of multistart restarts at the current depth
@@ -24,10 +24,11 @@
  *  - if a wave fails, the job advances one depth and launches the
  *    next wave (waves of different jobs interleave freely).
  *
- * Results are bit-identical to the serial path for a fixed seed,
+ * Results are bit-identical to the serial reference
+ * (DecompositionCache::getOrSynthesize) for a fixed seed,
  * independent of thread count and completion order: restart streams
  * are derived (not shared), selection is by index rather than by
- * completion time, and cache insertion happens in submission order.
+ * completion time, and classes publish in submission order.
  *
  * Batches accept a TaskPriority: recalibration resynthesis submits
  * at TaskPriority::Background so its waves never outcompete
@@ -37,7 +38,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "synth/cache.hpp"
@@ -69,19 +69,6 @@ class SynthEngine
     explicit SynthEngine(ThreadPool &pool);
 
     /**
-     * Synthesize every request, using and filling `cache`.
-     *
-     * Returns one decomposition per request, in request order. The
-     * cache's hit/miss counters advance exactly as if the requests
-     * had been looked up serially in order.
-     */
-    std::vector<TwoQubitDecomposition>
-    synthesizeBatch(const std::vector<SynthRequest> &requests,
-                    DecompositionCache &cache,
-                    const SynthOptions &opts,
-                    TaskPriority priority = TaskPriority::Normal);
-
-    /**
      * Multi-client batch submission against the fleet-wide shared
      * cache, on behalf of device `device_id`.
      *
@@ -89,11 +76,14 @@ class SynthEngine
      * the same engine or on sibling engines sharing the pool. Classes
      * already claimed by a concurrent batch are awaited rather than
      * re-synthesized, so each class is synthesized once per process.
-     * Results are bit-identical to the single-device path for a fixed
-     * SynthOptions::seed, independent of shard count, as long as
-     * clients sharing a class hash use byte-identical basis matrices
-     * (true for replicated fleet devices; sub-1e-9 basis differences
-     * would share the class anyway by construction of the key).
+     * Returns one decomposition per request, in request order; the
+     * cache's hit/miss counters advance exactly as if the requests
+     * had been looked up serially in order. Results are bit-identical
+     * for a fixed SynthOptions::seed, independent of shard count, as
+     * long as clients sharing a class hash use byte-identical basis
+     * matrices (true for replicated fleet devices; sub-1e-9 basis
+     * differences would share the class anyway by construction of
+     * the key).
      */
     std::vector<TwoQubitDecomposition>
     synthesizeBatch(const std::vector<SynthRequest> &requests,
@@ -125,13 +115,6 @@ class SynthEngine
     Stats stats() const;
     void resetStats();
 
-    /**
-     * Process-wide engine sized from QBASIS_SYNTH_THREADS (or the
-     * hardware concurrency when unset); shared by the transpiler and
-     * the experiment drivers.
-     */
-    static SynthEngine &shared();
-
   private:
     std::unique_ptr<ThreadPool> owned_; ///< Null for borrowed pools.
     ThreadPool *pool_;
@@ -141,11 +124,13 @@ class SynthEngine
 };
 
 /**
- * One synthesis client: a device's submissions routed through a
- * (per-shard) engine into the fleet-wide shared cache. Experiment
- * drivers, the transpiler, and the bench drivers all submit through
- * this handle, which is what lets identical bases on different
- * devices dedupe onto one synthesis.
+ * One synthesis client: an engine on a pool, the shared Weyl-class
+ * cache, a device id and a lane. It is the only route synthesis
+ * takes: the transpiler, the experiment drivers, the fleet driver,
+ * the compile service and the bench drivers all submit through it,
+ * which is what lets identical bases on different devices dedupe
+ * onto one synthesis. A standalone caller builds one engine, one
+ * SharedDecompositionCache and one client over them.
  */
 struct SynthClient
 {
@@ -165,61 +150,9 @@ struct SynthClient
     }
 };
 
-/**
- * Unified synthesis routing handle for the compile API.
- *
- * Historically every compile entry point picked its own synthesis
- * plumbing: the serial transpiler took a raw `DecompositionCache *`
- * (null = synthesize inline without caching), while the fleet path
- * hand-threaded a `SynthClient` (engine + shared cache + device id +
- * lane). A SynthRoute is either of those behind one value type, so
- * one `transpileCircuit` / `runCompile` signature serves both worlds:
- *
- *   SynthRoute{}             — private per-call cache (the old
- *                              default-options path); whether waves
- *                              run on SynthEngine::shared() or
- *                              serially in-thread is still governed
- *                              by TranspileOptions::parallel_synth;
- *   SynthRoute::local(&c)    — same, but into a caller-owned cache
- *                              shared across circuits of one
- *                              calibration cycle;
- *   SynthRoute(client)       — fleet path: batches submitted through
- *                              the client's engine into the
- *                              fleet-wide SharedDecompositionCache.
- *
- * The route never owns what it points at; everything referenced must
- * outlive the compile call.
- */
-class SynthRoute
-{
-  public:
-    /** Local route with a private, per-call cache. */
-    SynthRoute() = default;
-
-    /** Fleet route through a shared-cache client. */
-    explicit SynthRoute(const SynthClient &client) : client_(client) {}
-
-    /** Local route into a caller-owned cache (must be non-null). */
-    static SynthRoute local(DecompositionCache *cache)
-    {
-        SynthRoute r;
-        r.local_cache_ = cache;
-        return r;
-    }
-
-    bool isFleet() const { return client_.has_value(); }
-
-    /** Fleet client; only valid when isFleet(). */
-    const SynthClient &client() const { return *client_; }
-
-    /** Caller-owned local cache, or null for a private one; only
-     *  meaningful when !isFleet(). */
-    DecompositionCache *localCache() const { return local_cache_; }
-
-  private:
-    std::optional<SynthClient> client_;
-    DecompositionCache *local_cache_ = nullptr;
-};
+/** Second name of SynthClient: the repository benchmark (qbench/)
+ *  spells the compile API's synthesis handle `SynthRoute(client)`. */
+using SynthRoute = SynthClient;
 
 } // namespace qbasis
 

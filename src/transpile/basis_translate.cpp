@@ -47,15 +47,14 @@ orientedTarget(const Gate &g, const CouplingMap &cm, int eid)
 }
 
 /**
- * Shared emission loop: rewrite every 2Q gate using `dec_of`, which
- * returns the decomposition of the idx-th 2Q gate (in circuit order).
+ * Shared emission loop: rewrite every 2Q gate using `decs`, which
+ * holds the decomposition of each 2Q gate in circuit order.
  */
 Circuit
 emitTranslation(const Circuit &physical, const CouplingMap &cm,
                 const std::vector<EdgeBasis> &bases,
-                BasisTranslationStats *stats,
-                const std::function<TwoQubitDecomposition(
-                    const Gate &, int, size_t)> &dec_of)
+                const std::vector<TwoQubitDecomposition> &decs,
+                BasisTranslationStats *stats)
 {
     Circuit out(physical.numQubits());
     BasisTranslationStats local_stats;
@@ -69,7 +68,7 @@ emitTranslation(const Circuit &physical, const CouplingMap &cm,
         const int eid = edgeIdOf(g, cm);
         const auto [lo, hi] = cm.edges()[eid];
 
-        const TwoQubitDecomposition dec = dec_of(g, eid, next_2q++);
+        const TwoQubitDecomposition &dec = decs[next_2q++];
         if (dec.infidelity > 1e-6) {
             warn("translate: decomposition infidelity %.2e on edge "
                  "%d for gate '%s'", dec.infidelity, eid,
@@ -126,54 +125,15 @@ collectSynthRequests(const Circuit &physical, const CouplingMap &cm,
 Circuit
 translateToEdgeBases(const Circuit &physical, const CouplingMap &cm,
                      const std::vector<EdgeBasis> &bases,
-                     DecompositionCache &cache,
-                     const SynthOptions &synth_opts,
-                     BasisTranslationStats *stats, SynthEngine *engine)
-{
-    if (bases.size() != cm.edges().size())
-        fatal("edge basis table size %zu != edge count %zu",
-              bases.size(), cm.edges().size());
-
-    // With an engine, batch-synthesize every 2Q gate's decomposition
-    // up front (deduped by Weyl class, fanned over the pool);
-    // otherwise decompositions are pulled from the cache on demand.
-    std::vector<TwoQubitDecomposition> batched;
-    if (engine != nullptr) {
-        batched = engine->synthesizeBatch(
-            collectSynthRequests(physical, cm, bases), cache,
-            synth_opts);
-    }
-    return emitTranslation(
-        physical, cm, bases, stats,
-        [&](const Gate &g, int eid, size_t idx) {
-            return engine != nullptr
-                       ? std::move(batched[idx])
-                       : cache.getOrSynthesize(
-                             eid, orientedTarget(g, cm, eid),
-                             bases[static_cast<size_t>(eid)].gate,
-                             synth_opts);
-        });
-}
-
-Circuit
-translateToEdgeBases(const Circuit &physical, const CouplingMap &cm,
-                     const std::vector<EdgeBasis> &bases,
                      const SynthClient &client,
                      const SynthOptions &synth_opts,
                      BasisTranslationStats *stats)
 {
-    if (bases.size() != cm.edges().size())
-        fatal("edge basis table size %zu != edge count %zu",
-              bases.size(), cm.edges().size());
-
-    // Fleet path: always batched, against the shared cross-device
-    // cache, on the client's shard engine.
-    std::vector<TwoQubitDecomposition> batched = client.synthesizeBatch(
-        collectSynthRequests(physical, cm, bases), synth_opts);
-    return emitTranslation(physical, cm, bases, stats,
-                           [&](const Gate &, int, size_t idx) {
-                               return std::move(batched[idx]);
-                           });
+    return emitTranslation(
+        physical, cm, bases,
+        client.synthesizeBatch(collectSynthRequests(physical, cm, bases),
+                               synth_opts),
+        stats);
 }
 
 std::optional<Circuit>
@@ -210,10 +170,7 @@ translateFromPublishedClasses(
             *cls, kak, target));
     }
 
-    return emitTranslation(physical, cm, bases, stats,
-                           [&](const Gate &, int, size_t idx) {
-                               return std::move(dressed[idx]);
-                           });
+    return emitTranslation(physical, cm, bases, dressed, stats);
 }
 
 DurationModel

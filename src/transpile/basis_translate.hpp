@@ -5,7 +5,7 @@
  * @file
  * Basis-translation pass: rewrite every 2Q gate of a routed physical
  * circuit into the per-edge 2Q basis gate plus local gates, using
- * the numerical synthesis engine with per-calibration-cycle caching
+ * the numerical synthesis engine and the shared Weyl-class cache
  * (paper Section VII).
  */
 
@@ -53,25 +53,11 @@ collectSynthRequests(const Circuit &physical, const CouplingMap &cm,
  * corresponding edge's basis gate plus 1Q gates.
  *
  * All 2Q gates must act on coupled pairs (i.e. the circuit is
- * routed). Basis-gate applications are labeled "basis".
- *
- * With `engine` set, all decompositions are batch-synthesized up
- * front on the engine's thread pool; otherwise each gate is looked
- * up serially. Both paths produce bit-identical circuits for a fixed
- * SynthOptions::seed.
- */
-Circuit translateToEdgeBases(const Circuit &physical,
-                             const CouplingMap &cm,
-                             const std::vector<EdgeBasis> &bases,
-                             DecompositionCache &cache,
-                             const SynthOptions &synth_opts,
-                             BasisTranslationStats *stats = nullptr,
-                             SynthEngine *engine = nullptr);
-
-/**
- * Fleet-mode translation: decompositions are batch-synthesized
- * through `client` into the fleet-wide shared cache, so identical
- * bases on other devices dedupe onto already-synthesized classes.
+ * routed). Basis-gate applications are labeled with the edge's
+ * basis label ("basis" when empty). All decompositions are
+ * batch-synthesized up front through `client` into the shared
+ * cache, so identical bases on other devices dedupe onto
+ * already-synthesized classes.
  */
 Circuit translateToEdgeBases(const Circuit &physical,
                              const CouplingMap &cm,
@@ -87,7 +73,7 @@ Circuit translateToEdgeBases(const Circuit &physical,
  * any 2Q gate's class is not yet published, in which case the caller
  * must fall back to a full translate.
  *
- * Emission goes through the same loop as the synthesizing paths, so
+ * Emission goes through the same loop as the synthesizing path, so
  * for a fixed published class set the output is bit-identical to
  * what translateToEdgeBases would produce.
  */

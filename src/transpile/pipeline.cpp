@@ -1,7 +1,6 @@
 #include "transpile/pipeline.hpp"
 
 #include "obs/trace.hpp"
-#include "synth/engine.hpp"
 #include "transpile/merge_1q.hpp"
 
 namespace qbasis {
@@ -9,7 +8,7 @@ namespace qbasis {
 TranspileResult
 transpileCircuit(const Circuit &logical, const CouplingMap &cm,
                  const std::vector<EdgeBasis> &bases,
-                 const SynthRoute &route, const TranspileOptions &opts,
+                 const SynthClient &client, const TranspileOptions &opts,
                  RoutedCircuit *captured_routing)
 {
     QBASIS_TRACE_SCOPE("transpile.pipeline", "gates", logical.size(),
@@ -32,42 +31,9 @@ transpileCircuit(const Circuit &logical, const CouplingMap &cm,
 
     const Circuit merged = mergeSingleQubitRuns(routed.circuit);
     QBASIS_TRACE_SCOPE("transpile.translate", "gates", merged.size());
-    Circuit translated{merged.numQubits()};
-    if (route.isFleet()) {
-        translated =
-            translateToEdgeBases(merged, cm, bases, route.client(),
-                                 opts.synth, &result.translation);
-    } else {
-        DecompositionCache private_cache;
-        DecompositionCache &cache = route.localCache()
-                                        ? *route.localCache()
-                                        : private_cache;
-        SynthEngine *engine =
-            opts.parallel_synth ? &SynthEngine::shared() : nullptr;
-        translated =
-            translateToEdgeBases(merged, cm, bases, cache, opts.synth,
-                                 &result.translation, engine);
-    }
-    result.physical = mergeSingleQubitRuns(translated);
+    result.physical = mergeSingleQubitRuns(translateToEdgeBases(
+        merged, cm, bases, client, opts.synth, &result.translation));
     return result;
-}
-
-TranspileResult
-transpileCircuit(const Circuit &logical, const CouplingMap &cm,
-                 const std::vector<EdgeBasis> &bases,
-                 DecompositionCache &cache, const TranspileOptions &opts)
-{
-    return transpileCircuit(logical, cm, bases,
-                            SynthRoute::local(&cache), opts);
-}
-
-TranspileResult
-transpileCircuit(const Circuit &logical, const CouplingMap &cm,
-                 const std::vector<EdgeBasis> &bases,
-                 const SynthClient &client, const TranspileOptions &opts)
-{
-    return transpileCircuit(logical, cm, bases, SynthRoute(client),
-                            opts);
 }
 
 } // namespace qbasis

@@ -8,7 +8,6 @@
  * per-edge basis translation -> final 1Q merging.
  */
 
-#include "synth/cache.hpp"
 #include "synth/engine.hpp"
 #include "transpile/basis_translate.hpp"
 #include "transpile/layout.hpp"
@@ -22,13 +21,6 @@ struct TranspileOptions
     SabreOptions sabre;      ///< Routing heuristic tunables.
     SynthOptions synth;      ///< Gate-synthesis settings.
     int layout_iterations = 3; ///< SABRE layout refinement passes.
-    /**
-     * Batch-synthesize decompositions on SynthEngine::shared()'s
-     * thread pool. Results are bit-identical to the serial path for
-     * a fixed synth.seed; disable only to benchmark or debug the
-     * serial path.
-     */
-    bool parallel_synth = true;
 };
 
 /** Result of the full pipeline. */
@@ -46,16 +38,16 @@ struct TranspileResult
 /**
  * Compile a logical circuit to a device with per-edge basis gates.
  *
- * This is the single pipeline entry point: `route` selects where
- * two-qubit synthesis runs and which cache it fills (local cache vs
- * the fleet-wide shared cache through a SynthClient) — see SynthRoute
- * in synth/engine.hpp. Results are bit-identical across routes for a
- * fixed synth seed whenever the routes see the same basis matrices.
+ * This is the single pipeline entry point: two-qubit synthesis runs
+ * on `client`'s engine into its shared Weyl-class cache (see
+ * SynthClient in synth/engine.hpp). Results are bit-identical for a
+ * fixed synth seed whatever engine, pool size or device id the
+ * client carries, as long as it sees the same basis matrices.
  *
  * @param logical  input circuit on logical qubits.
  * @param cm       device coupling graph.
  * @param bases    per-edge basis gates (indexed by edge id).
- * @param route    synthesis routing (cache + engine selection).
+ * @param client   synthesis engine + shared cache to submit to.
  * @param captured_routing  when non-null, receives a copy of the
  *        routed circuit (with its source map) so the caller can
  *        capture a transpile plan (see transpile/plan.hpp).
@@ -63,34 +55,10 @@ struct TranspileResult
 TranspileResult transpileCircuit(const Circuit &logical,
                                  const CouplingMap &cm,
                                  const std::vector<EdgeBasis> &bases,
-                                 const SynthRoute &route = {},
+                                 const SynthClient &client,
                                  const TranspileOptions &opts = {},
                                  RoutedCircuit *captured_routing =
                                      nullptr);
-
-/**
- * @deprecated Legacy overload; use the SynthRoute entry point with
- * `SynthRoute::local(&cache)`. Kept as a thin shim so out-of-tree
- * callers keep building.
- */
-[[deprecated("use transpileCircuit(..., SynthRoute::local(&cache), "
-             "opts)")]]
-TranspileResult transpileCircuit(const Circuit &logical,
-                                 const CouplingMap &cm,
-                                 const std::vector<EdgeBasis> &bases,
-                                 DecompositionCache &cache,
-                                 const TranspileOptions &opts = {});
-
-/**
- * @deprecated Legacy fleet-mode overload; use the SynthRoute entry
- * point with `SynthRoute(client)`.
- */
-[[deprecated("use transpileCircuit(..., SynthRoute(client), opts)")]]
-TranspileResult transpileCircuit(const Circuit &logical,
-                                 const CouplingMap &cm,
-                                 const std::vector<EdgeBasis> &bases,
-                                 const SynthClient &client,
-                                 const TranspileOptions &opts = {});
 
 } // namespace qbasis
 

@@ -83,8 +83,6 @@ transpilePlanOptionsHash(const TranspileOptions &opts)
     f.mix(opts.sabre.seed);
     f.mix(static_cast<uint64_t>(
         static_cast<int64_t>(opts.layout_iterations)));
-    // parallel_synth is bit-identical to the serial path by contract,
-    // so it does not participate.
     f.mix(DecompositionCache::hashOptions(opts.synth));
     return f.h;
 }

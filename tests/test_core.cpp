@@ -225,13 +225,14 @@ TEST_F(SmallDeviceExperiment, NonstandardFasterThanBaseline)
 
 TEST_F(SmallDeviceExperiment, SummaryMatchesPaperShapes)
 {
-    DecompositionCache cache;
+    SynthEngine engine(2);
+    SharedDecompositionCache cache;
+    const SynthClient client{engine, cache};
     const SynthOptions synth;
     const GateSetSummary ns = summarizeGateSet(
-        device(), nonstandardSet(), cache, synth, 20.0, 80e3);
-    DecompositionCache cache2;
+        device(), nonstandardSet(), client, synth, 20.0, 80e3);
     const GateSetSummary base = summarizeGateSet(
-        device(), baselineSet(), cache2, synth, 20.0, 80e3);
+        device(), baselineSet(), client, synth, 20.0, 80e3);
 
     // SWAP in 3 layers on both sets; durations follow the paper's
     // model n*t2q + (n+1)*t1q.
@@ -253,14 +254,16 @@ TEST_F(SmallDeviceExperiment, SummaryMatchesPaperShapes)
 
 TEST_F(SmallDeviceExperiment, CompiledCircuitFidelityOrdering)
 {
-    DecompositionCache cache_ns, cache_base;
+    SynthEngine engine(2);
+    SharedDecompositionCache cache;
+    const SynthClient client{engine, cache};
     const Circuit bench = bvAllOnesCircuit(4);
     const CompileRequest req(1, 0, "bv4", bench);
 
-    const CompileResponse resp_ns = runCompile(
-        device(), nonstandardSet(), SynthRoute::local(&cache_ns), req);
-    const CompileResponse resp_base = runCompile(
-        device(), baselineSet(), SynthRoute::local(&cache_base), req);
+    const CompileResponse resp_ns =
+        runCompile(device(), nonstandardSet(), client, req);
+    const CompileResponse resp_base =
+        runCompile(device(), baselineSet(), client, req);
     ASSERT_EQ(resp_ns.status, CompileStatus::Ok);
     ASSERT_EQ(resp_base.status, CompileStatus::Ok);
     const CompiledCircuitResult &ns = resp_ns.result;

@@ -23,6 +23,15 @@
 namespace qbasis {
 namespace {
 
+/** A standalone synthesis route: one engine, one shared cache, and
+ *  the client over them. */
+struct LocalSynth
+{
+    SynthEngine engine{2};
+    SharedDecompositionCache cache;
+    SynthClient client{engine, cache};
+};
+
 std::vector<EdgeBasis>
 uniformBases(const CouplingMap &cm, const Mat4 &gate, double dur)
 {
@@ -43,9 +52,9 @@ TEST(Integration, QftAdderCompiledOnLineStillAdds)
     const Circuit adder = qftAdderCircuit(bits); // 4 qubits
     const CouplingMap cm = CouplingMap::line(4);
     const auto bases = uniformBases(cm, sqrtIswapGate(), 50.0);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult compiled =
-        transpileCircuit(adder, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(adder, cm, bases, synth.client);
 
     const size_t mod = 1u << bits;
     for (size_t a = 0; a < mod; ++a) {
@@ -89,9 +98,9 @@ TEST(Integration, NonstandardBasisCompilesToffoliCorrectly)
     const CouplingMap cm = CouplingMap::line(3);
     const Mat4 basis = canonicalGate(0.24, 0.22, 0.04);
     const auto bases = uniformBases(cm, basis, 12.0);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, synth.client);
     // Verify truth table through layouts.
     for (size_t in = 0; in < 8; ++in) {
         Statevector sv(3);
@@ -121,13 +130,13 @@ TEST(Integration, ScheduleDurationMatchesDecompositionModel)
     c.cx(0, 1);
     const CouplingMap cm = CouplingMap::line(2);
     const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, synth.client);
     const Schedule sched = scheduleAsap(
         compiled.physical, edgeDurationModel(cm, bases, 20.0));
-    const TwoQubitDecomposition &dec = cache.getOrSynthesize(
-        0, cnotGate(), sqrtIswapGate(), SynthOptions{});
+    const TwoQubitDecomposition dec = synth.client.synthesizeBatch(
+        {{0, cnotGate(), sqrtIswapGate()}}, SynthOptions{})[0];
     EXPECT_EQ(dec.layers(), 2);
     // Some locals may merge away (identity products), so the
     // schedule can only be shorter or equal.
@@ -154,13 +163,11 @@ TEST(Integration, FidelityModelFavorsShorterBasisGates)
     const CouplingMap cm = CouplingMap::grid(2, 3);
     const auto slow = uniformBases(cm, sqrtIswapGate(), 83.0);
     const auto fast = uniformBases(cm, sqrtIswapGate(), 10.0);
-    DecompositionCache cache_slow, cache_fast;
+    LocalSynth synth;
     const TranspileResult cs =
-        transpileCircuit(qft, cm, slow, SynthRoute::local(&cache_slow),
-                         TranspileOptions{});
+        transpileCircuit(qft, cm, slow, synth.client);
     const TranspileResult cf =
-        transpileCircuit(qft, cm, fast, SynthRoute::local(&cache_fast),
-                         TranspileOptions{});
+        transpileCircuit(qft, cm, fast, synth.client);
     const double fs = circuitCoherenceFidelity(
         scheduleAsap(cs.physical, edgeDurationModel(cm, slow, 20.0)),
         80e3);
@@ -191,9 +198,9 @@ TEST(Integration, HeterogeneousBasesCompileCorrectly)
     c.cx(1, 2);
     c.cx(2, 3);
     c.cphase(3, 2, 0.7);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult compiled =
-        transpileCircuit(c, cm, bases, SynthRoute::local(&cache), TranspileOptions{});
+        transpileCircuit(c, cm, bases, synth.client);
 
     Circuit embedded(4);
     for (const Gate &g : c.gates()) {

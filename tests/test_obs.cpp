@@ -318,7 +318,7 @@ TEST_F(ObsTest, RegistryCountersMatchLegacyEngineStats)
 {
     MetricsRegistry::instance().reset();
     SynthEngine engine(2);
-    DecompositionCache cache;
+    SharedDecompositionCache cache;
     std::vector<SynthRequest> reqs;
     reqs.push_back({0, swapGate(), sqrtIswapGate()});
     reqs.push_back({1, cnotGate(), sqrtIswapGate()});

@@ -406,7 +406,7 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
     requests.push_back(req);
 
     SynthEngine serial_engine(1);
-    DecompositionCache serial_cache;
+    SharedDecompositionCache serial_cache;
     const auto pruned =
         serial_engine.synthesizeBatch(requests, serial_cache, opts);
     ASSERT_EQ(pruned.size(), 1u);
@@ -419,7 +419,7 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
     EXPECT_EQ(st.restarts_pruned, 4u);
 
     SynthEngine racy_engine(2);
-    DecompositionCache racy_cache;
+    SharedDecompositionCache racy_cache;
     const auto racy =
         racy_engine.synthesizeBatch(requests, racy_cache, opts);
     ASSERT_EQ(racy.size(), 1u);

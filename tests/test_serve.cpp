@@ -387,45 +387,6 @@ TEST_F(ServeTest, AdmitFaultSiteIsRegisteredAndRepliesDeterministically)
     service.stop();
 }
 
-// --- Deprecated shim equivalence ------------------------------------
-
-TEST_F(ServeTest, DeprecatedShimsMatchUnifiedApi)
-{
-    const GridDevice device{quadSpec(11).grid};
-    DeviceCalibrationOptions copts;
-    copts.edge_limit = 1;
-    const CalibratedBasisSet set = calibrateDevice(
-        device, 0.04, SelectionCriterion::Criterion1, "shim", copts);
-
-    CompileRequest req(7, 0, "qft3", qftCircuit(3));
-    req.options.transpile.synth = cheapSynth();
-    DecompositionCache cache_new;
-    const CompileResponse unified = runCompile(
-        device, set, SynthRoute::local(&cache_new), req);
-    ASSERT_EQ(unified.status, CompileStatus::Ok) << unified.error;
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    DecompositionCache cache_old;
-    const CompiledCircuitResult legacy = compileAndScore(
-        device, set, cache_old, req.circuit, req.options.transpile,
-        req.options.t_1q_ns, req.options.t_coherence_ns);
-    DecompositionCache cache_pipe;
-    const TranspileResult legacy_pipe = transpileCircuit(
-        req.circuit, device.coupling(), set.bases, cache_pipe,
-        req.options.transpile);
-#pragma GCC diagnostic pop
-
-    EXPECT_EQ(unified.result.fidelity, legacy.fidelity);
-    EXPECT_EQ(unified.result.makespan_ns, legacy.makespan_ns);
-    EXPECT_EQ(unified.result.swaps_inserted, legacy.swaps_inserted);
-    EXPECT_EQ(unified.result.two_qubit_gates, legacy.two_qubit_gates);
-    EXPECT_EQ(unified.result.depth, legacy.depth);
-    EXPECT_EQ(legacy_pipe.physical.depth(), unified.result.depth);
-    EXPECT_EQ(legacy_pipe.swaps_inserted,
-              unified.result.swaps_inserted);
-}
-
 // --- run() per-device failure containment ---------------------------
 
 TEST_F(ServeTest, RunContainsPerDeviceFailuresInStatusVector)

@@ -411,7 +411,8 @@ TEST(Engine, DeterministicAcrossThreadCounts)
     const std::vector<SynthRequest> reqs = engineTestRequests();
 
     SynthEngine e1(1), e4(4);
-    DecompositionCache c1, c4, cs;
+    SharedDecompositionCache c1, c4;
+    DecompositionCache cs;
     const auto r1 = e1.synthesizeBatch(reqs, c1, o);
     const auto r4 = e4.synthesizeBatch(reqs, c4, o);
     std::vector<TwoQubitDecomposition> rs;
@@ -437,7 +438,7 @@ TEST(Engine, ReusesWarmCacheAcrossBatches)
     const SynthOptions o = fastSynth();
     const std::vector<SynthRequest> reqs = engineTestRequests();
     SynthEngine engine(2);
-    DecompositionCache cache;
+    SharedDecompositionCache cache;
     engine.synthesizeBatch(reqs, cache, o);
     const uint64_t misses_first = cache.misses();
     engine.synthesizeBatch(reqs, cache, o);
@@ -470,7 +471,7 @@ TEST(EngineFaults, OneBadRestartDoesNotKillTheBatch)
 
     const SynthOptions o = fastSynth();
     SynthEngine engine(1);
-    DecompositionCache cache;
+    SharedDecompositionCache cache;
     const std::vector<SynthRequest> reqs{
         {0, swapGate(), sqrtIswapGate()}};
     std::vector<TwoQubitDecomposition> out;
@@ -495,7 +496,7 @@ TEST(EngineFaults, AllRestartsFailSurfacesOneCleanError)
 
     const SynthOptions o = fastSynth();
     SynthEngine engine(2);
-    DecompositionCache cache;
+    SharedDecompositionCache cache;
     const std::vector<SynthRequest> reqs{
         {0, swapGate(), sqrtIswapGate()}};
     try {

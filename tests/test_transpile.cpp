@@ -221,6 +221,15 @@ uniformBases(const CouplingMap &cm, const Mat4 &gate, double dur,
     return bases;
 }
 
+/** A standalone synthesis route: one engine, one shared cache, and
+ *  the client over them. */
+struct LocalSynth
+{
+    SynthEngine engine{2};
+    SharedDecompositionCache cache;
+    SynthClient client{engine, cache};
+};
+
 TEST(Translate, CxCircuitOntoSqrtIswap)
 {
     const CouplingMap cm = CouplingMap::line(3);
@@ -230,9 +239,9 @@ TEST(Translate, CxCircuitOntoSqrtIswap)
     c.h(0);
     c.cx(0, 1);
     c.cx(1, 2);
-    DecompositionCache cache;
+    LocalSynth synth;
     BasisTranslationStats stats;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
+    const Circuit t = translateToEdgeBases(c, cm, bases, synth.client,
                                            SynthOptions{}, &stats);
     EXPECT_EQ(stats.translated_2q, 2u);
     // CNOT from sqiSW takes 2 layers each.
@@ -260,8 +269,8 @@ TEST(Translate, NonstandardBasisPreservesSemantics)
     c.cx(2, 1);
     c.swap(0, 1);
     c.cphase(1, 2, 0.77);
-    DecompositionCache cache;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
+    LocalSynth synth;
+    const Circuit t = translateToEdgeBases(c, cm, bases, synth.client,
                                            SynthOptions{});
     EXPECT_TRUE(circuitsEquivalent(c, t));
 }
@@ -269,7 +278,8 @@ TEST(Translate, NonstandardBasisPreservesSemantics)
 TEST(Translate, EngineMatchesSerialBitExactly)
 {
     // Batched (thread-pooled) translation must emit exactly the same
-    // circuit as the serial per-gate path for a fixed seed.
+    // circuit, and advance the same hit/miss counters, as the serial
+    // reference cache filled one gate at a time, for a fixed seed.
     const Mat4 basis = canonicalGate(0.45, 0.23, 0.07);
     const CouplingMap cm = CouplingMap::line(3);
     const auto bases = uniformBases(cm, basis, 12.0, "ns");
@@ -280,16 +290,25 @@ TEST(Translate, EngineMatchesSerialBitExactly)
     c.cphase(1, 2, 0.77);
     c.cphase(0, 1, 0.77);
 
-    DecompositionCache cache_serial, cache_engine;
-    const Circuit serial = translateToEdgeBases(
-        c, cm, bases, cache_serial, SynthOptions{});
-    SynthEngine engine(4);
-    const Circuit batched = translateToEdgeBases(
-        c, cm, bases, cache_engine, SynthOptions{}, nullptr, &engine);
+    const SynthOptions opts;
+    DecompositionCache cache_serial;
+    for (const SynthRequest &r : collectSynthRequests(c, cm, bases))
+        cache_serial.getOrSynthesize(r.edge_id, r.target, r.basis, opts);
+    const std::optional<Circuit> serial = translateFromPublishedClasses(
+        c, cm, bases, opts,
+        [&cache_serial](const DecompositionCache::ClassKey &key) {
+            return cache_serial.peekClass(key);
+        });
+    ASSERT_TRUE(serial.has_value());
 
-    ASSERT_EQ(serial.gates().size(), batched.gates().size());
-    for (size_t i = 0; i < serial.gates().size(); ++i) {
-        const Gate &a = serial.gates()[i];
+    SynthEngine engine(4);
+    SharedDecompositionCache cache_engine;
+    const Circuit batched = translateToEdgeBases(
+        c, cm, bases, SynthClient{engine, cache_engine}, opts);
+
+    ASSERT_EQ(serial->gates().size(), batched.gates().size());
+    for (size_t i = 0; i < serial->gates().size(); ++i) {
+        const Gate &a = serial->gates()[i];
         const Gate &b = batched.gates()[i];
         ASSERT_EQ(a.qubits, b.qubits);
         if (a.isTwoQubit())
@@ -309,8 +328,8 @@ TEST(Translate, ReversedEdgeOrientationHandled)
         uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
     Circuit c(2);
     c.cx(1, 0); // control is the higher-numbered qubit
-    DecompositionCache cache;
-    const Circuit t = translateToEdgeBases(c, cm, bases, cache,
+    LocalSynth synth;
+    const Circuit t = translateToEdgeBases(c, cm, bases, synth.client,
                                            SynthOptions{});
     EXPECT_TRUE(circuitsEquivalent(c, t));
 }
@@ -324,10 +343,10 @@ TEST(Translate, CacheSharedAcrossIdenticalGates)
     c.cx(0, 1);
     c.cx(0, 1);
     c.cx(0, 1);
-    DecompositionCache cache;
-    translateToEdgeBases(c, cm, bases, cache, SynthOptions{});
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 2u);
+    LocalSynth synth;
+    translateToEdgeBases(c, cm, bases, synth.client, SynthOptions{});
+    EXPECT_EQ(synth.cache.misses(), 1u);
+    EXPECT_EQ(synth.cache.hits(), 2u);
 }
 
 TEST(Translate, RejectsUnroutedCircuits)
@@ -337,8 +356,8 @@ TEST(Translate, RejectsUnroutedCircuits)
         uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
     Circuit c(3);
     c.cx(0, 2); // not an edge
-    DecompositionCache cache;
-    EXPECT_THROW(translateToEdgeBases(c, cm, bases, cache,
+    LocalSynth synth;
+    EXPECT_THROW(translateToEdgeBases(c, cm, bases, synth.client,
                                       SynthOptions{}),
                  std::runtime_error);
 }
@@ -360,9 +379,9 @@ TEST(Pipeline, EndToEndSmallDevice)
     const auto bases =
         uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
     const Circuit logical = qftCircuit(5);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult result =
-        transpileCircuit(logical, cm, bases, SynthRoute::local(&cache));
+        transpileCircuit(logical, cm, bases, synth.client);
 
     // Structure: all 2Q gates are coupled basis gates.
     for (const Gate &g : result.physical.gates()) {
@@ -397,9 +416,9 @@ TEST(Pipeline, ScheduleOfTranspiledCircuit)
     const auto bases =
         uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
     const Circuit logical = qftCircuit(4);
-    DecompositionCache cache;
+    LocalSynth synth;
     const TranspileResult result =
-        transpileCircuit(logical, cm, bases, SynthRoute::local(&cache));
+        transpileCircuit(logical, cm, bases, synth.client);
     const Schedule sched = scheduleAsap(
         result.physical, edgeDurationModel(cm, bases, 20.0));
     EXPECT_GT(sched.makespan, 0.0);
