@@ -36,13 +36,14 @@ main()
         SelectionCriterion::PeAndSwap3,
     };
 
-    SynthEngine engine;
+    ThreadPool pool;
+    SynthEngine engine(pool);
     TextTable table({"criterion", "basis (ns)", "SWAP (ns)",
                      "CNOT (ns)", "SWAP layers", "CNOT layers",
                      "min ep"});
     for (SelectionCriterion crit : criteria) {
         const CalibratedBasisSet set =
-            calibrateDevice(device, kStrongXi, crit,
+            calibrateDevice(pool, device, kStrongXi, crit,
                             criterionName(crit), copts);
         SharedDecompositionCache cache;
         const SynthClient client{engine, cache};

@@ -70,17 +70,20 @@ main()
 
     setLogLevel(LogLevel::Warn);
 
+    // One hardware-sized pool calibrates the edges and then runs the
+    // synthesis engine.
+    ThreadPool pool;
     const CalibratedBasisSet baseline = calibrateDevice(
-        device, kBaselineXi, SelectionCriterion::Criterion1,
+        pool, device, kBaselineXi, SelectionCriterion::Criterion1,
         "baseline", calibrationOptions(130.0));
     const CalibratedBasisSet crit1 = calibrateDevice(
-        device, kStrongXi, SelectionCriterion::Criterion1,
+        pool, device, kStrongXi, SelectionCriterion::Criterion1,
         "criterion1", calibrationOptions(30.0));
     const CalibratedBasisSet crit2 = calibrateDevice(
-        device, kStrongXi, SelectionCriterion::Criterion2,
+        pool, device, kStrongXi, SelectionCriterion::Criterion2,
         "criterion2", calibrationOptions(30.0));
 
-    SynthEngine engine;
+    SynthEngine engine(pool);
     SharedDecompositionCache cache_b, cache_1, cache_2;
     const SynthClient client_b{engine, cache_b};
     const SynthClient client_1{engine, cache_1};

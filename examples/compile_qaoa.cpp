@@ -31,14 +31,16 @@ main()
                 "nonstandard xi = 0.04)...\n",
                 device.coupling().edges().size());
 
+    // The pool calibrates the edges in parallel, then runs synthesis.
+    ThreadPool pool;
     DeviceCalibrationOptions copts;
     copts.max_ns = 130.0;
     const CalibratedBasisSet baseline = calibrateDevice(
-        device, 0.005, SelectionCriterion::Criterion1, "baseline",
+        pool, device, 0.005, SelectionCriterion::Criterion1, "baseline",
         copts);
     copts.max_ns = 30.0;
     const CalibratedBasisSet nonstandard = calibrateDevice(
-        device, 0.04, SelectionCriterion::Criterion2, "criterion2",
+        pool, device, 0.04, SelectionCriterion::Criterion2, "criterion2",
         copts);
 
     TextTable edges({"edge", "baseline (ns)", "nonstandard (ns)",
@@ -55,7 +57,7 @@ main()
     std::printf("\nQAOA instance: %d qubits, %zu RZZ gates\n",
                 qaoa.numQubits(), qaoa.count(GateKind::RZZ));
 
-    SynthEngine engine;
+    SynthEngine engine(pool);
     SharedDecompositionCache cache;
     const SynthClient client{engine, cache};
     CompileRequest req(1, 0, "qaoa", qaoa);

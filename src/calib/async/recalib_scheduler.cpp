@@ -1,7 +1,6 @@
 #include "calib/async/recalib_scheduler.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,8 +38,9 @@ struct RecalibMetrics
     }
 };
 
-// One probe per pipeline stage; keys are the logical edge identity,
-// so a fault campaign replays bit-identically at any shard count.
+// Probes of the calibrate hop (simulate, select) and of the publish
+// hop; keys are the logical edge identity, so a fault campaign
+// replays bit-identically at any shard count.
 const FaultSite kFaultRecalibSimulate("recalib.simulate");
 const FaultSite kFaultRecalibSelect("recalib.select");
 const FaultSite kFaultRecalibResynth("recalib.resynth");
@@ -67,17 +67,12 @@ describeError(const std::exception_ptr &error)
 
 } // namespace
 
-/** One in-flight edge pipeline (owned by its stage closures). */
+/** One in-flight edge pipeline (owned by its hop closures). */
 struct RecalibScheduler::Task
 {
     RecalibJob job;
-    std::unique_ptr<PairSimulator> sim;
-    double window_ns = 0.0;
-    int extensions_used = 0;
     /** Whole-pipeline restarts already consumed by this task. */
     int retries_used = 0;
-    bool selected = false;
-    Trajectory traj;
     EdgeCalibration cal;
 };
 
@@ -158,49 +153,24 @@ RecalibScheduler::schedule(RecalibJob job)
         }
     }
     if (start)
-        submitSimulate(std::move(start));
+        submitCalibrate(std::move(start));
 }
 
 void
-RecalibScheduler::submitSimulate(std::shared_ptr<Task> task)
+RecalibScheduler::submitCalibrate(std::shared_ptr<Task> task)
 {
     pool_.submit(
         [this, task = std::move(task)] {
             const double t0 = nowMs();
             try {
-                stageSimulate(task);
+                stageCalibrate(task);
             } catch (...) {
                 noteStage(t0);
                 completeTask(task, std::current_exception());
                 return;
             }
             noteStage(t0);
-            submitSelect(task);
-        },
-        TaskPriority::Background);
-}
-
-void
-RecalibScheduler::submitSelect(std::shared_ptr<Task> task)
-{
-    pool_.submit(
-        [this, task = std::move(task)] {
-            const double t0 = nowMs();
-            try {
-                stageSelect(task);
-            } catch (...) {
-                noteStage(t0);
-                completeTask(task, std::current_exception());
-                return;
-            }
-            noteStage(t0);
-            // No crossing in this window: double it and loop the
-            // pipeline back to stage 1, mirroring the serial
-            // calibrateDevice() extension loop.
-            if (task->selected)
-                submitResynthesize(task);
-            else
-                submitSimulate(task);
+            submitResynthesize(task);
         },
         TaskPriority::Background);
 }
@@ -225,65 +195,17 @@ RecalibScheduler::submitResynthesize(std::shared_ptr<Task> task)
 }
 
 void
-RecalibScheduler::stageSimulate(const std::shared_ptr<Task> &task)
+RecalibScheduler::stageCalibrate(const std::shared_ptr<Task> &task)
 {
-    RecalibJob &job = task->job;
-    QBASIS_TRACE_SCOPE(
-        "recalib.simulate", "device",
-        static_cast<uint64_t>(static_cast<uint32_t>(job.device_id)),
-        "edge",
-        static_cast<uint64_t>(static_cast<uint32_t>(job.edge_id)));
-    faultPoint(kFaultRecalibSimulate,
-               edgeFaultKey(job.device_id, job.edge_id));
-    if (!task->sim) {
-        task->sim = std::make_unique<PairSimulator>(
-            job.params, job.device->couplerOmegaMax(),
-            opts_.calib.sim);
-        task->window_ns = opts_.calib.max_ns;
-        task->cal = EdgeCalibration{};
-        task->cal.edge_id = job.edge_id;
-        task->cal.xi = job.xi;
-        task->cal.omega_c0 = task->sim->omegaC0();
-        task->cal.zz_residual = task->sim->zzResidual();
-        task->cal.omega_d = task->sim->calibrateDriveFrequency(job.xi);
-    } else {
-        // Window extension re-entry.
-        task->window_ns *= 2.0;
-        ++task->extensions_used;
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.window_extensions;
-    }
-    task->traj = task->sim->simulateTrajectory(
-        job.xi, task->cal.omega_d, task->window_ns);
-}
-
-void
-RecalibScheduler::stageSelect(const std::shared_ptr<Task> &task)
-{
-    QBASIS_TRACE_SCOPE("recalib.select", "device",
-                       static_cast<uint64_t>(static_cast<uint32_t>(
-                           task->job.device_id)),
-                       "edge",
-                       static_cast<uint64_t>(static_cast<uint32_t>(
-                           task->job.edge_id)));
-    faultPoint(kFaultRecalibSelect,
-               edgeFaultKey(task->job.device_id, task->job.edge_id));
-    const std::optional<SelectedBasisGate> sel = selectBasisGate(
-        task->traj, task->job.criterion, opts_.calib.selector);
-    if (sel) {
-        task->cal.gate = *sel;
-        task->selected = true;
-        return;
-    }
-    if (task->extensions_used >= opts_.calib.max_extensions) {
-        throw std::runtime_error(
-            "recalibration: edge " + std::to_string(task->job.edge_id)
-            + " of device " + std::to_string(task->job.device_id)
-            + ": no basis gate satisfied criterion '"
-            + criterionName(task->job.criterion) + "' within "
-            + std::to_string(task->window_ns) + " ns");
-    }
-    task->selected = false;
+    const RecalibJob &job = task->job;
+    const uint64_t key = edgeFaultKey(job.device_id, job.edge_id);
+    faultPoint(kFaultRecalibSimulate, key);
+    faultPoint(kFaultRecalibSelect, key);
+    const int doublings = calibrateEdge(
+        job.edge_id, job.params, job.device->couplerOmegaMax(), job.xi,
+        job.criterion, opts_.calib, task->cal);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.window_extensions += static_cast<uint64_t>(doublings);
 }
 
 void
@@ -302,47 +224,42 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
     EdgeCalibration &cal = task->cal;
     cal.calibrated_cycle = task->job.cycle;
 
-    if (opts_.presynthesize) {
-        // Warm the SWAP and CNOT classes of the new basis through
-        // the shared cache's claim/publish protocol so the first
-        // compile against the new basis pays no synthesis. Never
-        // wait(): this runs on a pool worker, and a Pending class is
-        // already being synthesized by its claim owner.
-        const Mat4 targets[] = {swapGate(), cnotGate()};
-        for (const Mat4 &target : targets) {
-            const CanonicalKak kak = canonicalKakDecompose(target);
-            const DecompositionCache::ClassKey key =
-                DecompositionCache::classKey(kak.coords, cal.gate.gate,
-                                             opts_.synth);
-            const TwoQubitDecomposition *dec = nullptr;
-            switch (cache_.acquire(key, task->job.device_id, 1,
-                                   &dec)) {
-            case SharedDecompositionCache::Claim::Owner: {
-                // The guard abandons the claim if synthesis throws,
-                // so a waiter re-claims instead of blocking forever.
-                ClaimGuard guard(&cache_, key);
-                cache_.publish(key,
-                               synthesizeGate(
-                                   DecompositionCache::classGate(key),
-                                   cal.gate.gate, opts_.synth));
-                guard.release();
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    ++stats_.presynth_owned;
-                }
-                break;
-            }
-            case SharedDecompositionCache::Claim::Ready: {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.presynth_ready;
-                break;
-            }
-            case SharedDecompositionCache::Claim::Pending: {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.presynth_pending;
-                break;
-            }
-            }
+    // Warm the SWAP and CNOT classes of the new basis through the
+    // shared cache's claim/publish protocol so the first compile
+    // against the new basis pays no synthesis. Never wait(): this
+    // runs on a pool worker, and a Pending class is already being
+    // synthesized by its claim owner.
+    const Mat4 targets[] = {swapGate(), cnotGate()};
+    for (const Mat4 &target : targets) {
+        const CanonicalKak kak = canonicalKakDecompose(target);
+        const DecompositionCache::ClassKey key =
+            DecompositionCache::classKey(kak.coords, cal.gate.gate,
+                                         opts_.synth);
+        const TwoQubitDecomposition *dec = nullptr;
+        switch (cache_.acquire(key, task->job.device_id, 1, &dec)) {
+        case SharedDecompositionCache::Claim::Owner: {
+            // The guard abandons the claim if synthesis throws, so a
+            // waiter re-claims instead of blocking forever.
+            ClaimGuard guard(&cache_, key);
+            cache_.publish(key,
+                           synthesizeGate(
+                               DecompositionCache::classGate(key),
+                               cal.gate.gate, opts_.synth));
+            guard.release();
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.presynth_owned;
+            break;
+        }
+        case SharedDecompositionCache::Claim::Ready: {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.presynth_ready;
+            break;
+        }
+        case SharedDecompositionCache::Claim::Pending: {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.presynth_pending;
+            break;
+        }
         }
     }
 
@@ -372,9 +289,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
         if (error && policy.contain_failures
             && task->retries_used < policy.max_stage_retries) {
             // Bounded retry: restart the whole pipeline on a fresh
-            // Task (stage 1 is not re-entrant after a mid-stage
-            // failure -- a half-built Task would wrongly take the
-            // window-extension branch). The edge queue stays
+            // Task from the calibrate hop. The edge queue stays
             // `running`, so FIFO order is preserved.
             ++stats_.retries;
             RecalibMetrics::instance().retries.add();
@@ -443,7 +358,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
         }
     }
     if (next)
-        submitSimulate(std::move(next));
+        submitCalibrate(std::move(next));
 }
 
 void

@@ -7,17 +7,16 @@
  * "retuning" stage reorganized so a retuning edge never stalls fleet
  * compilation.
  *
- * Each drifted edge becomes a three-stage pipeline running on the
+ * Each drifted edge becomes a two-hop pipeline running on the
  * fleet's shared ThreadPool, entirely in the Background lane:
  *
- *   1. *simulate*  -- rebuild the unit-cell simulator on the drifted
- *      parameters, recalibrate the drive frequency, and integrate
- *      the Cartan trajectory (re-entered with a doubled window when
- *      no sample satisfies the criterion, exactly like the
- *      synchronous calibrateDevice() loop);
- *   2. *select*    -- first-intersection basis-gate selection on the
- *      sampled trajectory (core/selector);
- *   3. *resynthesize + publish* -- warm the SWAP/CNOT Weyl classes
+ *   1. *calibrate* -- calibrateEdge() (core/experiment), the same
+ *      per-edge loop as the initial tuneup: rebuild the unit-cell
+ *      simulator on the drifted parameters, recalibrate the drive
+ *      frequency, then simulate the Cartan trajectory and select the
+ *      first sample satisfying the criterion, doubling the window
+ *      when none does;
+ *   2. *resynthesize + publish* -- warm the SWAP/CNOT Weyl classes
  *      of the *new* basis through SharedDecompositionCache's
  *      claim/publish protocol (never wait(): pool workers must not
  *      block, and a Pending class is already being synthesized by
@@ -93,8 +92,7 @@ struct RecalibPolicy
      *  failures propagate out of drain() exactly as before. */
     bool contain_failures = true;
     /** Whole-pipeline restarts of a failed task before the edge is
-     *  quarantined (stage 1 is not re-entrant mid-failure, so a
-     *  retry restarts the task from scratch). */
+     *  quarantined (a retry restarts the task from its first hop). */
     int max_stage_retries = 2;
     /** Drift cycles a quarantined edge sits out; jobs stamped below
      *  `failure cycle + quarantine_cycles` are skipped (clamped to
@@ -126,7 +124,6 @@ struct RecalibSchedulerOptions
     SynthOptions synth;             ///< For the class warm-up; must
                                     ///< match the fleet's compile
                                     ///< options to share cache lines.
-    bool presynthesize = true;      ///< Run stage 3's class warm-up.
     RecalibPolicy policy;           ///< Retry/quarantine behavior.
 };
 
@@ -165,14 +162,15 @@ class RecalibScheduler
         uint64_t scheduled = 0;
         uint64_t completed = 0;
         uint64_t published = 0;
+        /** Window doublings of successful calibrate hops. */
         uint64_t window_extensions = 0;
-        /** Stage-3 class warm-ups this scheduler synthesized /
-         *  found published / found claimed by a concurrent owner. */
+        /** Class warm-ups this scheduler synthesized / found
+         *  published / found claimed by a concurrent owner. */
         uint64_t presynth_owned = 0;
         uint64_t presynth_ready = 0;
         uint64_t presynth_pending = 0;
         /** Failed tasks restarted under RecalibPolicy (one per
-         *  whole-pipeline retry, not per stage). */
+         *  whole-pipeline retry, not per hop). */
         uint64_t retries = 0;
         /** Tasks whose retry budget ran out and whose edge was
          *  quarantined instead of failing drain(). */
@@ -180,7 +178,7 @@ class RecalibScheduler
         /** Jobs dropped because their edge was quarantined and the
          *  job's cycle was below the release cycle. */
         uint64_t quarantine_skipped = 0;
-        double busy_ms = 0.0; ///< Sum of stage execution times.
+        double busy_ms = 0.0; ///< Sum of hop execution times.
         /** Task-execution window since the scheduler epoch (or the
          *  last resetWindow()); <0 when no task ran yet. The bench
          *  intersects this with its compile window to measure the
@@ -216,11 +214,9 @@ class RecalibScheduler
         bool running = false;
     };
 
-    void submitSimulate(std::shared_ptr<Task> task);
-    void submitSelect(std::shared_ptr<Task> task);
+    void submitCalibrate(std::shared_ptr<Task> task);
     void submitResynthesize(std::shared_ptr<Task> task);
-    void stageSimulate(const std::shared_ptr<Task> &task);
-    void stageSelect(const std::shared_ptr<Task> &task);
+    void stageCalibrate(const std::shared_ptr<Task> &task);
     void stageResynthesize(const std::shared_ptr<Task> &task);
     void completeTask(const std::shared_ptr<Task> &task,
                       std::exception_ptr error);

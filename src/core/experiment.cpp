@@ -1,21 +1,56 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "noise/coherence.hpp"
+#include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 #include "weyl/gates.hpp"
 
 namespace qbasis {
 
+int
+calibrateEdge(int edge_id, const PairDeviceParams &params,
+              double coupler_omega_max, double xi,
+              SelectionCriterion criterion,
+              const DeviceCalibrationOptions &opts, EdgeCalibration &out)
+{
+    QBASIS_TRACE_SCOPE("calib.edge", "edge",
+                       static_cast<uint64_t>(edge_id));
+    const PairSimulator sim(params, coupler_omega_max, opts.sim);
+    out = EdgeCalibration{};
+    out.edge_id = edge_id;
+    out.xi = xi;
+    out.omega_c0 = sim.omegaC0();
+    out.zz_residual = sim.zzResidual();
+    out.omega_d = sim.calibrateDriveFrequency(xi);
+
+    double window = opts.max_ns;
+    for (int ext = 0; ext <= opts.max_extensions; ++ext) {
+        const Trajectory traj =
+            sim.simulateTrajectory(xi, out.omega_d, window);
+        if (const std::optional<SelectedBasisGate> sel =
+                selectBasisGate(traj, criterion, opts.selector)) {
+            out.gate = *sel;
+            return ext;
+        }
+        window *= 2.0;
+    }
+    // Not fatal(): a retune contains this error and quarantines the
+    // edge, so nothing is logged here.
+    throw std::runtime_error(strformat(
+        "edge %d: no basis gate satisfied criterion '%s' within %.0f ns",
+        edge_id, criterionName(criterion).c_str(), window / 2.0));
+}
+
 CalibratedBasisSet
-calibrateDevice(const GridDevice &device, double xi,
+calibrateDevice(ThreadPool &pool, const GridDevice &device, double xi,
                 SelectionCriterion criterion, const std::string &label,
                 const DeviceCalibrationOptions &opts)
 {
-    const CouplingMap &cm = device.coupling();
-    const size_t n_edges = cm.edges().size();
+    const size_t n_edges = device.coupling().edges().size();
     const size_t simulate_edges =
         opts.edge_limit > 0
             ? std::min<size_t>(opts.edge_limit, n_edges)
@@ -28,7 +63,9 @@ calibrateDevice(const GridDevice &device, double xi,
     set.edges.resize(n_edges);
     set.bases.resize(n_edges);
 
-    for (size_t eid = 0; eid < simulate_edges; ++eid) {
+    // Each index writes only its own slots, and every edge is a pure
+    // function of its parameters: the set is the same on any pool.
+    pool.parallelFor(simulate_edges, [&](size_t eid) {
         PairDeviceParams params =
             device.edgeParams(static_cast<int>(eid));
         if (opts.apply_drift) {
@@ -37,40 +74,14 @@ calibrateDevice(const GridDevice &device, double xi,
             Rng rng(Rng::deriveSeed(opts.drift_seed, eid));
             params = driftParams(params, opts.drift, rng);
         }
-        const PairSimulator sim(params, device.couplerOmegaMax(),
-                                opts.sim);
-
-        EdgeCalibration cal;
-        cal.edge_id = static_cast<int>(eid);
-        cal.xi = xi;
-        cal.omega_c0 = sim.omegaC0();
-        cal.zz_residual = sim.zzResidual();
-        cal.omega_d = sim.calibrateDriveFrequency(xi);
-
-        double window = opts.max_ns;
-        std::optional<SelectedBasisGate> sel;
-        for (int ext = 0; ext <= opts.max_extensions && !sel; ++ext) {
-            const Trajectory traj =
-                sim.simulateTrajectory(xi, cal.omega_d, window);
-            sel = selectBasisGate(traj, criterion, opts.selector);
-            window *= 2.0;
-        }
-        if (!sel) {
-            fatal("edge %zu: no basis gate satisfied criterion '%s' "
-                  "within %.0f ns", eid,
-                  criterionName(criterion).c_str(), window / 2.0);
-        }
-        cal.gate = *sel;
-        set.edges[eid] = cal;
-        set.bases[eid].gate = sel->gate;
-        set.bases[eid].duration_ns = sel->duration_ns;
+        EdgeCalibration &cal = set.edges[eid];
+        calibrateEdge(static_cast<int>(eid), params,
+                      device.couplerOmegaMax(), xi, criterion, opts,
+                      cal);
+        set.bases[eid].gate = cal.gate.gate;
+        set.bases[eid].duration_ns = cal.gate.duration_ns;
         set.bases[eid].label = label;
-
-        if ((eid + 1) % 20 == 0) {
-            inform("[%s] calibrated %zu/%zu edges", label.c_str(),
-                   eid + 1, simulate_edges);
-        }
-    }
+    });
 
     // Fast mode: replicate calibrated edges round-robin so the basis
     // table stays complete for the transpiler.

@@ -20,6 +20,7 @@
 #include "sim/propagator.hpp"
 #include "synth/engine.hpp"
 #include "transpile/pipeline.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qbasis {
 
@@ -71,10 +72,35 @@ struct DeviceCalibrationOptions
 };
 
 /**
- * Calibrate a basis gate on every edge of the device at amplitude
- * `xi` using the given selection criterion.
+ * Calibrate one edge from its own trajectory: build the unit-cell
+ * simulator on `params`, calibrate the drive frequency, then simulate
+ * and select over windows max_ns, 2*max_ns, ... until a sample
+ * satisfies `criterion`. Fills every field of `out` except
+ * calibrated_cycle (left 0) and returns the window doublings used.
+ * Throws after opts.max_extensions doublings without a crossing.
+ *
+ * The only per-edge calibration loop: calibrateDevice() runs it for
+ * the initial tuneup and the RecalibScheduler for every retune, so
+ * an undrifted retune reproduces the initial calibration bit for bit.
  */
-CalibratedBasisSet calibrateDevice(const GridDevice &device, double xi,
+int calibrateEdge(int edge_id, const PairDeviceParams &params,
+                  double coupler_omega_max, double xi,
+                  SelectionCriterion criterion,
+                  const DeviceCalibrationOptions &opts,
+                  EdgeCalibration &out);
+
+/**
+ * Calibrate a basis gate on every edge of the device at amplitude
+ * `xi` using the given selection criterion: calibrateEdge() runs for
+ * every edge in parallel on `pool`. The result does not depend on the
+ * pool size; when several edges fail, the error of the lowest edge id
+ * is thrown.
+ *
+ * Blocks until every edge is done, so it must be called from a thread
+ * outside `pool`.
+ */
+CalibratedBasisSet calibrateDevice(ThreadPool &pool,
+                                   const GridDevice &device, double xi,
                                    SelectionCriterion criterion,
                                    const std::string &label,
                                    const DeviceCalibrationOptions &opts

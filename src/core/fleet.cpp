@@ -345,8 +345,11 @@ FleetDriver::FleetDriver(FleetOptions opts)
 CalibratedBasisSet
 FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
                            const GridDevice &device,
-                           const std::string &label) const
+                           const std::string &label)
 {
+    QBASIS_TRACE_SCOPE("fleet.calibrate", "device",
+                       static_cast<uint64_t>(device_id), "edges",
+                       device.coupling().edges().size());
     DeviceCalibrationOptions calib = opts_.calib;
     if (spec.apply_drift) {
         calib.apply_drift = true;
@@ -355,8 +358,8 @@ FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
                                            static_cast<uint64_t>(
                                                device_id));
     }
-    return calibrateDevice(device, spec.xi, spec.criterion, label,
-                           calib);
+    return calibrateDevice(pool_, device, spec.xi, spec.criterion,
+                           label, calib);
 }
 
 FleetDeviceReport

@@ -495,10 +495,12 @@ class FleetDriver
               const std::vector<FleetCircuit> &circuits,
               SynthEngine &engine);
 
+    /** Initial calibration of one device on the shared pool; called
+     *  from shard threads, never from a pool worker. */
     CalibratedBasisSet calibrateSpec(int device_id,
                                      const FleetDeviceSpec &spec,
                                      const GridDevice &device,
-                                     const std::string &label) const;
+                                     const std::string &label);
 
     RecalibScheduler &scheduler();
 

@@ -269,10 +269,13 @@ clearTrace()
     std::lock_guard<std::mutex> lock(reg.mutex);
     auto it = reg.buffers.begin();
     while (it != reg.buffers.end()) {
-        std::lock_guard<std::mutex> buf_lock((*it)->mutex);
-        (*it)->next = 0;
-        (*it)->recorded = 0;
-        if ((*it)->retired)
+        // The copy keeps a retired buffer (and the mutex buf_lock
+        // holds) alive past its erase until the guard has unlocked.
+        const std::shared_ptr<ThreadTraceBuffer> buf = *it;
+        std::lock_guard<std::mutex> buf_lock(buf->mutex);
+        buf->next = 0;
+        buf->recorded = 0;
+        if (buf->retired)
             it = reg.buffers.erase(it);
         else
             ++it;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the core library: criteria, trajectory selection, and
- * the end-to-end device experiment on a small grid (calibrate ->
- * summarize -> compile-and-score).
+ * Tests for the core library: criteria, trajectory selection, the
+ * per-edge calibration loop, and the end-to-end device experiment on
+ * a small grid (calibrate -> summarize -> compile-and-score).
  */
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +135,28 @@ TEST(Selector, LeakageGateRejectsNoisySamples)
 
 // --- End-to-end experiment on a small device -----------------------
 
+/** Raw bytes of one edge's calibration and basis. */
+std::string
+edgeBytes(const EdgeCalibration &cal, const EdgeBasis &basis)
+{
+    std::string out;
+    const auto put = [&out](const void *p, size_t n) {
+        out.append(static_cast<const char *>(p), n);
+    };
+    put(&cal.edge_id, sizeof cal.edge_id);
+    put(&cal.calibrated_cycle, sizeof cal.calibrated_cycle);
+    put(&cal.gate.index, sizeof cal.gate.index);
+    for (const double v :
+         {cal.xi, cal.omega_d, cal.omega_c0, cal.zz_residual,
+          cal.gate.duration_ns, cal.gate.coords.tx, cal.gate.coords.ty,
+          cal.gate.coords.tz, cal.gate.leakage,
+          cal.gate.continuous_crossing_ns, basis.duration_ns})
+        put(&v, sizeof v);
+    put(cal.gate.gate.data(), 16 * sizeof(Complex));
+    put(basis.gate.data(), 16 * sizeof(Complex));
+    return out + basis.label;
+}
+
 class SmallDeviceExperiment : public ::testing::Test
 {
   protected:
@@ -153,11 +177,20 @@ class SmallDeviceExperiment : public ::testing::Test
         return dev;
     }
 
+    /** Calibrates the sets and runs the tests' synthesis engines. */
+    static ThreadPool &
+    pool()
+    {
+        static ThreadPool p(2);
+        return p;
+    }
+
     static const CalibratedBasisSet &
     nonstandardSet()
     {
-        static const CalibratedBasisSet set = calibrateDevice(
-            device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
+        static const CalibratedBasisSet set =
+            calibrateDevice(pool(), device(), 0.04,
+                            SelectionCriterion::Criterion1, "ns-c1");
         return set;
     }
 
@@ -167,12 +200,81 @@ class SmallDeviceExperiment : public ::testing::Test
         DeviceCalibrationOptions opts;
         opts.max_ns = 120.0;
         static const CalibratedBasisSet set =
-            calibrateDevice(device(), 0.005,
+            calibrateDevice(pool(), device(), 0.005,
                             SelectionCriterion::Criterion1,
                             "baseline", opts);
         return set;
     }
 };
+
+TEST_F(SmallDeviceExperiment, SameSetOnAnyPoolSize)
+{
+    // Edges calibrate concurrently; each is a pure function of its
+    // parameters, so the set does not depend on the worker count.
+    ThreadPool one(1), four(4);
+    const CalibratedBasisSet a = calibrateDevice(
+        one, device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
+    const CalibratedBasisSet b = calibrateDevice(
+        four, device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
+    ASSERT_EQ(a.edges.size(), device().coupling().edges().size());
+    ASSERT_EQ(a.edges.size(), b.edges.size());
+    ASSERT_EQ(a.bases.size(), b.bases.size());
+    for (size_t e = 0; e < a.edges.size(); ++e) {
+        EXPECT_EQ(a.edges[e].edge_id, static_cast<int>(e));
+        EXPECT_EQ(edgeBytes(a.edges[e], a.bases[e]),
+                  edgeBytes(b.edges[e], b.bases[e]))
+            << "edge " << e;
+    }
+}
+
+TEST_F(SmallDeviceExperiment, WindowDoublingReachesTheSameGate)
+{
+    // A 2 ns first window misses every crossing (the gates take
+    // 2-40 ns), so the loop doubles until a window holds one and
+    // selects exactly what a run starting at that window selects.
+    const PairDeviceParams params = device().edgeParams(0);
+    DeviceCalibrationOptions opts;
+    opts.max_ns = 2.0;
+    opts.max_extensions = 6;
+    EdgeCalibration doubled;
+    const int doublings = calibrateEdge(
+        0, params, device().couplerOmegaMax(), 0.04,
+        SelectionCriterion::Criterion1, opts, doubled);
+    ASSERT_GT(doublings, 0);
+
+    opts.max_ns = std::ldexp(2.0, doublings);
+    EdgeCalibration direct;
+    EXPECT_EQ(calibrateEdge(0, params, device().couplerOmegaMax(),
+                            0.04, SelectionCriterion::Criterion1, opts,
+                            direct),
+              0);
+    const EdgeBasis none;
+    EXPECT_EQ(edgeBytes(doubled, none), edgeBytes(direct, none));
+}
+
+TEST(DeviceCalibration, ErrorNamesTheLowestFailingEdge)
+{
+    // Two edges that can never reach the criterion: both fail on the
+    // pool, and the error reported is edge 0's.
+    GridDeviceParams p;
+    p.rows = 1;
+    p.cols = 3;
+    p.seed = 11;
+    const GridDevice line{p};
+    ASSERT_EQ(line.coupling().edges().size(), 2u);
+    DeviceCalibrationOptions opts;
+    opts.max_extensions = 0;
+    ThreadPool pool(2);
+    try {
+        calibrateDevice(pool, line, 1e-9,
+                        SelectionCriterion::Criterion1, "dead", opts);
+        FAIL() << "calibration of a dead device succeeded";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("edge 0:"), std::string::npos) << what;
+        EXPECT_EQ(what.find("edge 1:"), std::string::npos) << what;
+    }
+}
 
 TEST_F(SmallDeviceExperiment, CalibratesEveryEdge)
 {
@@ -225,7 +327,7 @@ TEST_F(SmallDeviceExperiment, NonstandardFasterThanBaseline)
 
 TEST_F(SmallDeviceExperiment, SummaryMatchesPaperShapes)
 {
-    SynthEngine engine(2);
+    SynthEngine engine(pool());
     SharedDecompositionCache cache;
     const SynthClient client{engine, cache};
     const SynthOptions synth;
@@ -254,7 +356,7 @@ TEST_F(SmallDeviceExperiment, SummaryMatchesPaperShapes)
 
 TEST_F(SmallDeviceExperiment, CompiledCircuitFidelityOrdering)
 {
-    SynthEngine engine(2);
+    SynthEngine engine(pool());
     SharedDecompositionCache cache;
     const SynthClient client{engine, cache};
     const Circuit bench = bvAllOnesCircuit(4);
@@ -281,7 +383,7 @@ TEST_F(SmallDeviceExperiment, FastModeReplicatesEdges)
     DeviceCalibrationOptions opts;
     opts.edge_limit = 1;
     const CalibratedBasisSet set =
-        calibrateDevice(device(), 0.04,
+        calibrateDevice(pool(), device(), 0.04,
                         SelectionCriterion::Criterion1, "fast", opts);
     ASSERT_EQ(set.bases.size(), device().coupling().edges().size());
     for (size_t i = 1; i < set.bases.size(); ++i) {

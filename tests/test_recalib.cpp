@@ -3,11 +3,13 @@
  * Async recalibration subsystem tests: per-edge drift streams
  * independent of evaluation order, versioned basis sets that never
  * tear under concurrent publish (the sanitizer job's canary for this
- * subsystem), sync-vs-async bit-identical post-cycle reports, the
- * depth-oracle verdict cache, and engine restart pruning.
+ * subsystem), sync-vs-async bit-identical post-cycle reports, retunes
+ * reproducing the initial calibration, the depth-oracle verdict
+ * cache, and engine restart pruning.
  */
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +60,28 @@ tinyFleetOptions(int shards)
     opts.threads = 2;
     opts.synth = cheapSynth();
     return opts;
+}
+
+/** Raw bytes of one edge's calibration and basis, without the
+ *  calibrated_cycle stamp. */
+std::string
+edgeBytes(const EdgeCalibration &cal, const EdgeBasis &basis)
+{
+    std::string out;
+    const auto put = [&out](const void *p, size_t n) {
+        out.append(static_cast<const char *>(p), n);
+    };
+    put(&cal.edge_id, sizeof cal.edge_id);
+    put(&cal.gate.index, sizeof cal.gate.index);
+    for (const double v :
+         {cal.xi, cal.omega_d, cal.omega_c0, cal.zz_residual,
+          cal.gate.duration_ns, cal.gate.coords.tx, cal.gate.coords.ty,
+          cal.gate.coords.tz, cal.gate.leakage,
+          cal.gate.continuous_crossing_ns, basis.duration_ns})
+        put(&v, sizeof v);
+    put(cal.gate.gate.data(), 16 * sizeof(Complex));
+    put(basis.gate.data(), 16 * sizeof(Complex));
+    return out + basis.label;
 }
 
 class RecalibTest : public ::testing::Test
@@ -331,6 +355,43 @@ TEST_F(RecalibTest, PerEdgeQueueRunsCyclesInOrder)
     EXPECT_EQ(st.scheduled, 2u);
     EXPECT_EQ(st.completed, 2u);
     EXPECT_EQ(st.published, 2u);
+}
+
+TEST_F(RecalibTest, UndriftedRetuneRepublishesTheInitialCalibration)
+{
+    // The initial tuneup and every retune run the same calibrateEdge()
+    // loop: retuning each edge with its undrifted parameters publishes
+    // the initial bytes again, and only the cycle stamp moves.
+    FleetDriver driver(tinyFleetOptions(1));
+    FleetDeviceSpec spec = tinySpec(11);
+    spec.grid.rows = 2; // 2x2 grid: four edges
+    driver.initDevices({spec});
+    const CalibrationSnapshot initial = driver.calibrationSnapshot(0);
+    EXPECT_EQ(initial.version, 1u); // one publish of the whole set
+    const size_t n_edges = initial->edges.size();
+    ASSERT_EQ(n_edges, 4u);
+
+    std::vector<RecalibEdgeRequest> requests;
+    for (size_t e = 0; e < n_edges; ++e) {
+        RecalibEdgeRequest req;
+        req.device_id = 0;
+        req.edge_id = static_cast<int>(e);
+        req.cycle = 1;
+        req.params = driver.device(0).device.edgeParams(req.edge_id);
+        requests.push_back(std::move(req));
+    }
+    driver.recalibrate(requests);
+    driver.drainRecalibration();
+
+    const CalibrationSnapshot retuned = driver.calibrationSnapshot(0);
+    EXPECT_EQ(retuned.version, 1u + n_edges);
+    for (size_t e = 0; e < n_edges; ++e) {
+        EXPECT_EQ(initial->edges[e].calibrated_cycle, 0u);
+        EXPECT_EQ(retuned->edges[e].calibrated_cycle, 1u);
+        EXPECT_EQ(edgeBytes(initial->edges[e], initial->bases[e]),
+                  edgeBytes(retuned->edges[e], retuned->bases[e]))
+            << "edge " << e;
+    }
 }
 
 // --- Depth-oracle verdict cache ------------------------------------
