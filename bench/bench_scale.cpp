@@ -118,9 +118,9 @@ scaleFleetOptions(int shards, int threads, int edge_limit)
     opts.threads = threads;
     opts.synth = benchSynth();
     opts.calib.edge_limit = edge_limit;
-    // Bench-scale simulator settings (as bench_recalib): the tuneup
-    // stays ~75 ms/edge so a full 130-edge heterogeneous lattice
-    // calibrates in seconds, not minutes.
+    // Bench-scale simulator settings (as bench_recalib): coarser
+    // steps and a 7-point scan keep the tuneup of a full 130-edge
+    // heterogeneous lattice in seconds, not minutes.
     opts.calib.sim.dt = 0.01;
     opts.calib.sim.probe_dt = 0.04;
     opts.calib.sim.probe_duration = 60.0;

@@ -13,9 +13,9 @@
  *   1. *calibrate* -- calibrateEdge() (core/experiment), the same
  *      per-edge loop as the initial tuneup: rebuild the unit-cell
  *      simulator on the drifted parameters, recalibrate the drive
- *      frequency, then simulate the Cartan trajectory and select the
- *      first sample satisfying the criterion, doubling the window
- *      when none does;
+ *      frequency, then integrate the Cartan trajectory once,
+ *      streaming samples into the selector until one satisfies the
+ *      criterion, doubling the window when none does;
  *   2. *resynthesize + publish* -- warm the SWAP/CNOT Weyl classes
  *      of the *new* basis through SharedDecompositionCache's
  *      claim/publish protocol (never wait(): pool workers must not

@@ -19,20 +19,33 @@ calibrateEdge(int edge_id, const PairDeviceParams &params,
 {
     QBASIS_TRACE_SCOPE("calib.edge", "edge",
                        static_cast<uint64_t>(edge_id));
-    const PairSimulator sim(params, coupler_omega_max, opts.sim);
+    const PairSimulator sim = [&] {
+        QBASIS_TRACE_SCOPE("sim.bias");
+        return PairSimulator(params, coupler_omega_max, opts.sim);
+    }();
     out = EdgeCalibration{};
     out.edge_id = edge_id;
     out.xi = xi;
     out.omega_c0 = sim.omegaC0();
     out.zz_residual = sim.zzResidual();
-    out.omega_d = sim.calibrateDriveFrequency(xi);
+    {
+        QBASIS_TRACE_SCOPE("sim.scan");
+        out.omega_d = sim.calibrateDriveFrequency(xi);
+    }
 
+    QBASIS_TRACE_SCOPE("sim.trajectory");
+    TrajectoryStream stream(sim, xi, out.omega_d);
+    BasisGateSelector selector(criterion, opts.selector);
     double window = opts.max_ns;
     for (int ext = 0; ext <= opts.max_extensions; ++ext) {
-        const Trajectory traj =
-            sim.simulateTrajectory(xi, out.omega_d, window);
+        while (!selector.done()) {
+            const std::optional<TrajectoryPoint> pt = stream.next(window);
+            if (!pt)
+                break;
+            selector.push(*pt);
+        }
         if (const std::optional<SelectedBasisGate> sel =
-                selectBasisGate(traj, criterion, opts.selector)) {
+                selector.selected()) {
             out.gate = *sel;
             return ext;
         }

@@ -73,11 +73,17 @@ struct DeviceCalibrationOptions
 
 /**
  * Calibrate one edge from its own trajectory: build the unit-cell
- * simulator on `params`, calibrate the drive frequency, then simulate
- * and select over windows max_ns, 2*max_ns, ... until a sample
- * satisfies `criterion`. Fills every field of `out` except
- * calibrated_cycle (left 0) and returns the window doublings used.
- * Throws after opts.max_extensions doublings without a crossing.
+ * simulator on `params` (span `sim.bias`), calibrate the drive
+ * frequency (`sim.scan`), then integrate the trajectory once,
+ * streaming its samples into a BasisGateSelector (`sim.trajectory`).
+ * The result is selectBasisGate() over simulateTrajectory() for the
+ * first window of max_ns, 2*max_ns, ... that holds a sample
+ * satisfying `criterion`, but the integration stops as soon as that
+ * sample and its continuous crossing are known, and a longer window
+ * continues the integration instead of restarting it. Fills every
+ * field of `out` except calibrated_cycle (left 0) and returns the
+ * window doublings used. Throws after opts.max_extensions doublings
+ * without a crossing.
  *
  * The only per-edge calibration loop: calibrateDevice() runs it for
  * the initial tuneup and the RecalibScheduler for every retune, so

@@ -1,21 +1,18 @@
 #include "core/selector.hpp"
 
-#include <algorithm>
-
 #include "monodromy/regions.hpp"
-#include "weyl/geometry.hpp"
 
 namespace qbasis {
 
 namespace {
 
 /**
- * Continuous crossing estimate: first intersection of the sampled
- * coordinate polyline with the criterion's entry faces (Fig. 4 of
- * the paper). Only the SWAP-3 and CNOT-2 faces have closed forms.
+ * Entry faces whose first intersection with the sampled coordinate
+ * polyline is the continuous crossing (Fig. 4 of the paper). Only
+ * the SWAP-3 and CNOT-2 faces have closed forms.
  */
-double
-continuousCrossing(const Trajectory &traj, SelectionCriterion criterion)
+std::vector<Triangle>
+entryFaces(SelectionCriterion criterion)
 {
     std::vector<Triangle> faces;
     switch (criterion) {
@@ -30,48 +27,71 @@ continuousCrossing(const Trajectory &traj, SelectionCriterion criterion)
         break;
       }
       default:
-        return -1.0;
+        break;
     }
-    for (size_t i = 0; i + 1 < traj.size(); ++i) {
-        const CartanCoords &a = traj.at(i).coords;
-        const CartanCoords &b = traj.at(i + 1).coords;
-        for (const Triangle &f : faces) {
-            const auto s = segmentTriangleIntersection(a, b, f);
-            if (s) {
-                return traj.at(i).duration
-                       + *s
-                             * (traj.at(i + 1).duration
-                                - traj.at(i).duration);
-            }
-        }
-    }
-    return -1.0;
+    return faces;
 }
 
 } // namespace
+
+BasisGateSelector::BasisGateSelector(SelectionCriterion criterion,
+                                     const SelectorOptions &opts)
+    : criterion_(criterion), opts_(opts), faces_(entryFaces(criterion))
+{}
+
+void
+BasisGateSelector::push(const TrajectoryPoint &pt)
+{
+    if (!selected_ && pt.duration >= opts_.min_duration_ns
+        && pt.leakage <= opts_.max_leakage
+        && criterionSatisfied(criterion_, pt.coords)) {
+        SelectedBasisGate sel;
+        sel.index = pushed_;
+        sel.duration_ns = pt.duration;
+        sel.gate = pt.unitary;
+        sel.coords = pt.coords;
+        sel.leakage = pt.leakage;
+        selected_ = sel;
+    }
+    if (pushed_ > 0 && !crossing_ns_) {
+        for (const Triangle &f : faces_) {
+            const auto s =
+                segmentTriangleIntersection(last_coords_, pt.coords, f);
+            if (s) {
+                crossing_ns_ = last_duration_
+                               + *s * (pt.duration - last_duration_);
+                break;
+            }
+        }
+    }
+    last_coords_ = pt.coords;
+    last_duration_ = pt.duration;
+    ++pushed_;
+}
+
+bool
+BasisGateSelector::done() const
+{
+    return selected_ && (crossing_ns_ || faces_.empty());
+}
+
+std::optional<SelectedBasisGate>
+BasisGateSelector::selected() const
+{
+    std::optional<SelectedBasisGate> sel = selected_;
+    if (sel)
+        sel->continuous_crossing_ns = crossing_ns_.value_or(-1.0);
+    return sel;
+}
 
 std::optional<SelectedBasisGate>
 selectBasisGate(const Trajectory &traj, SelectionCriterion criterion,
                 const SelectorOptions &opts)
 {
-    const auto idx = traj.firstIndexWhere(
-        [&](const TrajectoryPoint &pt) {
-            return pt.duration >= opts.min_duration_ns
-                   && pt.leakage <= opts.max_leakage
-                   && criterionSatisfied(criterion, pt.coords);
-        });
-    if (!idx)
-        return std::nullopt;
-
-    const TrajectoryPoint &pt = traj.at(*idx);
-    SelectedBasisGate sel;
-    sel.index = *idx;
-    sel.duration_ns = pt.duration;
-    sel.gate = pt.unitary;
-    sel.coords = pt.coords;
-    sel.leakage = pt.leakage;
-    sel.continuous_crossing_ns = continuousCrossing(traj, criterion);
-    return sel;
+    BasisGateSelector selector(criterion, opts);
+    for (size_t i = 0; i < traj.size() && !selector.done(); ++i)
+        selector.push(traj.at(i));
+    return selector.selected();
 }
 
 } // namespace qbasis

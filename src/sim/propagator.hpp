@@ -18,7 +18,23 @@
  * static diagonal Hamiltonian (phases carried by per-coupling
  * rotors), so the RK4 step is limited by the detunings rather than
  * by the ~5 GHz qubit frequencies.
+ *
+ * Steps 2 and 3 run on one kernel, Rk4Panel: a panel of state
+ * columns, each with its own drive frequency, advanced together. The
+ * exchange couplings conserve the total excitation number and the
+ * flux drive is diagonal, so a column never leaves the rows reachable
+ * through the coupling list from its nonzero entries. The panel
+ * integrates only those rows: 3 for the |01> swap probe, 10 for the
+ * four computational columns of a trajectory, out of 27. Every other
+ * row stays +-0, and every sum over rows starts from +0, which in
+ * round-to-nearest never becomes -0; so dropping those rows changes
+ * no bit of any score, sample or selected gate. A drive-frequency
+ * scan stage is one panel with one column per probe frequency; a
+ * trajectory is a TrajectoryStream that can be integrated on into a
+ * longer window instead of being restarted at t = 0.
  */
+
+#include <optional>
 
 #include "sim/bias.hpp"
 #include "sim/flux.hpp"
@@ -48,6 +64,9 @@ class PairSimulator
      * @param params           unit-cell parameters (coupler.omega is
      *                         ignored; the bias search sets it).
      * @param coupler_omega_max zero-flux coupler frequency (rad/ns).
+     *
+     * Throws (fatal()) unless opts.drive_scan_points >= 2 and dt,
+     * probe_dt, sample_dt and probe_duration are all positive.
      */
     PairSimulator(const PairDeviceParams &params,
                   double coupler_omega_max, SimOptions opts = {});
@@ -66,14 +85,21 @@ class PairSimulator
     /**
      * Coarse + fine scan for the drive frequency maximizing
      * population transfer at amplitude `xi` (flux units of Phi0).
-     * This is calibration step 1 of Section VI.
+     * This is calibration step 1 of Section VI; each of its three
+     * stages is one swapTransferScores() panel.
      */
     double calibrateDriveFrequency(double xi) const;
 
     /**
      * Peak |<10|psi(t)>|^2 from |01> over the probe window -- the
-     * "population swapping" score used by the drive calibration.
+     * "population swapping" score used by the drive calibration --
+     * for each drive frequency in `omegas`, integrated as one panel.
      */
+    std::vector<double> swapTransferScores(
+        double xi, const std::vector<double> &omegas,
+        double duration_ns, double dt) const;
+
+    /** swapTransferScores() for one drive frequency. */
     double swapTransferScore(double xi, double omega_d,
                              double duration_ns, double dt) const;
 
@@ -88,6 +114,9 @@ class PairSimulator
     const SimOptions &options() const { return opts_; }
 
   private:
+    friend class Rk4Panel;
+    friend class TrajectoryStream;
+
     /** delta omega_c(t) from the flux drive. */
     double driveDelta(double xi, double omega_d, double t) const;
 
@@ -100,6 +129,125 @@ class PairSimulator
     DressedStates dressed_;
     std::vector<double> bare_energies_;
     std::vector<CouplingEntry> couplings_; ///< With energy gaps set.
+};
+
+/**
+ * The simulator's one RK4 kernel: integrates k = -i H_I(t) psi for a
+ * panel of state columns of one PairSimulator, column c driven at
+ * its own frequency omegas[c].
+ *
+ * Only the rows reachable from the nonzero entries of the initial
+ * columns through the coupling list are stored and integrated, with
+ * the couplings that touch them kept in list order. The panel is two
+ * real arrays (real and imaginary parts, row-major with columns
+ * innermost), its complex arithmetic is written out in
+ * std::complex's operation order, and the drive term is evaluated
+ * twice per step: the half-step value serves k2 and k3, and k4's
+ * end-of-step value is the next step's k1. Each reachable entry is
+ * therefore bit-identical to a full-dimension std::complex RK4 with
+ * four drive evaluations per step.
+ */
+class Rk4Panel
+{
+  public:
+    /**
+     * @param sim     the model; must outlive the panel.
+     * @param initial dim x n initial columns.
+     * @param omegas  n drive frequencies, one per column.
+     */
+    Rk4Panel(const PairSimulator &sim, double xi, const CMat &initial,
+             std::vector<double> omegas, double dt);
+
+    /** Advance every column by one RK4 step of dt. */
+    void step();
+
+    /** Steps taken so far. */
+    int steps() const { return steps_; }
+
+    /** Time reached (dt summed once per step, from 0). */
+    double time() const { return t_; }
+
+    /** The integrated rows (ascending Hamiltonian indices). */
+    const std::vector<int> &rows() const { return rows_; }
+
+    /** Entry (rows()[r], c): real and imaginary parts. */
+    double re(size_t r, int c) const { return re_[r * cols_ + c]; }
+    double im(size_t r, int c) const { return im_[r * cols_ + c]; }
+    Complex at(size_t r, int c) const { return {re(r, c), im(r, c)}; }
+
+  private:
+    /** One kept coupling: local row indices and its phase rotor. */
+    struct Link
+    {
+        int i = 0;          ///< Local index of the coupling's row.
+        int j = 0;          ///< Local index of its col.
+        double value = 0.0; ///< Matrix element.
+        Complex phase;      ///< Rotor at the current step's start.
+        Complex half;       ///< Rotor increment over dt / 2.
+        Complex full;       ///< half * half: increment over dt.
+    };
+
+    /** Per-column drive delta at time t (equal frequencies share). */
+    void drive(double t, std::vector<double> &out) const;
+
+    /**
+     * k = -i H_I psi at one RK4 stage: couplings `v[e]` (the rotated
+     * matrix elements of the stage) and per-column drive `d`.
+     */
+    void rhs(const std::vector<double> &pre,
+             const std::vector<double> &pim,
+             const std::vector<Complex> &v, const std::vector<double> &d,
+             std::vector<double> &kre, std::vector<double> &kim) const;
+
+    const PairSimulator &sim_;
+    double xi_;
+    std::vector<double> omegas_;
+    double dt_;
+    int cols_;
+    std::vector<int> rows_;
+    std::vector<double> occ_; ///< Coupler occupation per local row.
+    std::vector<Link> links_;
+    std::vector<double> re_, im_;
+    double t_ = 0.0;
+    int steps_ = 0;
+    std::vector<double> drive_now_; ///< Drive at t_ (next k1).
+    // Per-stage buffers, kept across steps to avoid reallocation.
+    std::vector<double> drive_mid_, drive_end_;
+    std::vector<Complex> v0_, v1_, v2_;
+    std::vector<double> k1re_, k1im_, k2re_, k2im_, k3re_, k3im_,
+        k4re_, k4im_, tre_, tim_;
+};
+
+/**
+ * One trajectory integration that can be continued: next(W) yields
+ * the samples of simulateTrajectory(xi, omega_d, W) one at a time,
+ * and a later call with a larger window integrates on from where the
+ * previous one stopped. Window W holds exactly the samples taken
+ * within its first ceil(W / dt) steps, so the samples are the same
+ * bytes whichever windows a caller asks for.
+ */
+class TrajectoryStream
+{
+  public:
+    /** Seeds the four dressed computational columns; `sim` must
+     *  outlive the stream. */
+    TrajectoryStream(const PairSimulator &sim, double xi,
+                     double omega_d);
+
+    /**
+     * The next sample (the first is t = 0), or nullopt when window
+     * `max_ns` ends before it is taken.
+     */
+    std::optional<TrajectoryPoint> next(double max_ns);
+
+  private:
+    /** The effective gate of the panel at its current time. */
+    TrajectoryPoint sample() const;
+
+    const PairSimulator &sim_;
+    Rk4Panel panel_;
+    double next_sample_;
+    bool started_ = false;
 };
 
 } // namespace qbasis

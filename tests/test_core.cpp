@@ -133,6 +133,44 @@ TEST(Selector, LeakageGateRejectsNoisySamples)
     EXPECT_GE(sel->duration_ns, 55.0);
 }
 
+TEST(Selector, StreamsPastTheGateUntilTheCrossingIsKnown)
+{
+    // The XY line starts inside the SWAP-3 region, leaves it through
+    // the sqiSW face at ~10.6 ns and comes back: the gate is sample 0,
+    // but the crossing is only known once the 10-11 ns segment has
+    // been pushed, and nothing pushed later changes the result.
+    Trajectory tr;
+    for (double t = 0.0; t <= 40.0; t += 1.0) {
+        TrajectoryPoint p;
+        p.duration = t;
+        const double s = 0.3 - 0.0047 * std::min(t, 40.0 - t);
+        p.coords = canonicalize({s, s, 0.0});
+        p.unitary =
+            canonicalGate(p.coords.tx, p.coords.ty, p.coords.tz);
+        tr.append(std::move(p));
+    }
+    SelectorOptions opts;
+    opts.min_duration_ns = 0.0;
+    BasisGateSelector selector(SelectionCriterion::Criterion1, opts);
+    size_t pushed = 0;
+    while (!selector.done()) {
+        ASSERT_LT(pushed, tr.size());
+        selector.push(tr.at(pushed++));
+        ASSERT_TRUE(selector.selected().has_value());
+        EXPECT_EQ(selector.selected()->index, 0u);
+        if (pushed <= 11)
+            EXPECT_EQ(selector.selected()->continuous_crossing_ns, -1.0);
+    }
+    EXPECT_EQ(pushed, 12u);
+    EXPECT_NEAR(selector.selected()->continuous_crossing_ns,
+                0.05 / 0.0047, 1e-6);
+    const auto whole =
+        selectBasisGate(tr, SelectionCriterion::Criterion1, opts);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(whole->continuous_crossing_ns,
+              selector.selected()->continuous_crossing_ns);
+}
+
 // --- End-to-end experiment on a small device -----------------------
 
 /** Raw bytes of one edge's calibration and basis. */
@@ -250,6 +288,64 @@ TEST_F(SmallDeviceExperiment, WindowDoublingReachesTheSameGate)
               0);
     const EdgeBasis none;
     EXPECT_EQ(edgeBytes(doubled, none), edgeBytes(direct, none));
+}
+
+TEST_F(SmallDeviceExperiment, StreamedCalibrationMatchesTheFullWindow)
+{
+    // calibrateEdge() integrates once and may stop at the selected
+    // sample; selectBasisGate() over the whole window it reports
+    // (max_ns doubled once per returned doubling) must give the same
+    // bytes, and every shorter window must hold no gate. A 6 ns first
+    // window makes the slower edges double.
+    const std::vector<SelectionCriterion> criteria = {
+        SelectionCriterion::Criterion1, SelectionCriterion::Criterion2,
+        SelectionCriterion::PerfectEntangler,
+        SelectionCriterion::PeAndSwap3};
+    DeviceCalibrationOptions opts;
+    opts.max_ns = 6.0;
+    opts.max_extensions = 4;
+    const double xi = 0.04;
+    const double omega_max = device().couplerOmegaMax();
+    const EdgeBasis none;
+    int doubled = 0;
+    for (size_t e = 0; e < device().coupling().edges().size(); ++e) {
+        const PairDeviceParams params =
+            device().edgeParams(static_cast<int>(e));
+        const PairSimulator sim(params, omega_max, opts.sim);
+        const double wd = sim.calibrateDriveFrequency(xi);
+        for (const SelectionCriterion criterion : criteria) {
+            SCOPED_TRACE(criterionName(criterion) + ", edge "
+                         + std::to_string(e));
+            EdgeCalibration streamed;
+            const int doublings =
+                calibrateEdge(static_cast<int>(e), params, omega_max,
+                              xi, criterion, opts, streamed);
+            doubled += doublings > 0;
+            for (int d = 0; d < doublings; ++d) {
+                EXPECT_FALSE(selectBasisGate(
+                                 sim.simulateTrajectory(
+                                     xi, wd, std::ldexp(opts.max_ns, d)),
+                                 criterion, opts.selector)
+                                 .has_value())
+                    << "window " << d;
+            }
+            const std::optional<SelectedBasisGate> sel =
+                selectBasisGate(
+                    sim.simulateTrajectory(
+                        xi, wd, std::ldexp(opts.max_ns, doublings)),
+                    criterion, opts.selector);
+            ASSERT_TRUE(sel.has_value());
+            EdgeCalibration full;
+            full.edge_id = static_cast<int>(e);
+            full.xi = xi;
+            full.omega_d = wd;
+            full.omega_c0 = sim.omegaC0();
+            full.zz_residual = sim.zzResidual();
+            full.gate = *sel;
+            EXPECT_EQ(edgeBytes(streamed, none), edgeBytes(full, none));
+        }
+    }
+    EXPECT_GT(doubled, 0);
 }
 
 TEST(DeviceCalibration, ErrorNamesTheLowestFailingEdge)

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 
 #include "apps/bv.hpp"
 #include "apps/qft.hpp"
+#include "core/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/compile_service.hpp"
@@ -459,6 +461,61 @@ TEST_F(ObsTest, TracingDoesNotPerturbFleetReportDigest)
             driver.run({quadSpec(11)}, circuits));
     }
     EXPECT_EQ(on_digest, off_digest);
+}
+
+TEST_F(ObsTest, CalibrateEdgeNestsItsStageSpans)
+{
+    // sim.bias (the PairSimulator and its zero-ZZ search), sim.scan
+    // (the drive-frequency scan) and sim.trajectory (the streamed
+    // integration and selection) run in that order inside calib.edge,
+    // on the calibrating thread.
+    GridDeviceParams gp;
+    gp.rows = 2;
+    gp.cols = 2;
+    gp.seed = 11;
+    const GridDevice device(gp);
+    EdgeCalibration out;
+    {
+        ScopedTraceEnable trace;
+        calibrateEdge(1, device.edgeParams(1), device.couplerOmegaMax(),
+                      0.04, SelectionCriterion::Criterion1,
+                      DeviceCalibrationOptions{}, out);
+        const std::vector<TraceEvent> events = traceSnapshot();
+        const auto find = [&](const char *name) -> const TraceEvent * {
+            const TraceEvent *hit = nullptr;
+            for (const TraceEvent &ev : events) {
+                if (std::string(ev.name) == name) {
+                    EXPECT_EQ(hit, nullptr) << "two " << name << " spans";
+                    hit = &ev;
+                }
+            }
+            return hit;
+        };
+        const TraceEvent *edge = find("calib.edge");
+        ASSERT_NE(edge, nullptr);
+        EXPECT_EQ(edge->arg_values[0], 1u);
+        uint64_t prev_end = edge->start_ns;
+        for (const char *stage : {"sim.bias", "sim.scan", "sim.trajectory"}) {
+            SCOPED_TRACE(stage);
+            const TraceEvent *ev = find(stage);
+            ASSERT_NE(ev, nullptr);
+            EXPECT_EQ(ev->tid, edge->tid);
+            EXPECT_GE(ev->start_ns, prev_end);
+            EXPECT_LE(ev->start_ns + ev->dur_ns,
+                      edge->start_ns + edge->dur_ns);
+            prev_end = ev->start_ns + ev->dur_ns;
+        }
+    }
+    // Tracing moved nothing.
+    EdgeCalibration untraced;
+    calibrateEdge(1, device.edgeParams(1), device.couplerOmegaMax(), 0.04,
+                  SelectionCriterion::Criterion1, DeviceCalibrationOptions{},
+                  untraced);
+    EXPECT_EQ(untraced.omega_d, out.omega_d);
+    EXPECT_EQ(untraced.gate.index, out.gate.index);
+    EXPECT_EQ(std::memcmp(untraced.gate.gate.data(), out.gate.gate.data(),
+                          16 * sizeof(Complex)),
+              0);
 }
 
 // --- Request-id correlation admit -> ... -> cache publish -----------

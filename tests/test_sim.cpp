@@ -3,21 +3,26 @@
  * Tests for the device-simulation library: flux curve, Hamiltonian
  * structure, zero-ZZ bias search, dressed states, propagator frames
  * (identity without drive), trajectory physics (XY at weak drive,
- * speed linear in amplitude), integrator convergence, and the grid
- * device sampling.
+ * speed linear in amplitude), integrator convergence, SimOptions
+ * validation, the grid device sampling, and the RK4 panel kernel's
+ * bit identity against a full-dimension std::complex reference.
  */
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "linalg/eig_herm.hpp"
+#include "linalg/polar.hpp"
 #include "sim/bias.hpp"
 #include "sim/device.hpp"
 #include "sim/flux.hpp"
 #include "sim/hamiltonian.hpp"
 #include "sim/propagator.hpp"
 #include "util/rng.hpp"
+#include "weyl/cartan.hpp"
 #include "weyl/invariants.hpp"
 
 namespace qbasis {
@@ -283,6 +288,504 @@ TEST(Propagator, SwapTransferPeaksOnResonance)
         sim.swapTransferScore(0.01, wd + ghz(0.15), 120.0, 0.02);
     EXPECT_GT(on, 0.5);
     EXPECT_LT(off, 0.5 * on);
+}
+
+TEST(SimOptionsValidation, RejectsInvalidOptions)
+{
+    const PairDeviceParams p = testDevice().edgeParams(0);
+    const double wmax = testDevice().couplerOmegaMax();
+    // One coarse point would divide the refinement span by zero.
+    for (int points : {1, 0, -3}) {
+        SimOptions o;
+        o.drive_scan_points = points;
+        EXPECT_THROW(PairSimulator(p, wmax, o), std::runtime_error)
+            << points;
+    }
+    for (double SimOptions::*field :
+         {&SimOptions::dt, &SimOptions::probe_dt, &SimOptions::sample_dt,
+          &SimOptions::probe_duration}) {
+        for (double bad :
+             {0.0, -0.01, std::numeric_limits<double>::quiet_NaN()}) {
+            SimOptions o;
+            o.*field = bad;
+            EXPECT_THROW(PairSimulator(p, wmax, o), std::runtime_error)
+                << bad;
+        }
+    }
+    SimOptions two;
+    two.drive_scan_points = 2;
+    EXPECT_NO_THROW(PairSimulator(p, wmax, two));
+}
+
+// --- Rk4Panel against the full-dimension reference -------------------
+//
+// The reference is a std::complex RK4 over all 27 rows with four
+// drive evaluations per step: one loop for the single-column swap
+// probe and one for the four-column trajectory. Its model is rebuilt
+// from the simulator's public accessors, and the kernel must agree
+// with it in every bit.
+
+/** The simulator's interaction-frame model, from public accessors. */
+struct ReferenceModel
+{
+    ReferenceModel(const PairSimulator &sim, double coupler_omega_max)
+        : sim(sim), flux(coupler_omega_max),
+          bare(sim.hamiltonian().bareEnergies(sim.omegaC0())),
+          couplings(sim.hamiltonian().couplings())
+    {
+        for (auto &e : couplings)
+            e.energy_gap = bare[e.row] - bare[e.col];
+    }
+
+    double
+    driveDelta(double xi, double omega_d, double t) const
+    {
+        const double phi = sim.phiDc() + xi * std::sin(omega_d * t);
+        return flux.frequency(phi) - sim.omegaC0();
+    }
+
+    int dim() const { return sim.hamiltonian().dim(); }
+
+    const PairSimulator &sim;
+    FluxCurve flux;
+    std::vector<double> bare;
+    std::vector<CouplingEntry> couplings;
+};
+
+/** k = -i H_I(t) psi for a panel of columns, with phase rotors. */
+class ReferenceRhs
+{
+  public:
+    ReferenceRhs(const std::vector<CouplingEntry> &couplings,
+                 const std::vector<double> &coupler_occ, int dim,
+                 int cols, double dt)
+        : couplings_(couplings), coupler_occ_(coupler_occ), dim_(dim),
+          cols_(cols)
+    {
+        phase_.resize(couplings.size());
+        half_step_.resize(couplings.size());
+        for (size_t e = 0; e < couplings.size(); ++e) {
+            phase_[e] = Complex(1.0, 0.0);
+            half_step_[e] = std::exp(
+                Complex(0.0, couplings[e].energy_gap * dt * 0.5));
+        }
+    }
+
+    void
+    eval(const std::vector<Complex> &psi, int substep,
+         double drive_delta, std::vector<Complex> &out) const
+    {
+        std::fill(out.begin(), out.end(), Complex{});
+        for (size_t e = 0; e < couplings_.size(); ++e) {
+            Complex ph = phase_[e];
+            if (substep == 1)
+                ph *= half_step_[e];
+            else if (substep == 2)
+                ph *= half_step_[e] * half_step_[e];
+            const int i = couplings_[e].row;
+            const int j = couplings_[e].col;
+            const Complex vij = couplings_[e].value * ph;
+            const Complex vji = std::conj(vij);
+            for (int c = 0; c < cols_; ++c) {
+                out[i * cols_ + c] += vij * psi[j * cols_ + c];
+                out[j * cols_ + c] += vji * psi[i * cols_ + c];
+            }
+        }
+        if (drive_delta != 0.0) {
+            for (int i = 0; i < dim_; ++i) {
+                const double d = drive_delta * coupler_occ_[i];
+                if (d == 0.0)
+                    continue;
+                for (int c = 0; c < cols_; ++c)
+                    out[i * cols_ + c] += d * psi[i * cols_ + c];
+            }
+        }
+        for (auto &v : out)
+            v = Complex(v.imag(), -v.real());
+    }
+
+    void
+    advance()
+    {
+        for (size_t e = 0; e < phase_.size(); ++e)
+            phase_[e] *= half_step_[e] * half_step_[e];
+        if (++steps_ % 8192 == 0) {
+            for (auto &p : phase_)
+                p /= std::abs(p);
+        }
+    }
+
+  private:
+    const std::vector<CouplingEntry> &couplings_;
+    const std::vector<double> &coupler_occ_;
+    int dim_;
+    int cols_;
+    std::vector<Complex> phase_;
+    std::vector<Complex> half_step_;
+    size_t steps_ = 0;
+};
+
+/**
+ * The single-column RK4 loop from `psi`, calling on_step(psi) after
+ * every step.
+ */
+template <class OnStep>
+void
+referenceColumn(const ReferenceModel &m, double xi, double omega_d,
+                std::vector<Complex> psi, double duration_ns, double dt,
+                OnStep on_step)
+{
+    const int dim = m.dim();
+    ReferenceRhs rhs(m.couplings, m.sim.hamiltonian().couplerOccupation(),
+                     dim, 1, dt);
+    std::vector<Complex> k1(dim), k2(dim), k3(dim), k4(dim), tmp(dim);
+    const int steps = static_cast<int>(std::ceil(duration_ns / dt));
+    double t = 0.0;
+    for (int s = 0; s < steps; ++s) {
+        rhs.eval(psi, 0, m.driveDelta(xi, omega_d, t), k1);
+        for (int i = 0; i < dim; ++i)
+            tmp[i] = psi[i] + 0.5 * dt * k1[i];
+        rhs.eval(tmp, 1, m.driveDelta(xi, omega_d, t + 0.5 * dt), k2);
+        for (int i = 0; i < dim; ++i)
+            tmp[i] = psi[i] + 0.5 * dt * k2[i];
+        rhs.eval(tmp, 1, m.driveDelta(xi, omega_d, t + 0.5 * dt), k3);
+        for (int i = 0; i < dim; ++i)
+            tmp[i] = psi[i] + dt * k3[i];
+        rhs.eval(tmp, 2, m.driveDelta(xi, omega_d, t + dt), k4);
+        for (int i = 0; i < dim; ++i) {
+            psi[i] += dt / 6.0
+                      * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        }
+        rhs.advance();
+        t += dt;
+        on_step(psi);
+    }
+}
+
+/** Peak |<10|psi(t)>|^2 from |01> (the former swapTransferScore). */
+double
+referenceSwapScore(const ReferenceModel &m, double xi, double omega_d,
+                   double duration_ns, double dt)
+{
+    const DressedStates &d = m.sim.dressed();
+    std::vector<Complex> psi(m.dim()), target(m.dim());
+    for (int i = 0; i < m.dim(); ++i) {
+        psi[i] = d.vectors(i, 1);
+        target[i] = d.vectors(i, 2);
+    }
+    double best = 0.0;
+    referenceColumn(m, xi, omega_d, psi, duration_ns, dt,
+                    [&](const std::vector<Complex> &p) {
+                        Complex ov{};
+                        for (int i = 0; i < m.dim(); ++i)
+                            ov += std::conj(target[i]) * p[i];
+                        best = std::max(best, std::norm(ov));
+                    });
+    return best;
+}
+
+/** The four-column trajectory loop (the former simulateTrajectory). */
+Trajectory
+referenceTrajectory(const ReferenceModel &m, double xi, double omega_d,
+                    double max_ns)
+{
+    const SimOptions &opts = m.sim.options();
+    const DressedStates &dressed = m.sim.dressed();
+    const int dim = m.dim();
+    const int cols = 4;
+    const double dt = opts.dt;
+    ReferenceRhs rhs(m.couplings, m.sim.hamiltonian().couplerOccupation(),
+                     dim, cols, dt);
+    std::vector<Complex> psi(dim * cols);
+    for (int i = 0; i < dim; ++i)
+        for (int c = 0; c < cols; ++c)
+            psi[i * cols + c] = dressed.vectors(i, c);
+    std::vector<Complex> k1(psi.size()), k2(psi.size()),
+        k3(psi.size()), k4(psi.size()), tmp(psi.size());
+
+    Trajectory traj;
+    auto sampleGate = [&](double t) {
+        Mat4 g;
+        for (int k = 0; k < 4; ++k) {
+            const Complex frame =
+                std::exp(Complex(0.0, dressed.energies[k] * t));
+            for (int l = 0; l < 4; ++l) {
+                Complex s{};
+                for (int i = 0; i < dim; ++i) {
+                    const Complex lab =
+                        std::exp(Complex(0.0, -m.bare[i] * t))
+                        * psi[i * cols + l];
+                    s += std::conj(dressed.vectors(i, k)) * lab;
+                }
+                g(k, l) = frame * s;
+            }
+        }
+        double max_leak = 0.0;
+        for (int l = 0; l < 4; ++l) {
+            double col_norm = 0.0;
+            for (int k = 0; k < 4; ++k)
+                col_norm += std::norm(g(k, l));
+            max_leak = std::max(max_leak, 1.0 - col_norm);
+        }
+        TrajectoryPoint pt;
+        pt.duration = t;
+        pt.unitary = nearestUnitary4(g);
+        pt.coords = cartanCoords(pt.unitary);
+        pt.leakage = std::max(max_leak, 0.0);
+        traj.append(std::move(pt));
+    };
+
+    sampleGate(0.0);
+    const int steps = static_cast<int>(std::ceil(max_ns / dt));
+    double t = 0.0;
+    double next_sample = opts.sample_dt;
+    for (int s = 0; s < steps; ++s) {
+        rhs.eval(psi, 0, m.driveDelta(xi, omega_d, t), k1);
+        for (size_t i = 0; i < psi.size(); ++i)
+            tmp[i] = psi[i] + 0.5 * dt * k1[i];
+        rhs.eval(tmp, 1, m.driveDelta(xi, omega_d, t + 0.5 * dt), k2);
+        for (size_t i = 0; i < psi.size(); ++i)
+            tmp[i] = psi[i] + 0.5 * dt * k2[i];
+        rhs.eval(tmp, 1, m.driveDelta(xi, omega_d, t + 0.5 * dt), k3);
+        for (size_t i = 0; i < psi.size(); ++i)
+            tmp[i] = psi[i] + dt * k3[i];
+        rhs.eval(tmp, 2, m.driveDelta(xi, omega_d, t + dt), k4);
+        for (size_t i = 0; i < psi.size(); ++i) {
+            psi[i] += dt / 6.0
+                      * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+        }
+        rhs.advance();
+        t += dt;
+        if (t + 1e-9 >= next_sample) {
+            sampleGate(t);
+            next_sample += opts.sample_dt;
+        }
+    }
+    return traj;
+}
+
+/** Raw bytes of doubles, for bit-exact comparison. */
+std::string
+bytesOf(const double *v, size_t n)
+{
+    return std::string(reinterpret_cast<const char *>(v),
+                       n * sizeof(double));
+}
+
+std::string
+sampleBytes(const TrajectoryPoint &pt)
+{
+    const double scalars[] = {pt.duration, pt.coords.tx, pt.coords.ty,
+                              pt.coords.tz, pt.leakage};
+    return bytesOf(scalars, 5)
+           + bytesOf(reinterpret_cast<const double *>(pt.unitary.data()),
+                     32);
+}
+
+void
+expectSameSamples(const Trajectory &got, const Trajectory &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(sampleBytes(got.at(i)), sampleBytes(want.at(i)))
+            << "sample " << i << " at " << want.at(i).duration << " ns";
+}
+
+/** The coarse options the repository benchmark calibrates with. */
+SimOptions
+coarseOptions()
+{
+    SimOptions o;
+    o.dt = 0.01;
+    o.probe_dt = 0.04;
+    o.probe_duration = 60.0;
+    o.drive_scan_points = 7;
+    return o;
+}
+
+struct KernelCase
+{
+    const char *name;
+    double xi;
+    SimOptions opts;
+    double window_ns; ///< Trajectory window.
+};
+
+std::vector<KernelCase>
+kernelCases()
+{
+    // The xi = 0.005 windows run past 8192 steps, so the rotor
+    // renormalization is inside the compared range.
+    return {{"default/0.04", 0.04, SimOptions{}, 30.0},
+            {"default/0.005", 0.005, SimOptions{}, 45.0},
+            {"coarse/0.04", 0.04, coarseOptions(), 30.0},
+            {"coarse/0.005", 0.005, coarseOptions(), 90.0}};
+}
+
+TEST(Rk4Panel, ScanPanelsMatchTheReferenceBitForBit)
+{
+    // Every column of every scan stage (7 or 11 probes, then 9 and
+    // 9), and the drive frequency the scan settles on.
+    for (const KernelCase &kc : kernelCases()) {
+        SCOPED_TRACE(kc.name);
+        const PairSimulator sim(testDevice().edgeParams(0),
+                                testDevice().couplerOmegaMax(), kc.opts);
+        const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
+        const SimOptions &o = sim.options();
+        const double probe_ns =
+            std::min(o.probe_duration, 0.9 / kc.xi + 20.0);
+
+        double best_w = sim.dressedSplitting();
+        double best_score = -1.0;
+        auto stage = [&](double lo, double hi, int points) {
+            std::vector<double> omegas(points);
+            for (int i = 0; i < points; ++i)
+                omegas[i] = lo + (hi - lo) * i / (points - 1);
+            const std::vector<double> panel = sim.swapTransferScores(
+                kc.xi, omegas, probe_ns, o.probe_dt);
+            ASSERT_EQ(panel.size(), omegas.size());
+            for (int i = 0; i < points; ++i) {
+                const double want = referenceSwapScore(
+                    ref, kc.xi, omegas[i], probe_ns, o.probe_dt);
+                EXPECT_EQ(bytesOf(&panel[i], 1), bytesOf(&want, 1))
+                    << points << "-column panel, column " << i << ": "
+                    << panel[i] << " vs " << want;
+                if (want > best_score) {
+                    best_score = want;
+                    best_w = omegas[i];
+                }
+            }
+        };
+        const double center = sim.dressedSplitting();
+        stage(center - o.drive_scan_span, center + o.drive_scan_span,
+              o.drive_scan_points);
+        const double span2 =
+            2.0 * o.drive_scan_span / (o.drive_scan_points - 1);
+        stage(best_w - span2, best_w + span2, 9);
+        stage(best_w - span2 / 4.0, best_w + span2 / 4.0, 9);
+
+        const double wd = sim.calibrateDriveFrequency(kc.xi);
+        EXPECT_EQ(bytesOf(&wd, 1), bytesOf(&best_w, 1));
+        const double one = sim.swapTransferScore(kc.xi, wd, probe_ns,
+                                                 o.probe_dt);
+        const double one_ref =
+            referenceSwapScore(ref, kc.xi, wd, probe_ns, o.probe_dt);
+        EXPECT_EQ(bytesOf(&one, 1), bytesOf(&one_ref, 1));
+    }
+}
+
+TEST(Rk4Panel, TrajectoriesMatchTheReferenceBitForBit)
+{
+    for (const KernelCase &kc : kernelCases()) {
+        SCOPED_TRACE(kc.name);
+        const PairSimulator sim(testDevice().edgeParams(0),
+                                testDevice().couplerOmegaMax(), kc.opts);
+        const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
+        const double wd = sim.calibrateDriveFrequency(kc.xi);
+        if (kc.xi < 0.01)
+            ASSERT_GT(kc.window_ns / sim.options().dt, 8192.0);
+        expectSameSamples(sim.simulateTrajectory(kc.xi, wd, kc.window_ns),
+                          referenceTrajectory(ref, kc.xi, wd,
+                                              kc.window_ns));
+    }
+    // Undriven, where the dressed frame must give the identity and
+    // exact zeros meet the signed-zero argument head on.
+    const PairSimulator &sim = testSimulator();
+    const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
+    expectSameSamples(sim.simulateTrajectory(0.0, ghz(2.0), 10.0),
+                      referenceTrajectory(ref, 0.0, ghz(2.0), 10.0));
+}
+
+TEST(Rk4Panel, StreamContinuesIntoALongerWindow)
+{
+    // Windows 7, 15 and 30 ns of one stream give exactly the
+    // samples of a single 30 ns integration.
+    const PairSimulator &sim = testSimulator();
+    const double wd = sim.dressedSplitting();
+    TrajectoryStream stream(sim, 0.04, wd);
+    Trajectory pieces;
+    for (double window : {7.0, 15.0, 30.0}) {
+        while (std::optional<TrajectoryPoint> pt = stream.next(window))
+            pieces.append(std::move(*pt));
+        EXPECT_EQ(pieces.size(), static_cast<size_t>(window) + 1);
+    }
+    EXPECT_FALSE(stream.next(30.0).has_value());
+    expectSameSamples(pieces, sim.simulateTrajectory(0.04, wd, 30.0));
+}
+
+TEST(Rk4Panel, IntegratesTheReachableExcitationBlock)
+{
+    // |01> reaches the one-excitation block (3 rows); the four
+    // computational columns reach the 0-, 1- and 2-excitation blocks
+    // (1 + 3 + 6 rows).
+    const PairSimulator &sim = testSimulator();
+    const PairHamiltonian &h = sim.hamiltonian();
+    const CMat &dressed = sim.dressed().vectors;
+    CMat probe(h.dim(), 1);
+    for (int i = 0; i < h.dim(); ++i)
+        probe(i, 0) = dressed(i, 1);
+    const Rk4Panel one(sim, 0.04, probe, {sim.dressedSplitting()}, 0.02);
+    EXPECT_EQ(one.rows(),
+              (std::vector<int>{h.index(0, 0, 1), h.index(0, 1, 0),
+                                h.index(1, 0, 0)}));
+    const Rk4Panel four(sim, 0.04, dressed,
+                        std::vector<double>(4, sim.dressedSplitting()),
+                        0.005);
+    EXPECT_EQ(four.rows().size(), 10u);
+}
+
+TEST(Rk4Panel, SeedOutsideTheBlockWidensTheRowsAndStillMatches)
+{
+    // Column 0 is |01> plus a small |11> component (two
+    // excitations), column 1 plain |01>, column 2 the bare ground
+    // state; each runs at its own drive frequency. The reachable set
+    // grows to all three blocks, and every reachable entry matches
+    // the full-dimension reference column run alone, while the rows
+    // left out stay exactly zero there.
+    const PairSimulator &sim = testSimulator();
+    const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
+    const PairHamiltonian &h = sim.hamiltonian();
+    const int dim = h.dim();
+    CMat initial(dim, 3);
+    for (int i = 0; i < dim; ++i) {
+        initial(i, 0) = sim.dressed().vectors(i, 1);
+        initial(i, 1) = sim.dressed().vectors(i, 1);
+    }
+    initial(h.index(1, 1, 0), 0) += Complex(1e-3, -2e-3);
+    initial(h.index(0, 0, 0), 2) = Complex(1.0, 0.0);
+    const double wd = sim.dressedSplitting();
+    const std::vector<double> omegas = {wd, wd + 0.05, wd - 0.3};
+    const double xi = 0.04;
+    const double dt = 0.02;
+    const int steps = 9000; // past one rotor renormalization
+
+    Rk4Panel panel(sim, xi, initial, omegas, dt);
+    ASSERT_EQ(panel.rows().size(), 10u);
+    for (int s = 0; s < steps; ++s)
+        panel.step();
+    EXPECT_EQ(panel.steps(), steps);
+
+    for (int c = 0; c < 3; ++c) {
+        SCOPED_TRACE(c);
+        std::vector<Complex> col(dim);
+        for (int i = 0; i < dim; ++i)
+            col[i] = initial(i, c);
+        std::vector<Complex> want;
+        referenceColumn(ref, xi, omegas[c], col, steps * dt, dt,
+                        [&](const std::vector<Complex> &p) { want = p; });
+        ASSERT_EQ(want.size(), static_cast<size_t>(dim));
+        std::vector<char> kept(dim, 0);
+        for (size_t r = 0; r < panel.rows().size(); ++r) {
+            const int i = panel.rows()[r];
+            kept[i] = 1;
+            const double got[2] = {panel.re(r, c), panel.im(r, c)};
+            const double exp[2] = {want[i].real(), want[i].imag()};
+            EXPECT_EQ(bytesOf(got, 2), bytesOf(exp, 2)) << "row " << i;
+        }
+        for (int i = 0; i < dim; ++i)
+            if (!kept[i])
+                EXPECT_EQ(want[i], Complex{}) << "row " << i;
+    }
 }
 
 TEST(Device, CheckerboardColoring)
