@@ -8,6 +8,78 @@
 
 namespace qbasis {
 
+namespace {
+
+/**
+ * One connected block of the Hermitized input: its global indices in
+ * ascending order, the dense submatrix over them, and the rotations
+ * accumulated on it.
+ */
+struct Block
+{
+    std::vector<size_t> index;
+    CMat a;
+    CMat v;
+};
+
+/**
+ * (x, y) <- (c x - conj(s) y, s x + c y), written out in the real
+ * operations std::complex performs for finite operands (products
+ * (ar br - ai bi, ar bi + ai br), real scalars componentwise), so
+ * the same bits come without a NaN-recovery branch per product.
+ */
+inline void
+rotatePair(Complex &x, Complex &y, double c, Complex s)
+{
+    const double xr = x.real(), xi = x.imag();
+    const double yr = y.real(), yi = y.imag();
+    const double sr = s.real(), si = s.imag(), nsi = -si;
+    x = Complex(c * xr - (sr * yr - nsi * yi),
+                c * xi - (sr * yi + nsi * yr));
+    y = Complex((sr * xr - si * xi) + c * yr,
+                (sr * xi + si * xr) + c * yi);
+}
+
+/** One cyclic sweep over the pivots p < q of a block. */
+void
+sweepBlock(Block &b)
+{
+    const size_t m = b.index.size();
+    CMat &a = b.a;
+    CMat &v = b.v;
+    for (size_t p = 0; p < m; ++p) {
+        for (size_t q = p + 1; q < m; ++q) {
+            const Complex apq = a(p, q);
+            const double mag = std::abs(apq);
+            if (mag <= 1e-300)
+                continue;
+            const double app = a(p, p).real();
+            const double aqq = a(q, q).real();
+            // Phase that makes the pivot real, then a real Jacobi
+            // rotation on the phased pair.
+            const Complex phase = apq / mag;
+            const double theta = 0.5 * (aqq - app) / mag;
+            const double t =
+                (theta >= 0.0 ? 1.0 : -1.0)
+                / (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+            const double c = 1.0 / std::sqrt(t * t + 1.0);
+            const double s = t * c;
+            const Complex sp = s * phase;
+
+            // Columns update: A <- A * R
+            for (size_t k = 0; k < m; ++k)
+                rotatePair(a(k, p), a(k, q), c, sp);
+            // Rows update: A <- R^dag * A
+            for (size_t k = 0; k < m; ++k)
+                rotatePair(a(p, k), a(q, k), c, std::conj(sp));
+            for (size_t k = 0; k < m; ++k)
+                rotatePair(v(k, p), v(k, q), c, sp);
+        }
+    }
+}
+
+} // namespace
+
 HermEig
 jacobiEigHerm(const CMat &h_in, double tol)
 {
@@ -19,76 +91,84 @@ jacobiEigHerm(const CMat &h_in, double tol)
     for (size_t i = 0; i < n; ++i)
         for (size_t j = 0; j < n; ++j)
             a(i, j) = 0.5 * (h_in(i, j) + std::conj(h_in(j, i)));
-
-    CMat v = CMat::identity(n);
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
+
+    // Connected components of the pattern a(i, j) != 0, numbered by
+    // their smallest index.
+    std::vector<size_t> block_of(n, n);
+    size_t blocks_found = 0;
+    std::vector<size_t> stack;
+    for (size_t s = 0; s < n; ++s) {
+        if (block_of[s] != n)
+            continue;
+        block_of[s] = blocks_found;
+        stack.push_back(s);
+        while (!stack.empty()) {
+            const size_t i = stack.back();
+            stack.pop_back();
+            for (size_t j = 0; j < n; ++j) {
+                if (block_of[j] == n && a(i, j) != Complex{}) {
+                    block_of[j] = blocks_found;
+                    stack.push_back(j);
+                }
+            }
+        }
+        ++blocks_found;
+    }
+
+    std::vector<Block> blocks(blocks_found);
+    std::vector<size_t> local(n);
+    for (size_t i = 0; i < n; ++i) {
+        Block &b = blocks[block_of[i]];
+        local[i] = b.index.size();
+        b.index.push_back(i);
+    }
+    for (Block &b : blocks) {
+        const size_t m = b.index.size();
+        b.a = CMat(m, m);
+        for (size_t r = 0; r < m; ++r)
+            for (size_t c = 0; c < m; ++c)
+                b.a(r, c) = a(b.index[r], b.index[c]);
+        b.v = CMat::identity(m);
+    }
+    // The off-norm sums the within-block entries above the diagonal
+    // in global row-major order; every other entry is +-0.
+    std::vector<const Complex *> upper;
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = i + 1; j < n; ++j)
+            if (block_of[i] == block_of[j])
+                upper.push_back(&blocks[block_of[i]].a(local[i],
+                                                       local[j]));
 
     const int max_sweeps = 100;
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
         double off = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            for (size_t j = i + 1; j < n; ++j)
-                off += std::norm(a(i, j));
+        for (const Complex *x : upper)
+            off += std::norm(*x);
         if (std::sqrt(2.0 * off) <= tol * scale)
             break;
-
-        for (size_t p = 0; p < n; ++p) {
-            for (size_t q = p + 1; q < n; ++q) {
-                const Complex apq = a(p, q);
-                const double mag = std::abs(apq);
-                if (mag <= 1e-300)
-                    continue;
-                const double app = a(p, p).real();
-                const double aqq = a(q, q).real();
-                // Phase that makes the pivot real, then a real
-                // Jacobi rotation on the phased pair.
-                const Complex phase = apq / mag;
-                const double theta = 0.5 * (aqq - app) / mag;
-                const double t =
-                    (theta >= 0.0 ? 1.0 : -1.0)
-                    / (std::abs(theta)
-                       + std::sqrt(theta * theta + 1.0));
-                const double c = 1.0 / std::sqrt(t * t + 1.0);
-                const double s = t * c;
-                const Complex sp = s * phase;
-
-                // Columns update: A <- A * R
-                for (size_t k = 0; k < n; ++k) {
-                    const Complex akp = a(k, p);
-                    const Complex akq = a(k, q);
-                    a(k, p) = c * akp - std::conj(sp) * akq;
-                    a(k, q) = sp * akp + c * akq;
-                }
-                // Rows update: A <- R^dag * A
-                for (size_t k = 0; k < n; ++k) {
-                    const Complex apk = a(p, k);
-                    const Complex aqk = a(q, k);
-                    a(p, k) = c * apk - sp * aqk;
-                    a(q, k) = std::conj(sp) * apk + c * aqk;
-                }
-                for (size_t k = 0; k < n; ++k) {
-                    const Complex vkp = v(k, p);
-                    const Complex vkq = v(k, q);
-                    v(k, p) = c * vkp - std::conj(sp) * vkq;
-                    v(k, q) = sp * vkp + c * vkq;
-                }
-            }
-        }
+        for (Block &b : blocks)
+            sweepBlock(b);
     }
 
+    std::vector<double> diag(n);
+    for (size_t i = 0; i < n; ++i)
+        diag[i] = blocks[block_of[i]].a(local[i], local[i]).real();
     std::vector<size_t> order(n);
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
-        return a(i, i).real() < a(j, j).real();
+        return diag[i] < diag[j];
     });
 
     HermEig out;
     out.values.resize(n);
     out.vectors = CMat(n, n);
     for (size_t c = 0; c < n; ++c) {
-        out.values[c] = a(order[c], order[c]).real();
-        for (size_t r = 0; r < n; ++r)
-            out.vectors(r, c) = v(r, order[c]);
+        const size_t k = order[c];
+        const Block &b = blocks[block_of[k]];
+        out.values[c] = diag[k];
+        for (size_t r = 0; r < b.index.size(); ++r)
+            out.vectors(b.index[r], c) = b.v(r, local[k]);
     }
     return out;
 }

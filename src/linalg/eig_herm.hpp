@@ -28,6 +28,26 @@ struct HermEig
  * Diagonalize a complex Hermitian matrix with the cyclic Jacobi
  * method using complex plane rotations.
  *
+ * The Hermitized input splits into the connected components of its
+ * nonzero pattern (i ~ j iff a(i, j) != 0); the static Hamiltonian of
+ * the unit cell conserves excitation number, so its 27 levels fall
+ * into 7 blocks and only 57 of its 351 pivot pairs can ever rotate.
+ * Each block is copied into a dense submatrix over its ascending
+ * indices and rotated there, pivots in ascending (p, q) order. The
+ * blocks sweep in lock step: one sweep loop stops when
+ * sqrt(2 * off) <= tol * |a|_F, where `off` sums |a(i, j)|^2 over the
+ * within-block pairs i < j in row-major order and |a|_F is the
+ * Frobenius norm of the whole Hermitized input. A dense input is one
+ * block.
+ *
+ * For finite input the result is bit-identical to one dense cyclic
+ * Jacobi loop over all n x n entries with the same stopping test: a
+ * rotation maps a zero cross-block entry to +-0, so no cross-block
+ * pivot ever rotates; rotations in different blocks touch disjoint
+ * entries and commute; and cross-block eigenvector entries stay +0.
+ * A NaN or infinity breaks the argument (NaN * 0 is NaN), so the
+ * result is unspecified for such input.
+ *
  * @param h    Hermitian input (Hermiticity enforced by averaging).
  * @param tol  off-diagonal convergence threshold relative to the norm.
  */

@@ -33,11 +33,8 @@ dressedComputationalStates(const PairHamiltonian &h, double omega_c)
                 best = e;
             }
         }
-        if (best < 0 || best_overlap < 0.5) {
-            warn("dressed state %d has weak bare overlap %.3f "
-                 "(strong hybridization at this bias)", k,
-                 best_overlap);
-        }
+        out.min_bare_overlap = std::min(out.min_bare_overlap,
+                                        best_overlap);
         taken[best] = true;
         // Phase fix: bare component real positive.
         Complex phase = eig.vectors(bare, best);

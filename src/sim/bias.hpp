@@ -20,6 +20,9 @@ struct DressedStates
 {
     CMat vectors{0, 0};            ///< dim x 4 (|00>,|01>,|10>,|11>).
     std::array<double, 4> energies{}; ///< Dressed energies (rad/ns).
+    /** Weakest |<bare k|dressed k>|^2 of the four picks; below 0.5
+     *  the bias hybridizes a computational state strongly. */
+    double min_bare_overlap = 1.0;
 
     /** Static ZZ: E11 - E10 - E01 + E00. */
     double staticZZ() const
@@ -32,7 +35,9 @@ struct DressedStates
  * Diagonalize the static Hamiltonian and pick the eigenstates
  * adiabatically connected to the bare computational states (largest
  * overlap, greedily, with the phase fixed so the bare component is
- * real positive).
+ * real positive). Prints nothing: the zero-ZZ search probes biases
+ * it then rejects, so a weak pick is reported through
+ * `min_bare_overlap` and only the chosen bias warns (PairSimulator).
  */
 DressedStates dressedComputationalStates(const PairHamiltonian &h,
                                          double omega_c);

@@ -43,6 +43,10 @@ PairSimulator::PairSimulator(const PairDeviceParams &params,
     phi_dc_ = flux_.fluxForFrequency(omega_c0_);
 
     dressed_ = dressedComputationalStates(ham_, omega_c0_);
+    if (dressed_.min_bare_overlap < 0.5)
+        warn("a dressed computational state has weak bare overlap "
+             "%.3f at the chosen bias %.4f rad/ns (strong "
+             "hybridization)", dressed_.min_bare_overlap, omega_c0_);
     bare_energies_ = ham_.bareEnergies(omega_c0_);
     couplings_ = ham_.couplings();
     for (auto &e : couplings_) {

@@ -67,6 +67,8 @@ class PairSimulator
      *
      * Throws (fatal()) unless opts.drive_scan_points >= 2 and dt,
      * probe_dt, sample_dt and probe_duration are all positive.
+     * Warns once when a dressed computational state at the chosen
+     * bias overlaps its bare state by less than 0.5.
      */
     PairSimulator(const PairDeviceParams &params,
                   double coupler_omega_max, SimOptions opts = {});

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the linalg library: fixed and dynamic matrices,
- * eigensolvers, simultaneous diagonalization, exponentials, SU(2)
- * helpers, tensor factorization, Haar sampling.
+ * eigensolvers (the block Jacobi solver byte for byte against the
+ * dense loop, on the unit cell's static Hamiltonians among others),
+ * simultaneous diagonalization, exponentials, SU(2) helpers, tensor
+ * factorization, Haar sampling.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "calib/drift.hpp"
 #include "linalg/eig_herm.hpp"
 #include "linalg/eig_sym.hpp"
 #include "linalg/expm.hpp"
@@ -19,6 +25,9 @@
 #include "linalg/random.hpp"
 #include "linalg/simdiag.hpp"
 #include "linalg/su2.hpp"
+#include "sim/device.hpp"
+#include "sim/hamiltonian.hpp"
+#include "sim/propagator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -251,6 +260,251 @@ TEST(JacobiHerm, PauliYEigenvalues)
     const HermEig e = jacobiEigHerm(h);
     EXPECT_NEAR(e.values[0], -1.0, 1e-12);
     EXPECT_NEAR(e.values[1], 1.0, 1e-12);
+}
+
+// --- jacobiEigHerm against the dense reference loop ------------------
+//
+// The solver rotates each connected block of the input's nonzero
+// pattern in its own dense submatrix, under one global stopping test.
+// The reference is one dense cyclic loop over all n x n entries; the
+// two must agree in every byte, signed zeros included.
+
+/** The dense cyclic Jacobi loop: every pivot pair of the full matrix,
+ *  every rotation over full rows and columns. */
+HermEig
+denseJacobiEigHerm(const CMat &h_in, double tol = 1e-13)
+{
+    const size_t n = h_in.rows();
+    CMat a(n, n);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = 0; j < n; ++j)
+            a(i, j) = 0.5 * (h_in(i, j) + std::conj(h_in(j, i)));
+
+    CMat v = CMat::identity(n);
+    const double scale = std::max(a.frobeniusNorm(), 1e-300);
+
+    const int max_sweeps = 100;
+    for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+        double off = 0.0;
+        for (size_t i = 0; i < n; ++i)
+            for (size_t j = i + 1; j < n; ++j)
+                off += std::norm(a(i, j));
+        if (std::sqrt(2.0 * off) <= tol * scale)
+            break;
+
+        for (size_t p = 0; p < n; ++p) {
+            for (size_t q = p + 1; q < n; ++q) {
+                const Complex apq = a(p, q);
+                const double mag = std::abs(apq);
+                if (mag <= 1e-300)
+                    continue;
+                const double app = a(p, p).real();
+                const double aqq = a(q, q).real();
+                const Complex phase = apq / mag;
+                const double theta = 0.5 * (aqq - app) / mag;
+                const double t =
+                    (theta >= 0.0 ? 1.0 : -1.0)
+                    / (std::abs(theta)
+                       + std::sqrt(theta * theta + 1.0));
+                const double c = 1.0 / std::sqrt(t * t + 1.0);
+                const double s = t * c;
+                const Complex sp = s * phase;
+
+                for (size_t k = 0; k < n; ++k) {
+                    const Complex akp = a(k, p);
+                    const Complex akq = a(k, q);
+                    a(k, p) = c * akp - std::conj(sp) * akq;
+                    a(k, q) = sp * akp + c * akq;
+                }
+                for (size_t k = 0; k < n; ++k) {
+                    const Complex apk = a(p, k);
+                    const Complex aqk = a(q, k);
+                    a(p, k) = c * apk - sp * aqk;
+                    a(q, k) = std::conj(sp) * apk + c * aqk;
+                }
+                for (size_t k = 0; k < n; ++k) {
+                    const Complex vkp = v(k, p);
+                    const Complex vkq = v(k, q);
+                    v(k, p) = c * vkp - std::conj(sp) * vkq;
+                    v(k, q) = sp * vkp + c * vkq;
+                }
+            }
+        }
+    }
+
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t i, size_t j) {
+        return a(i, i).real() < a(j, j).real();
+    });
+
+    HermEig out;
+    out.values.resize(n);
+    out.vectors = CMat(n, n);
+    for (size_t c = 0; c < n; ++c) {
+        out.values[c] = a(order[c], order[c]).real();
+        for (size_t r = 0; r < n; ++r)
+            out.vectors(r, c) = v(r, order[c]);
+    }
+    return out;
+}
+
+/** Whether the solver and the reference agree byte for byte on h. */
+::testing::AssertionResult
+matchesDenseLoop(const CMat &h)
+{
+    const HermEig got = jacobiEigHerm(h);
+    const HermEig want = denseJacobiEigHerm(h);
+    const size_t n = h.rows();
+    if (got.values.size() != n || got.vectors.rows() != n
+        || got.vectors.cols() != n)
+        return ::testing::AssertionFailure() << "wrong shape";
+    if (std::memcmp(got.values.data(), want.values.data(),
+                    n * sizeof(double))
+        != 0)
+        return ::testing::AssertionFailure() << "eigenvalues differ";
+    if (std::memcmp(got.vectors.data(), want.vectors.data(),
+                    n * n * sizeof(Complex))
+        != 0)
+        return ::testing::AssertionFailure() << "eigenvectors differ";
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Random Hermitian n x n matrix: each pair (i, j), i > j, is nonzero
+ * with probability `density`; the zero entries are -0 (both parts)
+ * when `negative_zeros` is set.
+ */
+CMat
+randomPatternHermitian(size_t n, double density, bool negative_zeros,
+                       Rng &rng)
+{
+    CMat h(n, n);
+    for (size_t i = 0; i < n; ++i) {
+        h(i, i) = rng.normal();
+        for (size_t j = 0; j < i; ++j) {
+            if (rng.uniform() < density) {
+                const Complex v(rng.normal(), rng.normal());
+                h(i, j) = v;
+                h(j, i) = std::conj(v);
+            } else if (negative_zeros) {
+                h(i, j) = Complex(-0.0, -0.0);
+                h(j, i) = Complex(-0.0, -0.0);
+            }
+        }
+    }
+    return h;
+}
+
+/** Edge `e` of the drifted heavy-hex(4,9) lattice: device seed 17,
+ *  each edge drifted on the device-0 stream of fleet seed 2022. */
+PairDeviceParams
+driftedHeavyHexEdge(int e)
+{
+    GridDeviceParams g;
+    g.topology = DeviceTopology::HeavyHex;
+    g.rows = 4;
+    g.cols = 9;
+    g.seed = 17;
+    static const GridDevice dev(g);
+    Rng rng(Rng::deriveSeed(Rng::deriveSeed(2022, 0),
+                            static_cast<uint64_t>(e)));
+    return driftParams(dev.edgeParams(e), DriftModel{}, rng);
+}
+
+TEST(JacobiHermBlocks, MatchesDenseLoopOnBiasSearchHamiltonians)
+{
+    // 40 points around the zero-ZZ bias of undrifted edges of the
+    // default 10x10 device and of drifted heavy-hex edges.
+    const GridDevice grid{GridDeviceParams{}};
+    std::vector<PairDeviceParams> edges = {
+        grid.edgeParams(0), grid.edgeParams(37), grid.edgeParams(111)};
+    for (int e : {0, 12, 13, 41, 77})
+        edges.push_back(driftedHeavyHexEdge(e));
+
+    for (size_t k = 0; k < edges.size(); ++k) {
+        const PairSimulator sim(edges[k], grid.couplerOmegaMax());
+        const PairHamiltonian &h = sim.hamiltonian();
+        for (int step = -20; step < 20; ++step) {
+            const double omega_c = sim.omegaC0() + 0.05 * step;
+            EXPECT_TRUE(matchesDenseLoop(h.staticHamiltonian(omega_c)))
+                << "edge " << k << " step " << step;
+        }
+    }
+}
+
+TEST(JacobiHermBlocks, MatchesDenseLoopOnRandomDenseMatrices)
+{
+    Rng rng(4100);
+    for (size_t n = 1; n <= 27; ++n)
+        for (int rep = 0; rep < 4; ++rep)
+            EXPECT_TRUE(matchesDenseLoop(
+                randomPatternHermitian(n, 1.0, false, rng)))
+                << "n " << n << " rep " << rep;
+}
+
+TEST(JacobiHermBlocks, MatchesDenseLoopOnRandomSparsePatterns)
+{
+    Rng rng(4200);
+    for (double density : {0.05, 0.15})
+        for (size_t n = 2; n <= 27; ++n)
+            for (int rep = 0; rep < 8; ++rep)
+                EXPECT_TRUE(matchesDenseLoop(
+                    randomPatternHermitian(n, density, false, rng)))
+                    << "density " << density << " n " << n;
+}
+
+TEST(JacobiHermBlocks, NegativeZerosAreZeros)
+{
+    Rng rng(4300);
+    for (double density : {0.05, 0.15, 0.5})
+        for (size_t n = 2; n <= 27; n += 5)
+            for (int rep = 0; rep < 8; ++rep)
+                EXPECT_TRUE(matchesDenseLoop(
+                    randomPatternHermitian(n, density, true, rng)))
+                    << "density " << density << " n " << n;
+}
+
+TEST(JacobiHermBlocks, MatchesDenseLoopOnBlockDiagonal4x4)
+{
+    // nearestUnitary4 diagonalizes M^dag M; at t = 0 the projected
+    // gate conserves excitation number, so M^dag M splits into the
+    // blocks {00}, {01, 10}, {11}. The other patterns interleave
+    // blocks, so the off-norm's row-major order crosses them.
+    Rng rng(4400);
+    const std::vector<std::vector<std::pair<int, int>>> patterns = {
+        {{1, 2}}, {{0, 3}, {1, 2}}, {{0, 2}}, {{1, 3}, {0, 2}}, {}};
+    for (const auto &pairs : patterns) {
+        for (int rep = 0; rep < 20; ++rep) {
+            CMat h(4, 4);
+            for (int i = 0; i < 4; ++i)
+                h(i, i) = 1.0 + 0.1 * rng.normal();
+            for (const auto &[i, j] : pairs) {
+                const Complex v(0.1 * rng.normal(), 0.1 * rng.normal());
+                h(i, j) = v;
+                h(j, i) = std::conj(v);
+            }
+            EXPECT_TRUE(matchesDenseLoop(h)) << "rep " << rep;
+        }
+    }
+}
+
+TEST(JacobiHermBlocks, DiagonalInputTakesZeroSweeps)
+{
+    CMat h(6, 6);
+    const double diag[6] = {3.0, -1.0, 2.5, -1.0, 0.0, 7.0};
+    for (size_t i = 0; i < 6; ++i)
+        h(i, i) = diag[i];
+    EXPECT_TRUE(matchesDenseLoop(h));
+    // No rotation: the eigenvectors are the sorting permutation.
+    const HermEig e = jacobiEigHerm(h);
+    for (size_t c = 0; c < 6; ++c) {
+        size_t ones = 0;
+        for (size_t r = 0; r < 6; ++r)
+            ones += e.vectors(r, c) == Complex(1.0);
+        EXPECT_EQ(ones, 1u);
+    }
+    EXPECT_TRUE(std::is_sorted(e.values.begin(), e.values.end()));
 }
 
 TEST(SimDiag, CommutingPairJointlyDiagonalized)

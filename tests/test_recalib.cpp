@@ -218,16 +218,25 @@ TEST(VersionedBasisSet, NeverTearsUnderConcurrentPublish)
     constexpr size_t kEdges = 4;
     constexpr int kWriters = 2;
     constexpr int kRounds = 400;
+    constexpr int kReaders = 3;
 
     VersionedBasisSet vset(makeSet(kEdges, 1.0));
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> snapshots{0};
+    // Start latch: the writers begin once every reader holds a
+    // snapshot, so no reader can miss the whole publish window.
+    std::atomic<int> readers_in{0};
 
     std::vector<std::thread> readers;
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < kReaders; ++t) {
         readers.emplace_back([&] {
+            bool counted_in = false;
             while (!stop.load()) {
                 const CalibrationSnapshot snap = vset.snapshot();
+                if (!counted_in) {
+                    counted_in = true;
+                    readers_in.fetch_add(1);
+                }
                 for (size_t e = 0; e < kEdges; ++e) {
                     ASSERT_EQ(snap->edges[e].gate.duration_ns,
                               snap->bases[e].duration_ns);
@@ -240,6 +249,8 @@ TEST(VersionedBasisSet, NeverTearsUnderConcurrentPublish)
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w) {
         writers.emplace_back([&, w] {
+            while (readers_in.load() < kReaders)
+                std::this_thread::yield();
             for (int r = 1; r <= kRounds; ++r) {
                 const int edge = (r + w) % kEdges;
                 EdgeCalibration cal;

@@ -8,12 +8,14 @@
  * bit identity against a full-dimension std::complex reference.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "calib/drift.hpp"
 #include "linalg/eig_herm.hpp"
 #include "linalg/polar.hpp"
 #include "sim/bias.hpp"
@@ -160,6 +162,42 @@ TEST(Bias, ZzChangesSignAcrossWindow)
     const double zz_lo = staticZZ(h, ghz(4.9));
     const double zz_hi = staticZZ(h, ghz(5.3));
     EXPECT_LT(zz_lo * zz_hi, 0.0);
+}
+
+TEST(Bias, WarnsOnlyAboutTheChosenBias)
+{
+    // Edge 13 of the drifted heavy-hex(4,9) lattice (device seed 17,
+    // each edge drifted on the device-0 stream of fleet seed 2022):
+    // the low end of its zero-ZZ scan window hybridizes |11>, but the
+    // bias the search settles on does not.
+    GridDeviceParams g;
+    g.topology = DeviceTopology::HeavyHex;
+    g.rows = 4;
+    g.cols = 9;
+    g.seed = 17;
+    const GridDevice dev(g);
+    const int edge = 13;
+    Rng rng(Rng::deriveSeed(Rng::deriveSeed(2022, 0), edge));
+    const PairDeviceParams p =
+        driftParams(dev.edgeParams(edge), DriftModel{}, rng);
+
+    testing::internal::CaptureStderr();
+    const PairSimulator sim(p, dev.couplerOmegaMax());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err, "");
+    EXPECT_GE(sim.dressed().min_bare_overlap, 0.5);
+
+    // The search's first scan point (PairSimulator's window: above
+    // both the lower qubit and the coupler two-photon resonance, by
+    // the bias margin).
+    const double two_photon =
+        0.5 * (p.qubit_a.omega + p.qubit_b.omega - p.coupler.alpha);
+    const double scan_lo =
+        std::max(std::min(p.qubit_a.omega, p.qubit_b.omega), two_photon)
+        + sim.options().bias_margin;
+    const DressedStates probe =
+        dressedComputationalStates(sim.hamiltonian(), scan_lo);
+    EXPECT_LT(probe.min_bare_overlap, 0.5);
 }
 
 TEST(Propagator, NoDriveGivesIdentity)
