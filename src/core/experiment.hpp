@@ -102,8 +102,8 @@ int calibrateEdge(int edge_id, const PairDeviceParams &params,
  * pool size; when several edges fail, the error of the lowest edge id
  * is thrown.
  *
- * Blocks until every edge is done, so it must be called from a thread
- * outside `pool`.
+ * Returns when every edge is done. The calling thread calibrates
+ * edges alongside the workers, so it may itself be a pool task.
  */
 CalibratedBasisSet calibrateDevice(ThreadPool &pool,
                                    const GridDevice &device, double xi,

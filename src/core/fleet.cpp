@@ -414,9 +414,11 @@ FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
     report.shards = shardCount(n_devices);
 
     // Engines borrow the shared pool and carry no synthesis state
-    // of their own, so each device gets a fresh one; shard threads
-    // block in shared-cache waits and batch joins, which is why
-    // they are std::threads rather than pool workers.
+    // of their own, so each device gets a fresh one. A shard thread
+    // runs its own batches' tasks while it joins them, but it sleeps
+    // in shared-cache waits for classes another device is
+    // synthesizing, which is why shards are std::threads rather
+    // than pool tasks.
     //
     // Per-device failure domain: a throwing device is contained into
     // its FleetDeviceStatus -- the rest of the fleet completes and

@@ -495,8 +495,8 @@ class FleetDriver
               const std::vector<FleetCircuit> &circuits,
               SynthEngine &engine);
 
-    /** Initial calibration of one device on the shared pool; called
-     *  from shard threads, never from a pool worker. */
+    /** Initial calibration of one device on the shared pool; the
+     *  calling shard thread calibrates edges alongside the workers. */
     CalibratedBasisSet calibrateSpec(int device_id,
                                      const FleetDeviceSpec &spec,
                                      const GridDevice &device,

@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <climits>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -96,47 +94,21 @@ struct ClassJob
     std::exception_ptr first_restart_error;
 };
 
-/** Shared completion state of one synthesizeBatch() call. */
+/**
+ * One synthesizeBatch() call's jobs on the pool. Every task of the
+ * batch -- each job's start and every restart of its depth waves --
+ * runs in `group`, so the batch is done when the group is, and the
+ * thread that waits on it runs the batch's restarts too.
+ */
 struct BatchState
 {
-    ThreadPool &pool;
     const SynthOptions &opts;
-    TaskPriority priority;
     std::atomic<uint64_t> &restarts_run;
     std::atomic<uint64_t> &restarts_pruned;
     std::atomic<uint64_t> &restarts_failed;
-    size_t jobs_remaining = 0; ///< Guarded by `mutex`.
-    std::mutex mutex;
-    std::condition_variable done_cv;
-
-    BatchState(ThreadPool &p, const SynthOptions &o, TaskPriority pr,
-               std::atomic<uint64_t> &run,
-               std::atomic<uint64_t> &pruned,
-               std::atomic<uint64_t> &failed)
-        : pool(p), opts(o), priority(pr), restarts_run(run),
-          restarts_pruned(pruned), restarts_failed(failed)
-    {
-    }
-
-    void
-    finishJob()
-    {
-        // Decrement under the lock: the waiter's predicate also runs
-        // under it, so it cannot observe zero (and destroy this
-        // stack-allocated state) while a worker is still between the
-        // decrement and the notify.
-        std::lock_guard<std::mutex> lock(mutex);
-        if (--jobs_remaining == 0)
-            done_cv.notify_all();
-    }
-
-    void
-    recordError(ClassJob &job)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!job.error)
-            job.error = std::current_exception();
-    }
+    /** Last member, so it is destroyed first: an unwinding batch
+     *  waits for its tasks before anything they use goes away. */
+    TaskGroup group;
 
     void runRestart(ClassJob &job, int restart);
     void launchWave(ClassJob &job);
@@ -151,30 +123,17 @@ BatchState::launchWave(ClassJob &job)
     job.slots.assign(static_cast<size_t>(restarts), RestartSlot{});
     job.min_success.store(INT_MAX);
     job.remaining.store(restarts);
-    // Thread-pool closures re-establish the submitter's request
-    // correlation so a request's restart spans stay on its track
-    // even though they run on pool workers.
+    // Group tasks re-establish the submitter's request correlation so
+    // a request's restart spans stay on its track on any thread.
     const uint64_t corr = currentTraceCorrelation();
-    int submitted = 0;
-    try {
-        for (int r = 0; r < restarts; ++r) {
-            pool.submit(
-                [this, &job, r, corr] {
-                    TraceCorrelation correlation(corr);
-                    runRestart(job, r);
-                },
-                priority);
-            ++submitted;
-        }
-    } catch (...) {
-        // Submission failed partway (e.g. allocation): the job must
-        // not finish while already-submitted restarts still run.
-        // Account for the never-submitted ones; whichever side takes
-        // `remaining` to zero performs the (error-aware) reduction.
-        recordError(job);
-        const int missing = restarts - submitted;
-        if (job.remaining.fetch_sub(missing) == missing)
-            reduceWave(job);
+    // If a run() throws (allocation), the caller records the job's
+    // error; the restarts already queued cannot take `remaining` to
+    // zero, so the wave is never reduced and the batch rethrows.
+    for (int r = 0; r < restarts; ++r) {
+        group.run([this, &job, r, corr] {
+            TraceCorrelation correlation(corr);
+            runRestart(job, r);
+        });
     }
 }
 
@@ -250,11 +209,6 @@ void
 BatchState::reduceWave(ClassJob &job)
 {
     try {
-        if (job.error) {
-            finishJob();
-            return;
-        }
-
         // First successful restart in index order wins (identical to
         // the serial early-break rule).
         for (size_t r = 0; r < job.slots.size(); ++r) {
@@ -264,7 +218,6 @@ BatchState::reduceWave(ClassJob &job)
                 job.result = assembleDecomposition(
                     job.class_gate, job.layers, slot.params,
                     slot.infidelity);
-                finishJob();
                 return;
             }
         }
@@ -323,10 +276,8 @@ BatchState::reduceWave(ClassJob &job)
         job.result = assembleDecomposition(job.class_gate, job.layers,
                                            job.best_params,
                                            job.best_infidelity);
-        finishJob();
     } catch (...) {
-        recordError(job);
-        finishJob();
+        job.error = std::current_exception();
     }
 }
 
@@ -348,7 +299,6 @@ BatchState::startJob(ClassJob &job)
                               opts.max_layers, opts.oracle);
             if (start == 0) {
                 job.result = synthesizeLocalTarget(job.class_gate);
-                finishJob();
                 return;
             }
             if (start > opts.max_layers)
@@ -358,8 +308,7 @@ BatchState::startJob(ClassJob &job)
         job.layers.assign(static_cast<size_t>(start), job.basis);
         launchWave(job);
     } catch (...) {
-        recordError(job);
-        finishJob();
+        job.error = std::current_exception();
     }
 }
 
@@ -392,8 +341,9 @@ prefetchDepthVerdicts(ThreadPool &pool, const SynthOptions &opts,
 }
 
 /**
- * Run every job to completion on the pool and rethrow the first
- * (job-order) error once all of them have settled.
+ * Run every job to completion as one task group, the calling thread
+ * included, and rethrow the first (job-order) error once all of them
+ * have settled.
  */
 void
 runJobsOnPool(ThreadPool &pool, const SynthOptions &opts,
@@ -406,22 +356,17 @@ runJobsOnPool(ThreadPool &pool, const SynthOptions &opts,
     if (jobs.empty())
         return;
     SynthMetrics::instance().jobs.add(jobs.size());
-    BatchState state(pool, opts, priority, restarts_run,
-                     restarts_pruned, restarts_failed);
-    state.jobs_remaining = jobs.size();
+    BatchState state{opts, restarts_run, restarts_pruned,
+                     restarts_failed, TaskGroup(pool, priority)};
     const uint64_t corr = currentTraceCorrelation();
     for (auto &job : jobs) {
         ClassJob *j = job.get();
-        pool.submit(
-            [&state, j, corr] {
-                TraceCorrelation correlation(corr);
-                state.startJob(*j);
-            },
-            priority);
+        state.group.run([&state, j, corr] {
+            TraceCorrelation correlation(corr);
+            state.startJob(*j);
+        });
     }
-    std::unique_lock<std::mutex> lock(state.mutex);
-    state.done_cv.wait(lock,
-                       [&state] { return state.jobs_remaining == 0; });
+    state.group.wait();
     for (const auto &job : jobs) {
         if (job->error)
             std::rethrow_exception(job->error);
@@ -537,9 +482,11 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
         guards[j].release();
     }
 
-    // Phase 3b: await classes owned by concurrent clients. This
-    // thread must not be a pool worker (clients are shard threads),
-    // so the owner's jobs keep making progress underneath the wait.
+    // Phase 3b: await classes owned by concurrent clients. Their
+    // owners publish before they wait on anyone and run their own
+    // batches while they wait, so these classes always arrive; but
+    // cache.wait() sleeps without running anything, which is why
+    // fleet shards are std::threads rather than pool tasks.
     for (const ClassKey &key : pending) {
         const TwoQubitDecomposition *dec =
             cache.wait(key, lookups.at(key));

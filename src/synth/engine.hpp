@@ -72,10 +72,13 @@ class SynthEngine
      * Multi-client batch submission against the fleet-wide shared
      * cache, on behalf of device `device_id`.
      *
-     * Safe to call concurrently from multiple (non-pool) threads on
-     * the same engine or on sibling engines sharing the pool. Classes
-     * already claimed by a concurrent batch are awaited rather than
-     * re-synthesized, so each class is synthesized once per process.
+     * Safe to call concurrently from multiple threads on the same
+     * engine or on sibling engines sharing the pool. The calling
+     * thread runs the batch's tasks alongside the workers (see
+     * TaskGroup). Classes already claimed by a concurrent batch are
+     * awaited rather than re-synthesized, so each class is
+     * synthesized once per process; that wait sleeps, so a caller
+     * that is a pool task idles its worker while it lasts.
      * Returns one decomposition per request, in request order; the
      * cache's hit/miss counters advance exactly as if the requests
      * had been looked up serially in order. Results are bit-identical

@@ -152,38 +152,97 @@ ThreadPool::workerLoop(size_t self)
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
-    if (n == 0)
-        return;
-    struct State
-    {
-        std::atomic<size_t> remaining;
-        std::mutex mutex;
-        std::condition_variable done;
-        std::vector<std::exception_ptr> errors;
-    };
-    auto state = std::make_shared<State>();
-    state->remaining.store(n);
-    state->errors.resize(n);
-
+    std::vector<std::exception_ptr> errors(n);
+    TaskGroup group(*this);
     for (size_t i = 0; i < n; ++i) {
-        submit([state, i, &fn] {
+        group.run([&fn, &errors, i] {
             try {
                 fn(i);
             } catch (...) {
-                state->errors[i] = std::current_exception();
-            }
-            if (state->remaining.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->done.notify_all();
+                errors[i] = std::current_exception();
             }
         });
     }
+    group.wait();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
 
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->done.wait(lock, [&] { return state->remaining.load() == 0; });
-    for (size_t i = 0; i < n; ++i) {
-        if (state->errors[i])
-            std::rethrow_exception(state->errors[i]);
+struct TaskGroup::State
+{
+    std::mutex mutex;
+    /** Signalled when a task is queued and when the last one ends. */
+    std::condition_variable cv;
+    std::deque<std::function<void()>> queued;
+    size_t unfinished = 0; ///< Queued plus running tasks.
+
+    /** Run the oldest queued task; false when none is queued. A task
+     *  that throws ends the process here, as a pool task does. */
+    bool
+    runOne() noexcept
+    {
+        {
+            std::function<void()> task;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                if (queued.empty())
+                    return false;
+                task = std::move(queued.front());
+                queued.pop_front();
+            }
+            task();
+        } // The task's captures are gone before it counts as done.
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--unfinished == 0)
+            cv.notify_all();
+        return true;
+    }
+};
+
+TaskGroup::TaskGroup(ThreadPool &pool, TaskPriority priority)
+    : pool_(pool), priority_(priority),
+      state_(std::make_shared<State>())
+{
+}
+
+TaskGroup::~TaskGroup() { wait(); }
+
+void
+TaskGroup::run(std::function<void()> task)
+{
+    State &st = *state_;
+    std::lock_guard<std::mutex> lock(st.mutex);
+    // Submit the ticket first, under the lock so it cannot look
+    // before the task is queued: if the push then throws, run() has
+    // queued nothing and only a spare ticket is left, which is
+    // harmless because tickets take whichever task is oldest.
+    pool_.submit([state = state_] { state->runOne(); }, priority_);
+    st.queued.push_back(std::move(task));
+    ++st.unfinished;
+    st.cv.notify_all();
+}
+
+void
+TaskGroup::wait()
+{
+    State &st = *state_;
+    for (;;) {
+        if (st.runOne())
+            continue;
+        std::unique_lock<std::mutex> lock(st.mutex);
+        if (st.unfinished == 0)
+            return;
+        if (!st.queued.empty())
+            continue;
+        // Everything left is running on a worker: sleep until a task
+        // is queued or the last one ends. Only this sleep is blocked
+        // time; the tasks run above have spans of their own.
+        QBASIS_TRACE_SCOPE("pool.wait");
+        st.cv.wait(lock, [&st] {
+            return st.unfinished == 0 || !st.queued.empty();
+        });
     }
 }
 

@@ -13,10 +13,11 @@
  * round-robin across workers; worker threads submit to their own
  * deque for locality.
  *
- * Tasks may themselves submit further tasks (the synthesis engine's
- * depth waves do), so workers never block waiting on other tasks;
- * completion signalling is the caller's responsibility (see
- * SynthEngine) or use parallelFor() for the simple fork-join case.
+ * Fork-joins go through a TaskGroup (below): the thread that waits
+ * on one runs the group's queued tasks itself, so it computes
+ * instead of idling, and a pool worker may fork and join too.
+ * parallelFor() is the simple fork-join case; the synthesis engine's
+ * batch is a group whose tasks add their depth waves to it.
  *
  * Two priority lanes: every worker owns a Normal and a Background
  * deque, and both the local pop and the steal scan exhaust Normal
@@ -68,10 +69,11 @@ class ThreadPool
                 TaskPriority priority = TaskPriority::Normal);
 
     /**
-     * Run fn(i) for i in [0, n) across the pool and block until all
-     * are done. Exceptions thrown by tasks are captured and the one
-     * with the smallest index is rethrown on the caller (results for
-     * other indices are still completed first).
+     * Run fn(i) for i in [0, n) as one TaskGroup and return when all
+     * are done; the calling thread runs indices too, so it may be a
+     * pool worker. Exceptions thrown by tasks are captured and the
+     * one with the smallest index is rethrown on the caller (results
+     * for other indices are still completed first).
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
@@ -99,6 +101,52 @@ class ThreadPool
     std::condition_variable sleep_cv_;
     std::atomic<bool> stop_{false};
     std::atomic<uint64_t> submit_counter_{0};
+};
+
+/**
+ * A fork-join batch on a pool, waited for by the thread that owns it.
+ *
+ * run() queues a task on the group and submits one ticket on the
+ * group's lane; a ticket that a worker dequeues runs the group's
+ * oldest not-yet-started task, if any is left. wait() runs the
+ * group's not-yet-started tasks on the calling thread and sleeps
+ * (under a `pool.wait` span) only while every remaining task is
+ * already running on a worker. The caller only ever runs its own
+ * group's tasks: never another group's, and never a task submitted
+ * straight to the pool, such as a Background-lane recalibration
+ * pipeline.
+ *
+ * A running task may add tasks to its own group; wait() returns once
+ * every task ever added has finished. Tasks must not throw (as with
+ * ThreadPool::submit, an escaping exception terminates the process).
+ * Only the owner calls wait(); the destructor waits too, so an owner
+ * that unwinds never leaves a task running over its stack.
+ */
+class TaskGroup
+{
+  public:
+    explicit TaskGroup(ThreadPool &pool,
+                       TaskPriority priority = TaskPriority::Normal);
+    ~TaskGroup();
+
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    /** Queue a task. Safe to call from the group's own tasks. If it
+     *  throws, the task was not queued. */
+    void run(std::function<void()> task);
+
+    /** Run or await every task of the group, including those added
+     *  while waiting. */
+    void wait();
+
+  private:
+    struct State;
+
+    ThreadPool &pool_;
+    TaskPriority priority_;
+    /** Shared with the tickets, which may outlive the group. */
+    std::shared_ptr<State> state_;
 };
 
 } // namespace qbasis

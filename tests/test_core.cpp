@@ -6,8 +6,10 @@
  */
 
 #include <cmath>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -247,21 +249,45 @@ class SmallDeviceExperiment : public ::testing::Test
 
 TEST_F(SmallDeviceExperiment, SameSetOnAnyPoolSize)
 {
-    // Edges calibrate concurrently; each is a pure function of its
-    // parameters, so the set does not depend on the worker count.
-    ThreadPool one(1), four(4);
-    const CalibratedBasisSet a = calibrateDevice(
-        one, device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
-    const CalibratedBasisSet b = calibrateDevice(
-        four, device(), 0.04, SelectionCriterion::Criterion1, "ns-c1");
+    // Edges calibrate concurrently, the calling thread among them;
+    // each is a pure function of its parameters, so the set depends
+    // neither on the worker count nor on whether the caller is itself
+    // a pool task.
+    const auto calibrate = [](ThreadPool &pool) {
+        return calibrateDevice(pool, device(), 0.04,
+                               SelectionCriterion::Criterion1, "ns-c1");
+    };
+    std::vector<CalibratedBasisSet> sets;
+    for (int threads = 1; threads <= 4; ++threads) {
+        ThreadPool pool(threads);
+        sets.push_back(calibrate(pool));
+    }
+    {
+        // The only worker runs the call and calibrates every edge.
+        ThreadPool pool(1);
+        std::promise<CalibratedBasisSet> nested;
+        pool.submit([&] {
+            try {
+                nested.set_value(calibrate(pool));
+            } catch (...) {
+                nested.set_exception(std::current_exception());
+            }
+        });
+        sets.push_back(nested.get_future().get());
+    }
+    const CalibratedBasisSet &a = sets.front();
     ASSERT_EQ(a.edges.size(), device().coupling().edges().size());
-    ASSERT_EQ(a.edges.size(), b.edges.size());
-    ASSERT_EQ(a.bases.size(), b.bases.size());
-    for (size_t e = 0; e < a.edges.size(); ++e) {
+    for (size_t e = 0; e < a.edges.size(); ++e)
         EXPECT_EQ(a.edges[e].edge_id, static_cast<int>(e));
-        EXPECT_EQ(edgeBytes(a.edges[e], a.bases[e]),
-                  edgeBytes(b.edges[e], b.bases[e]))
-            << "edge " << e;
+    for (size_t s = 1; s < sets.size(); ++s) {
+        const CalibratedBasisSet &b = sets[s];
+        ASSERT_EQ(a.edges.size(), b.edges.size()) << "set " << s;
+        ASSERT_EQ(a.bases.size(), b.bases.size()) << "set " << s;
+        for (size_t e = 0; e < a.edges.size(); ++e) {
+            EXPECT_EQ(edgeBytes(a.edges[e], a.bases[e]),
+                      edgeBytes(b.edges[e], b.bases[e]))
+                << "set " << s << ", edge " << e;
+        }
     }
 }
 

@@ -9,8 +9,10 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -516,6 +518,77 @@ TEST_F(ObsTest, CalibrateEdgeNestsItsStageSpans)
     EXPECT_EQ(std::memcmp(untraced.gate.gate.data(), out.gate.gate.data(),
                           16 * sizeof(Complex)),
               0);
+}
+
+// --- Blocked time: pool.wait --------------------------------------
+
+TEST_F(ObsTest, PoolWaitSpansHoldNoTaskTheCallerRan)
+{
+    // A thread waiting on its task group runs the group's queued tasks
+    // itself, and only the sleep after that is a pool.wait span: no
+    // span of a task it ran may start inside one on its thread.
+    GridDeviceParams gp;
+    gp.rows = 2;
+    gp.cols = 2;
+    gp.seed = 11;
+    const GridDevice device(gp);
+    ScopedTraceEnable trace;
+    ThreadPool pool(1);
+    {
+        QBASIS_TRACE_SCOPE("test.caller");
+        {
+            // Deterministic sleep: the only worker holds the group's
+            // first task while the caller runs the second and waits.
+            std::promise<void> started;
+            TaskGroup group(pool);
+            group.run([&started] {
+                started.set_value();
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            });
+            started.get_future().wait();
+            group.run([] { QBASIS_TRACE_SCOPE("test.caller_task"); });
+            group.wait();
+        }
+        calibrateDevice(pool, device, 0.04,
+                        SelectionCriterion::Criterion1, "ns-c1");
+        SynthEngine engine(pool);
+        SharedDecompositionCache cache;
+        const std::vector<SynthRequest> reqs = {
+            {0, swapGate(), sqrtIswapGate()},
+            {1, cnotGate(), sqrtIswapGate()}};
+        engine.synthesizeBatch(reqs, cache, cheapSynth());
+    }
+
+    const std::vector<TraceEvent> events = traceSnapshot();
+    ASSERT_EQ(traceDroppedEvents(), 0u);
+    const auto tidOf = [&](const char *name) {
+        for (const TraceEvent &ev : events)
+            if (std::string(ev.name) == name)
+                return ev.tid;
+        ADD_FAILURE() << "no " << name << " span";
+        return 0u;
+    };
+    const uint32_t caller = tidOf("test.caller");
+    EXPECT_EQ(tidOf("test.caller_task"), caller);
+    size_t waits = 0, inline_edges = 0;
+    for (const TraceEvent &ev : events) {
+        const std::string name = ev.name;
+        if (name == "calib.edge" && ev.tid == caller)
+            ++inline_edges;
+        if (name != "pool.wait")
+            continue;
+        ++waits;
+        const uint64_t end = ev.start_ns + ev.dur_ns;
+        for (const TraceEvent &inner : events) {
+            if (&inner == &ev || inner.tid != ev.tid)
+                continue;
+            EXPECT_FALSE(inner.start_ns >= ev.start_ns
+                         && inner.start_ns < end)
+                << inner.name << " starts inside a pool.wait span";
+        }
+    }
+    EXPECT_GE(waits, 1u); // the caller slept on the worker's task
+    EXPECT_GE(inline_edges, 1u) << "the caller calibrated no edge";
 }
 
 // --- Request-id correlation admit -> ... -> cache publish -----------

@@ -9,6 +9,7 @@
  */
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,12 +462,12 @@ decompositionsBitIdentical(const TwoQubitDecomposition &a,
 
 TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
 {
-    // Single worker, easy target (CNOT from a CNOT-class basis, one
-    // layer): restart 0 succeeds before restarts 1..n dequeue, so
-    // the whole remaining wave is pruned at submission time. Results
-    // must stay bit-identical across thread counts even though the
-    // pruning pattern differs (2 workers may race real restarts
-    // where 1 worker pruned them).
+    // One thread runs the wave, easy target (CNOT from a CNOT-class
+    // basis, one layer): restart 0 succeeds before restarts 1..n
+    // dequeue, so the whole remaining wave is pruned at submission
+    // time. Results must stay bit-identical across thread counts even
+    // though the pruning pattern differs (more threads may race real
+    // restarts where one thread pruned them).
     SynthOptions opts = cheapSynth();
     opts.restarts = 5;
 
@@ -477,15 +478,27 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
     req.basis = cnotGate();
     requests.push_back(req);
 
-    SynthEngine serial_engine(1);
+    // The calling thread works on its own batch, so one thread runs
+    // the wave only while the pool's single worker is parked.
+    std::promise<void> parked, release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    ThreadPool serial_pool(1);
+    serial_pool.submit([&parked, released] {
+        parked.set_value();
+        released.wait();
+    });
+    parked.get_future().wait();
+    SynthEngine serial_engine(serial_pool);
     SharedDecompositionCache serial_cache;
     const auto pruned =
         serial_engine.synthesizeBatch(requests, serial_cache, opts);
+    release.set_value();
     ASSERT_EQ(pruned.size(), 1u);
     EXPECT_LE(pruned[0].infidelity, opts.target_infidelity);
 
-    // With one worker the wave runs strictly in index order: restart
-    // 0 wins, all four later restarts are pruned unstarted.
+    // On one thread the wave runs strictly in index order: restart 0
+    // wins, all four later restarts are pruned unstarted.
     const SynthEngine::Stats st = serial_engine.stats();
     EXPECT_EQ(st.restarts_run, 1u);
     EXPECT_EQ(st.restarts_pruned, 4u);

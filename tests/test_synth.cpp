@@ -466,7 +466,7 @@ TEST(EngineFaults, OneBadRestartDoesNotKillTheBatch)
     plan.seed = 1234;
     plan.probability = 1.0;
     plan.site_filter = "synth.restart";
-    plan.max_fires = 1; // deterministic: single-threaded engine
+    plan.max_fires = 1; // one restart throws, whichever runs first
     ScopedFaults faults(plan);
 
     const SynthOptions o = fastSynth();

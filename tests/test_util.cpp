@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the util library: RNG determinism and distributions,
- * statistics, table rendering, logging failure modes.
+ * statistics, table rendering, logging failure modes, the thread
+ * pool and its task groups.
  */
 
 #include <cmath>
@@ -10,6 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -68,6 +75,189 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
                                           fatal("boom %zu", i);
                                   }),
                  std::runtime_error);
+}
+
+/** How long a wait that must not hang may take before its test fails:
+ *  a thread that sleeps while its own work sits queued never returns. */
+constexpr std::chrono::seconds kWatchdog(30);
+
+/** Parks every worker of a pool on a latch until release(). */
+class WorkerPark
+{
+  public:
+    explicit WorkerPark(ThreadPool &pool)
+    {
+        const std::shared_future<void> open = open_.get_future().share();
+        for (int w = 0; w < pool.size(); ++w) {
+            pool.submit([this, open] {
+                parked_.fetch_add(1);
+                open.wait();
+            });
+        }
+        while (parked_.load() < pool.size())
+            std::this_thread::yield();
+    }
+
+    ~WorkerPark() { release(); }
+
+    void
+    release()
+    {
+        if (!released_) {
+            released_ = true;
+            open_.set_value();
+        }
+    }
+
+  private:
+    std::promise<void> open_;
+    std::atomic<int> parked_{0};
+    bool released_ = false;
+};
+
+/** Thread ids recorded by tasks, safe to append from any thread. */
+struct ThreadLog
+{
+    std::mutex mutex;
+    std::vector<std::thread::id> ids;
+
+    void
+    record()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.push_back(std::this_thread::get_id());
+    }
+};
+
+TEST(TaskGroup, CallerRunsItsGroupWhileEveryWorkerIsBusy)
+{
+    ThreadLog log; // outlives the pool's workers
+    ThreadPool pool(1);
+    WorkerPark park(pool);
+    auto caller = std::async(std::launch::async, [&] {
+        TaskGroup group(pool);
+        for (int i = 0; i < 8; ++i)
+            group.run([&log] { log.record(); });
+        group.wait();
+        return std::this_thread::get_id();
+    });
+    const bool returned =
+        caller.wait_for(kWatchdog) == std::future_status::ready;
+    // Unpark either way: a wait() that sleeps on queued tasks is then
+    // finished by the worker, and the test fails instead of hanging.
+    park.release();
+    const std::thread::id caller_id = caller.get();
+    ASSERT_TRUE(returned) << "wait() slept while its tasks were queued";
+    ASSERT_EQ(log.ids.size(), 8u);
+    for (const std::thread::id id : log.ids)
+        EXPECT_EQ(id, caller_id);
+}
+
+TEST(TaskGroup, CallerRunsOnlyItsOwnGroup)
+{
+    ThreadLog own, other_group, background; // outlive the workers
+    auto pool = std::make_unique<ThreadPool>(1);
+    WorkerPark park(*pool);
+    TaskGroup b(*pool);
+    for (int i = 0; i < 4; ++i) {
+        b.run([&other_group] { other_group.record(); });
+        pool->submit([&background] { background.record(); },
+                     TaskPriority::Background);
+    }
+    ThreadPool &p = *pool;
+    auto caller = std::async(std::launch::async, [&] {
+        TaskGroup a(p);
+        for (int i = 0; i < 4; ++i)
+            a.run([&own] { own.record(); });
+        a.wait();
+        return std::this_thread::get_id();
+    });
+    const bool returned =
+        caller.wait_for(kWatchdog) == std::future_status::ready;
+    // The worker is parked, so nothing of group B or the Background
+    // lane can have run unless the caller ran it.
+    {
+        std::lock_guard<std::mutex> lock(other_group.mutex);
+        EXPECT_TRUE(other_group.ids.empty());
+    }
+    {
+        std::lock_guard<std::mutex> lock(background.mutex);
+        EXPECT_TRUE(background.ids.empty());
+    }
+    park.release();
+    const std::thread::id caller_id = caller.get();
+    ASSERT_TRUE(returned) << "wait() slept while its tasks were queued";
+    b.wait();
+    pool.reset(); // workers drain the Background lane before joining
+    ASSERT_EQ(own.ids.size(), 4u);
+    for (const std::thread::id id : own.ids)
+        EXPECT_EQ(id, caller_id);
+    ASSERT_EQ(other_group.ids.size(), 4u);
+    for (const std::thread::id id : other_group.ids)
+        EXPECT_NE(id, caller_id);
+    ASSERT_EQ(background.ids.size(), 4u);
+    for (const std::thread::id id : background.ids)
+        EXPECT_NE(id, caller_id);
+}
+
+TEST(TaskGroup, ParallelForNestsInsideAPoolTask)
+{
+    // The only worker runs the outer task and must finish the inner
+    // fork-join itself. A pool whose join sleeps deadlocks here; it is
+    // leaked on timeout so the test fails instead of hanging.
+    auto pool = std::make_unique<ThreadPool>(1);
+    auto sum = std::make_shared<std::promise<size_t>>();
+    std::future<size_t> result = sum->get_future();
+    ThreadPool &p = *pool;
+    pool->submit([&p, sum] {
+        std::atomic<size_t> total{0};
+        p.parallelFor(16, [&total](size_t i) { total.fetch_add(i); });
+        sum->set_value(total.load());
+    });
+    if (result.wait_for(kWatchdog) != std::future_status::ready) {
+        (void)pool.release();
+        FAIL() << "parallelFor inside a pool task did not return";
+    }
+    EXPECT_EQ(result.get(), 120u);
+}
+
+TEST(TaskGroup, TasksThatAddTasksAreWaitedFor)
+{
+    {
+        // The worker's task adds a child only after the caller has run
+        // out of queued tasks: wait() must outlast the running parent
+        // and then run or await the child.
+        ThreadPool pool(1);
+        TaskGroup group(pool);
+        std::atomic<int> done{0};
+        std::promise<void> started;
+        group.run([&] {
+            started.set_value();
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            group.run([&done] { done.fetch_add(1); });
+            done.fetch_add(1);
+        });
+        started.get_future().wait();
+        group.wait();
+        EXPECT_EQ(done.load(), 2);
+    }
+    // Every task of a depth-6 binary tree adds its two children to the
+    // group before it counts itself.
+    for (int threads : {1, 3}) {
+        ThreadPool pool(threads);
+        TaskGroup group(pool);
+        std::atomic<int> done{0};
+        std::function<void(int)> node = [&](int depth) {
+            if (depth > 0) {
+                for (int child = 0; child < 2; ++child)
+                    group.run([&node, depth] { node(depth - 1); });
+            }
+            done.fetch_add(1);
+        };
+        group.run([&node] { node(6); });
+        group.wait();
+        EXPECT_EQ(done.load(), 127) << threads << " workers";
+    }
 }
 
 TEST(Rng, DeriveSeedIsDeterministicAndDecorrelated)
