@@ -4,8 +4,10 @@
  * against the scalar reference on the exact kernels the synthesis
  * objective hits per restart (multiply, fused kron products,
  * adjoint-multiply, adjoint-trace reduction, fused layer steps) and
- * verifies their bit-identity, emitting BENCH_mat4.json for the CI
- * bench gate (scripts/check_bench.py).
+ * on the calibration simulator's RK4 block step at its two panel
+ * shapes (a drive-scan stage: 3 rows, 2 blocks; a trajectory: 10
+ * rows, 1 block), and verifies their bit-identity, emitting
+ * BENCH_mat4.json for the CI bench gate (scripts/check_bench.py).
  *
  * Usage: bench_mat4 [--quick|--smoke|--backend]
  *
@@ -56,6 +58,86 @@ nowMs()
         .count();
 }
 
+/**
+ * An RK4 panel shape: blocks of 4 columns over `rows` rows, with the
+ * coupling ends (local rows) and coupler occupations of the reachable
+ * rows of one edge of the default device.
+ */
+struct Rk4Shape
+{
+    int rows;
+    int blocks;
+    double dt;
+    std::vector<int> ends;
+    std::vector<double> occ;
+};
+
+/** A drive-scan stage: the |01> probe's one-excitation block, 8
+ *  probe frequencies. */
+const Rk4Shape kScanShape = {3, 2, 0.02, {1, 2, 0, 1, 0, 2}, {1, 0, 0}};
+
+/** A trajectory: the four computational columns' 0-, 1- and
+ *  2-excitation blocks. */
+const Rk4Shape kTrajectoryShape = {
+    10,
+    1,
+    0.005,
+    {3, 6, 4, 7, 5, 8, 8, 9, 1, 3, 2, 4, 4, 5, 7, 8, 1, 6, 2, 7, 4, 8, 7, 9},
+    {0, 1, 2, 0, 1, 0, 0, 1, 0, 0}};
+
+/** Panels per shape, stepped in turn (small enough to stay in L1,
+ *  as one calibrating panel does). */
+constexpr size_t kRk4Panels = 16;
+
+/** kRk4Panels random panels of one shape; step() advances one. */
+struct Rk4Set
+{
+    const Rk4Shape *shape;
+    std::vector<Complex> v;     ///< 3 rotated elements per link.
+    std::vector<double> drive;  ///< 3 times x 4 lanes per block.
+    std::vector<double> re, im; ///< Per panel: blocks x rows x 4.
+    std::vector<double> work;
+
+    Rk4Set(const Rk4Shape &sh, uint64_t seed)
+        : shape(&sh), work(rk4BlockWorkSize(sh.rows))
+    {
+        Rng rng(seed);
+        for (size_t e = 0; e < 3 * sh.ends.size() / 2; ++e)
+            v.emplace_back(rng.uniform(-2.5, 2.5),
+                           rng.uniform(-2.5, 2.5));
+        for (int d = 0; d < 3 * 4 * sh.blocks; ++d)
+            drive.push_back(rng.uniform(-0.5, 0.5));
+        const size_t n = kRk4Panels * sh.blocks * sh.rows * 4;
+        for (size_t i = 0; i < n; ++i) {
+            re.push_back(rng.uniform(-0.5, 0.5));
+            im.push_back(rng.uniform(-0.5, 0.5));
+        }
+    }
+
+    void
+    step(const Mat4KernelTable &t, size_t panel)
+    {
+        Rk4BlockStep b;
+        b.rows = shape->rows;
+        b.lanes = kRk4BlockLanes;
+        b.links = static_cast<int>(shape->ends.size() / 2);
+        b.ends = shape->ends.data();
+        b.v = v.data();
+        b.occ = shape->occ.data();
+        b.dt = shape->dt;
+        b.work = work.data();
+        const size_t block_len = static_cast<size_t>(shape->rows) * 4;
+        for (int k = 0; k < shape->blocks; ++k) {
+            for (int s = 0; s < 3; ++s)
+                b.drive[s] = drive.data() + (3 * k + s) * 4;
+            const size_t at = (panel * shape->blocks + k) * block_len;
+            b.re = re.data() + at;
+            b.im = im.data() + at;
+            t.rk4_block_step(b);
+        }
+    }
+};
+
 /** Shared operand set: the same matrices feed both backends. */
 struct Workset
 {
@@ -64,8 +146,12 @@ struct Workset
     std::vector<Mat4> out, out2;
     std::vector<Mat2> s;
     std::vector<Complex> tr;
+    Rk4Set scan{kScanShape, 0x5CA4ull};
+    Rk4Set traj{kTrajectoryShape, 0x7EA7ull};
+    size_t rk4_steps; ///< Panel steps per RK4 pass.
 
-    explicit Workset(size_t n) : out(n), out2(n), s(n), tr(n)
+    explicit Workset(size_t n)
+        : out(n), out2(n), s(n), tr(n), rk4_steps(n / 8)
     {
         Rng rng(0xBE9C4ull);
         a.reserve(n);
@@ -89,7 +175,8 @@ struct Workset
     }
 };
 
-using KernelPass = void (*)(const Mat4KernelTable &, Workset &);
+/** Runs one pass; returns the kernel calls it made. */
+using KernelPass = size_t (*)(const Mat4KernelTable &, Workset &);
 
 struct KernelSpec
 {
@@ -97,87 +184,114 @@ struct KernelSpec
     KernelPass pass;
 };
 
-void
+size_t
 passMatmul(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.matmul(w.a[i].data(), w.b[i].data(), w.out[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passAdjointMul(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.adjoint_mul(w.a[i].data(), w.b[i].data(),
                       w.out[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passKronMulLeft(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.kron_mul_left(w.u1[i].data(), w.u0[i].data(),
                         w.a[i].data(), w.out[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passMulKronRight(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.mul_kron_right(w.a[i].data(), w.u1[i].data(),
                          w.u0[i].data(), w.out[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passAdjointTraceDot(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         w.tr[i] = t.adjoint_trace_dot(w.a[i].data(),
                                       w.b[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passKron2(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.kron2(w.u1[i].data(), w.u0[i].data(), w.out[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passKronTraceQ1(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.kron_trace_q1(w.a[i].data(), w.u0[i].data(),
                         w.s[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passKronTraceQ0(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.kron_trace_q0(w.a[i].data(), w.u1[i].data(),
                         w.s[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passLayerFwd(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.layer_fwd(w.a[i].data(), w.u1[i].data(), w.u0[i].data(),
                     w.b[i].data(), w.out[i].data(),
                     w.out2[i].data());
+    return w.a.size();
 }
 
-void
+size_t
 passLayerBwd(const Mat4KernelTable &t, Workset &w)
 {
     for (size_t i = 0; i < w.a.size(); ++i)
         t.layer_bwd(w.a[i].data(), w.u1[i].data(), w.u0[i].data(),
                     w.b[i].data(), w.out[i].data());
+    return w.a.size();
+}
+
+size_t
+passRk4Scan(const Mat4KernelTable &t, Workset &w)
+{
+    for (size_t i = 0; i < w.rk4_steps; ++i)
+        w.scan.step(t, i % kRk4Panels);
+    return w.rk4_steps;
+}
+
+size_t
+passRk4Trajectory(const Mat4KernelTable &t, Workset &w)
+{
+    for (size_t i = 0; i < w.rk4_steps; ++i)
+        w.traj.step(t, i % kRk4Panels);
+    return w.rk4_steps;
 }
 
 // Every entry point of the dispatch table: the --smoke equality
 // pass (and the CI mat4 gate) must cover the full kernel surface.
+// The RK4 rows time one panel step (every block of the panel).
 const KernelSpec kKernels[] = {
     {"matmul", passMatmul},
     {"adjoint_mul", passAdjointMul},
@@ -189,6 +303,8 @@ const KernelSpec kKernels[] = {
     {"kron_trace_q0", passKronTraceQ0},
     {"layer_fwd", passLayerFwd},
     {"layer_bwd", passLayerBwd},
+    {"rk4_block_step_scan", passRk4Scan},
+    {"rk4_block_step_traj", passRk4Trajectory},
 };
 
 /** Best-of-`rounds` per-call time in nanoseconds. */
@@ -196,18 +312,18 @@ double
 timeKernel(const Mat4KernelTable &t, const KernelSpec &spec,
            Workset &w, int reps, int rounds)
 {
-    double best_ms = 1e300;
+    double best_ns = 1e300;
     for (int round = 0; round < rounds; ++round) {
+        size_t calls = 0;
         const double t0 = nowMs();
         for (int r = 0; r < reps; ++r)
-            spec.pass(t, w);
-        const double elapsed = nowMs() - t0;
-        if (elapsed < best_ms)
-            best_ms = elapsed;
+            calls += spec.pass(t, w);
+        const double ns =
+            (nowMs() - t0) * 1e6 / static_cast<double>(calls);
+        if (ns < best_ns)
+            best_ns = ns;
     }
-    const double calls =
-        static_cast<double>(reps) * static_cast<double>(w.a.size());
-    return best_ms * 1e6 / calls;
+    return best_ns;
 }
 
 /** Bitwise comparison of the outputs both backends produced. */
@@ -228,7 +344,15 @@ outputsMatch(const KernelSpec &spec, const Mat4KernelTable &s,
                    != 0)
             return false;
     }
-    return true;
+    auto same = [](const std::vector<double> &x,
+                   const std::vector<double> &y) {
+        return std::memcmp(x.data(), y.data(),
+                           x.size() * sizeof(double))
+               == 0;
+    };
+    return same(ws.scan.re, wv.scan.re) && same(ws.scan.im, wv.scan.im)
+           && same(ws.traj.re, wv.traj.re)
+           && same(ws.traj.im, wv.traj.im);
 }
 
 struct KernelResult
@@ -349,10 +473,10 @@ main(int argc, char **argv)
     const double geomean = std::exp(
         log_sum / static_cast<double>(std::size(kKernels)));
 
-    std::printf("\n%-18s %11s %11s %9s %6s\n", "kernel",
+    std::printf("\n%-20s %11s %11s %9s %6s\n", "kernel",
                 "scalar (ns)", "simd (ns)", "speedup", "match");
     for (const KernelResult &r : results) {
-        std::printf("%-18s %11.1f %11.1f %8.2fx %6s\n",
+        std::printf("%-20s %11.1f %11.1f %8.2fx %6s\n",
                     r.name.c_str(), r.scalar_ns, r.simd_ns,
                     r.speedup(), r.match ? "yes" : "NO");
     }

@@ -3,13 +3,17 @@
 
 /**
  * @file
- * Runtime-dispatched dense kernel backends for Mat4/Mat2 hot paths.
+ * Runtime-dispatched dense kernel backends for Mat4/Mat2 hot paths
+ * and the calibration simulator's RK4 step.
  *
  * The synthesis objective evaluates millions of 4x4 complex products
  * per restart; this layer splits those kernels into a scalar
  * reference backend and an AVX2 backend (interleaved re/im packing,
  * two complex entries per 256-bit lane) selected once per process by
- * a cpuid probe.
+ * a cpuid probe. The same table advances one 4-lane block of the
+ * simulator's RK4 panel (sim/propagator's Rk4Panel) by one step; its
+ * AVX2 backend holds one panel column per 64-bit lane, so the four
+ * columns of a block share every register.
  *
  * Bit-identity contract
  * ---------------------
@@ -22,12 +26,12 @@
  *  1. kernels accumulate in a pinned order (documented per entry
  *     point below) that both backends implement literally, and
  *  2. no fused-multiply-add rounding anywhere: the SIMD translation
- *     unit compiles with -ffp-contract=off and uses mul/add/addsub
- *     intrinsics only. FMA hardware is probed and reported (banner,
- *     BENCH_mat4.json) but deliberately unused in value-bearing
- *     kernels -- a fused product rounds once where the scalar
- *     reference rounds twice, which would fork the report digests
- *     the simd-determinism CI job diffs.
+ *     unit compiles with -ffp-contract=off and uses mul/add/sub/
+ *     addsub and exact sign-flip intrinsics only. FMA hardware is
+ *     probed and reported (banner, BENCH_mat4.json) but deliberately
+ *     unused in value-bearing kernels -- a fused product rounds once
+ *     where the scalar reference rounds twice, which would fork the
+ *     report digests the simd-determinism CI job diffs.
  *
  * Dispatch
  * --------
@@ -57,6 +61,45 @@ enum class Mat4Backend
     Scalar, ///< Portable reference (always available).
     Avx2,   ///< 256-bit interleaved complex kernels.
 };
+
+/** Panel columns per RK4 block: one per 64-bit lane of a 256-bit
+ *  register. */
+constexpr int kRk4BlockLanes = 4;
+
+/**
+ * One 4-lane block of an RK4 panel, advanced by one step of
+ * k = -i H_I(t) psi (see Mat4KernelTable::rk4_block_step). Every
+ * per-row array holds kRk4BlockLanes doubles per row, lane
+ * innermost; lane c of the block is one state column.
+ */
+struct Rk4BlockStep
+{
+    int rows = 0;  ///< Integrated rows.
+    int lanes = 0; ///< Real lanes, 1..kRk4BlockLanes.
+    int links = 0; ///< Couplings.
+    /** 2 * links local rows: (i, j) of each coupling, in list
+     *  order; the coupling's (i, j) element is v and its (j, i)
+     *  element conj(v). */
+    const int *ends = nullptr;
+    /** 3 * links rotated matrix elements, stage-major: every link at
+     *  t, then at t + dt/2, then at t + dt. */
+    const Complex *v = nullptr;
+    const double *occ = nullptr; ///< Coupler occupation per row.
+    /** kRk4BlockLanes drive values each, at t, t + dt/2, t + dt. */
+    const double *drive[3] = {};
+    double dt = 0.0;       ///< Step (ns).
+    double *re = nullptr;  ///< Real parts, advanced in place.
+    double *im = nullptr;  ///< Imaginary parts, advanced in place.
+    /** Scratch of rk4BlockWorkSize(rows) doubles, not read back. */
+    double *work = nullptr;
+};
+
+/** Scratch doubles an Rk4BlockStep of `rows` rows needs. */
+constexpr size_t
+rk4BlockWorkSize(size_t rows)
+{
+    return 6 * kRk4BlockLanes * rows;
+}
 
 /**
  * Dispatched kernel entry points. All matrices are row-major
@@ -125,6 +168,22 @@ struct Mat4KernelTable
     void (*layer_bwd)(const Complex *left, const Complex *u1,
                       const Complex *u0, const Complex *layer,
                       Complex *out);
+
+    /**
+     * One RK4 step of one panel block (see Rk4BlockStep). Per entry,
+     * each stage's k accumulates from +0 over the links in list
+     * order -- at row i, k += (vr*pr(j) - vi*pi(j), vr*pi(j) +
+     * vi*pr(j)); then at row j, with w = -vi, k += (vr*pr(i) -
+     * w*pi(i), vr*pi(i) + w*pr(i)) -- then, on rows with nonzero
+     * occupation, k += (pr*dd, pi*dd) with dd = drive*occ, and is
+     * multiplied by -i: (kr, ki) -> (ki, -kr). Stages 1-4 use the
+     * elements and drive at t, t + dt/2, t + dt/2 and t + dt, on the
+     * state, then psi + k1*h, psi + k2*h and psi + k3*dt (h = 0.5*dt);
+     * the step ends psi += (((k1 + k2*2) + k3*2) + k4) * (dt/6). The
+     * scalar backend touches only the real lanes; the AVX2 backend
+     * advances all four, and no lane's value reaches another.
+     */
+    void (*rk4_block_step)(const Rk4BlockStep &block);
 };
 
 /** Active kernel table (resolved once; see file comment). */

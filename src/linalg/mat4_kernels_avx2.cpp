@@ -351,6 +351,151 @@ layerBwd(const Complex *left, const Complex *u1, const Complex *u0,
     matmul(tmp, layer, out);
 }
 
+namespace {
+
+static_assert(kRk4BlockLanes == 4,
+              "an RK4 block is one 256-bit register of doubles");
+
+/** One row of a block: its four lanes (panel columns). */
+inline __m256d
+row(const double *p, int r)
+{
+    return _mm256_loadu_pd(p + 4 * r);
+}
+
+inline void
+storeRow(double *p, int r, __m256d v)
+{
+    _mm256_storeu_pd(p + 4 * r, v);
+}
+
+/** The RK4 stage a pass computes: k1 .. k4. */
+enum Rk4Stage
+{
+    kStage1,
+    kStage2,
+    kStage3,
+    kStage4,
+};
+
+/**
+ * One RK4 stage of a block, four lanes per register, in the scalar
+ * reference's per-entry operation order: k = -i H_I p from the
+ * state `p` (the block itself for k1, else the stage input in
+ * tre/tim), then per row the reference's update with that k --
+ * fused into the row pass that finishes k, since no later row reads
+ * the row it writes:
+ *   k1: a = k,          t = psi + k*h
+ *   k2: a = a + k*2,    t = psi + k*h
+ *   k3: a = a + k*2,    t = psi + k*dt
+ *   k4: psi = psi + (a + k) * (dt/6).
+ */
+template <Rk4Stage kStage>
+void
+rk4Stage(const Rk4BlockStep &b, const Complex *v, const double *d,
+         const double *pre, const double *pim, double *work)
+{
+    const size_t len = static_cast<size_t>(b.rows) * 4;
+    double *tre = work, *tim = tre + len;
+    double *kre = tim + len, *kim = kre + len;
+    double *are = kim + len, *aim = are + len;
+
+    const __m256d zero = _mm256_setzero_pd();
+    for (int r = 0; r < b.rows; ++r) {
+        storeRow(kre, r, zero);
+        storeRow(kim, r, zero);
+    }
+    for (int e = 0; e < b.links; ++e) {
+        const __m256d vr = bre(v + e);
+        const __m256d vi = bim(v + e);
+        const __m256d wi = neg(vi); // conj(v): the (j, i) element.
+        const int i = b.ends[2 * e];
+        const int j = b.ends[2 * e + 1];
+        const __m256d pjr = row(pre, j), pji = row(pim, j);
+        storeRow(kre, i,
+                 _mm256_add_pd(row(kre, i),
+                               _mm256_sub_pd(_mm256_mul_pd(vr, pjr),
+                                             _mm256_mul_pd(vi, pji))));
+        storeRow(kim, i,
+                 _mm256_add_pd(row(kim, i),
+                               _mm256_add_pd(_mm256_mul_pd(vr, pji),
+                                             _mm256_mul_pd(vi, pjr))));
+        const __m256d pir = row(pre, i), pii = row(pim, i);
+        storeRow(kre, j,
+                 _mm256_add_pd(row(kre, j),
+                               _mm256_sub_pd(_mm256_mul_pd(vr, pir),
+                                             _mm256_mul_pd(wi, pii))));
+        storeRow(kim, j,
+                 _mm256_add_pd(row(kim, j),
+                               _mm256_add_pd(_mm256_mul_pd(vr, pii),
+                                             _mm256_mul_pd(wi, pir))));
+    }
+
+    const __m256d dl = _mm256_loadu_pd(d);
+    const __m256d h = _mm256_set1_pd(0.5 * b.dt);
+    const __m256d two = _mm256_set1_pd(2.0);
+    for (int r = 0; r < b.rows; ++r) {
+        __m256d sr = row(kre, r);
+        __m256d si = row(kim, r);
+        // Drive, skipping rows without coupler occupation as the
+        // reference does.
+        if (b.occ[r] != 0.0) {
+            const __m256d dd =
+                _mm256_mul_pd(dl, _mm256_broadcast_sd(b.occ + r));
+            sr = _mm256_add_pd(sr, _mm256_mul_pd(row(pre, r), dd));
+            si = _mm256_add_pd(si, _mm256_mul_pd(row(pim, r), dd));
+        }
+        // Multiply by -i.
+        const __m256d kr = si;
+        const __m256d ki = neg(sr);
+        if (kStage == kStage1) {
+            storeRow(are, r, kr);
+            storeRow(aim, r, ki);
+        } else if (kStage != kStage4) {
+            storeRow(are, r,
+                     _mm256_add_pd(row(are, r), _mm256_mul_pd(kr, two)));
+            storeRow(aim, r,
+                     _mm256_add_pd(row(aim, r), _mm256_mul_pd(ki, two)));
+        }
+        if (kStage == kStage4) {
+            const __m256d sixth = _mm256_set1_pd(b.dt / 6.0);
+            storeRow(b.re, r,
+                     _mm256_add_pd(
+                         row(b.re, r),
+                         _mm256_mul_pd(_mm256_add_pd(row(are, r), kr),
+                                       sixth)));
+            storeRow(b.im, r,
+                     _mm256_add_pd(
+                         row(b.im, r),
+                         _mm256_mul_pd(_mm256_add_pd(row(aim, r), ki),
+                                       sixth)));
+        } else {
+            const __m256d step =
+                kStage == kStage3 ? _mm256_set1_pd(b.dt) : h;
+            storeRow(tre, r,
+                     _mm256_add_pd(row(b.re, r), _mm256_mul_pd(kr, step)));
+            storeRow(tim, r,
+                     _mm256_add_pd(row(b.im, r), _mm256_mul_pd(ki, step)));
+        }
+    }
+}
+
+} // namespace
+
+void
+rk4BlockStep(const Rk4BlockStep &b)
+{
+    const size_t len = static_cast<size_t>(b.rows) * 4;
+    const double *tre = b.work, *tim = tre + len;
+    const Complex *v0 = b.v;
+    const Complex *v1 = v0 + b.links;
+    const Complex *v2 = v1 + b.links;
+    rk4Stage<kStage1>(b, v0, b.drive[0], b.re, b.im, b.work);
+    rk4Stage<kStage2>(b, v1, b.drive[1], tre, tim, b.work);
+    rk4Stage<kStage3>(b, v1, b.drive[1], tre, tim, b.work);
+    rk4Stage<kStage4>(b, v2, b.drive[2], tre, tim, b.work);
+}
+
 } // namespace mat4_avx2
 
 const Mat4KernelTable *
@@ -362,6 +507,7 @@ mat4Avx2Table()
         mat4_avx2::mulKronRight, mat4_avx2::adjointTraceDot,
         mat4_avx2::kronTraceQ1,  mat4_avx2::kronTraceQ0,
         mat4_avx2::layerFwd,     mat4_avx2::layerBwd,
+        mat4_avx2::rk4BlockStep,
     };
     return &table;
 }

@@ -203,6 +203,121 @@ layerBwd(const Complex *left, const Complex *u1, const Complex *u0,
     matmul(tmp, layer, out);
 }
 
+namespace {
+
+constexpr int L = kRk4BlockLanes;
+
+/**
+ * k = -i H_I psi at one RK4 stage of a block: couplings `v` (the
+ * stage's rotated matrix elements) and per-lane drive `d`.
+ */
+void
+rk4Rhs(const Rk4BlockStep &b, const double *pre, const double *pim,
+       const Complex *v, const double *d, double *kre, double *kim)
+{
+    const int n = b.lanes;
+    const size_t len = static_cast<size_t>(b.rows) * L;
+    // Accumulate H_I psi from +0, each entry over the couplings in
+    // list order, then the drive; (a*b) is (ar*br - ai*bi,
+    // ar*bi + ai*br) as std::complex computes it.
+    for (size_t s = 0; s < len; ++s) {
+        kre[s] = 0.0;
+        kim[s] = 0.0;
+    }
+    for (int e = 0; e < b.links; ++e) {
+        const double vr = v[e].real();
+        const double vi = v[e].imag();
+        const double wi = -vi; // conj(v): the (j, i) element.
+        const size_t i = static_cast<size_t>(b.ends[2 * e]) * L;
+        const size_t j = static_cast<size_t>(b.ends[2 * e + 1]) * L;
+        for (int c = 0; c < n; ++c) {
+            kre[i + c] += vr * pre[j + c] - vi * pim[j + c];
+            kim[i + c] += vr * pim[j + c] + vi * pre[j + c];
+            kre[j + c] += vr * pre[i + c] - wi * pim[i + c];
+            kim[j + c] += vr * pim[i + c] + wi * pre[i + c];
+        }
+    }
+    // Drive: the sums above are never -0, so the +-0 products of rows
+    // without coupler occupation may be skipped.
+    for (int r = 0; r < b.rows; ++r) {
+        if (b.occ[r] == 0.0)
+            continue;
+        for (int c = 0; c < n; ++c) {
+            const double dd = d[c] * b.occ[r];
+            kre[r * L + c] += pre[r * L + c] * dd;
+            kim[r * L + c] += pim[r * L + c] * dd;
+        }
+    }
+    // Multiply by -i.
+    for (int r = 0; r < b.rows; ++r) {
+        for (int c = 0; c < n; ++c) {
+            const double ar = kre[r * L + c];
+            kre[r * L + c] = kim[r * L + c];
+            kim[r * L + c] = -ar;
+        }
+    }
+}
+
+} // namespace
+
+void
+rk4BlockStep(const Rk4BlockStep &b)
+{
+    const int n = b.lanes;
+    const size_t len = static_cast<size_t>(b.rows) * L;
+    double *tre = b.work, *tim = tre + len;
+    double *kre = tim + len, *kim = kre + len;
+    double *are = kim + len, *aim = are + len;
+    const Complex *v0 = b.v;
+    const Complex *v1 = v0 + b.links;
+    const Complex *v2 = v1 + b.links;
+    const double dt = b.dt;
+    const double h = 0.5 * dt;
+
+    // Each stage's k is folded into the running combination
+    // a = ((k1 + k2*2) + k3*2) as soon as it is known, in the
+    // order the four-term sum adds them.
+    rk4Rhs(b, b.re, b.im, v0, b.drive[0], kre, kim);
+    for (int r = 0; r < b.rows; ++r) {
+        for (int c = 0; c < n; ++c) {
+            const size_t s = r * L + c;
+            are[s] = kre[s];
+            aim[s] = kim[s];
+            tre[s] = b.re[s] + kre[s] * h;
+            tim[s] = b.im[s] + kim[s] * h;
+        }
+    }
+    rk4Rhs(b, tre, tim, v1, b.drive[1], kre, kim);
+    for (int r = 0; r < b.rows; ++r) {
+        for (int c = 0; c < n; ++c) {
+            const size_t s = r * L + c;
+            are[s] = are[s] + kre[s] * 2.0;
+            aim[s] = aim[s] + kim[s] * 2.0;
+            tre[s] = b.re[s] + kre[s] * h;
+            tim[s] = b.im[s] + kim[s] * h;
+        }
+    }
+    rk4Rhs(b, tre, tim, v1, b.drive[1], kre, kim);
+    for (int r = 0; r < b.rows; ++r) {
+        for (int c = 0; c < n; ++c) {
+            const size_t s = r * L + c;
+            are[s] = are[s] + kre[s] * 2.0;
+            aim[s] = aim[s] + kim[s] * 2.0;
+            tre[s] = b.re[s] + kre[s] * dt;
+            tim[s] = b.im[s] + kim[s] * dt;
+        }
+    }
+    rk4Rhs(b, tre, tim, v2, b.drive[2], kre, kim);
+    const double sixth = dt / 6.0;
+    for (int r = 0; r < b.rows; ++r) {
+        for (int c = 0; c < n; ++c) {
+            const size_t s = r * L + c;
+            b.re[s] += (are[s] + kre[s]) * sixth;
+            b.im[s] += (aim[s] + kim[s]) * sixth;
+        }
+    }
+}
+
 } // namespace mat4_scalar
 
 const Mat4KernelTable *
@@ -214,6 +329,7 @@ mat4ScalarTable()
         mat4_scalar::mulKronRight, mat4_scalar::adjointTraceDot,
         mat4_scalar::kronTraceQ1,  mat4_scalar::kronTraceQ0,
         mat4_scalar::layerFwd,     mat4_scalar::layerBwd,
+        mat4_scalar::rk4BlockStep,
     };
     return &table;
 }

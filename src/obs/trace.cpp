@@ -13,7 +13,6 @@ namespace qbasis {
 
 namespace obs_detail {
 std::atomic<bool> g_trace_enabled{false};
-thread_local uint64_t g_trace_correlation = 0;
 } // namespace obs_detail
 
 namespace {

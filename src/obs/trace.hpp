@@ -44,7 +44,10 @@ namespace qbasis {
 
 namespace obs_detail {
 extern std::atomic<bool> g_trace_enabled;
-extern thread_local uint64_t g_trace_correlation;
+// Defined here rather than declared extern: GCC reaches an extern
+// thread_local through a TLS wrapper function that its UBSan reports
+// as a store to a null pointer in TraceCorrelation.
+inline thread_local uint64_t g_trace_correlation = 0;
 } // namespace obs_detail
 
 /** True while spans are being recorded (relaxed read; hot path). */

@@ -110,32 +110,32 @@ Rk4Panel::Rk4Panel(const PairSimulator &sim, double xi,
     for (const CouplingEntry &e : sim.couplings_) {
         if (!reach[e.row])
             continue;
-        Link link;
-        link.i = local[e.row];
-        link.j = local[e.col];
-        link.value = e.value;
-        link.phase = Complex(1.0, 0.0);
-        link.half = std::exp(Complex(0.0, e.energy_gap * dt * 0.5));
-        link.full = link.half * link.half;
-        links_.push_back(link);
+        ends_.push_back(local[e.row]);
+        ends_.push_back(local[e.col]);
+        Rotor rot;
+        rot.value = e.value;
+        rot.phase = Complex(1.0, 0.0);
+        rot.half = std::exp(Complex(0.0, e.energy_gap * dt * 0.5));
+        rot.full = rot.half * rot.half;
+        rotors_.push_back(rot);
     }
+    rotated_.resize(3 * rotors_.size());
 
-    const size_t n = rows_.size() * cols_;
-    re_.resize(n);
-    im_.resize(n);
+    // Whole blocks of lanes; the pad lanes stay +0.
+    const size_t padded =
+        static_cast<size_t>(cols_ + kRk4BlockLanes - 1)
+        / kRk4BlockLanes * kRk4BlockLanes;
+    re_.assign(padded * rows_.size(), 0.0);
+    im_.assign(padded * rows_.size(), 0.0);
     for (size_t r = 0; r < rows_.size(); ++r) {
         for (int c = 0; c < cols_; ++c) {
-            re_[r * cols_ + c] = initial(rows_[r], c).real();
-            im_[r * cols_ + c] = initial(rows_[r], c).imag();
+            re_[index(r, c)] = initial(rows_[r], c).real();
+            im_[index(r, c)] = initial(rows_[r], c).imag();
         }
     }
-    for (auto *v : {&k1re_, &k1im_, &k2re_, &k2im_, &k3re_, &k3im_,
-                    &k4re_, &k4im_, &tre_, &tim_})
-        v->resize(n);
-    for (auto *v : {&v0_, &v1_, &v2_})
-        v->resize(links_.size());
     for (auto *v : {&drive_now_, &drive_mid_, &drive_end_})
-        v->resize(cols_);
+        v->assign(padded, 0.0);
+    work_.resize(rk4BlockWorkSize(rows_.size()));
     drive(0.0, drive_now_);
 }
 
@@ -150,50 +150,6 @@ Rk4Panel::drive(double t, std::vector<double> &out) const
 }
 
 void
-Rk4Panel::rhs(const std::vector<double> &pre,
-              const std::vector<double> &pim,
-              const std::vector<Complex> &v, const std::vector<double> &d,
-              std::vector<double> &kre, std::vector<double> &kim) const
-{
-    const int n = cols_;
-    // Accumulate H_I psi from +0, each entry over the couplings in
-    // list order, then the drive; (a*b) is (ar*br - ai*bi,
-    // ar*bi + ai*br) as std::complex computes it.
-    std::fill(kre.begin(), kre.end(), 0.0);
-    std::fill(kim.begin(), kim.end(), 0.0);
-    for (size_t e = 0; e < links_.size(); ++e) {
-        const double vr = v[e].real();
-        const double vi = v[e].imag();
-        const double wi = -vi; // conj(v): the (j, i) element.
-        const size_t i = static_cast<size_t>(links_[e].i) * n;
-        const size_t j = static_cast<size_t>(links_[e].j) * n;
-        for (int c = 0; c < n; ++c) {
-            kre[i + c] += vr * pre[j + c] - vi * pim[j + c];
-            kim[i + c] += vr * pim[j + c] + vi * pre[j + c];
-            kre[j + c] += vr * pre[i + c] - wi * pim[i + c];
-            kim[j + c] += vr * pim[i + c] + wi * pre[i + c];
-        }
-    }
-    // Drive: the sums above are never -0, so the +-0 products of rows
-    // without coupler occupation may be skipped.
-    for (size_t r = 0; r < rows_.size(); ++r) {
-        if (occ_[r] == 0.0)
-            continue;
-        for (int c = 0; c < n; ++c) {
-            const double dd = d[c] * occ_[r];
-            kre[r * n + c] += pre[r * n + c] * dd;
-            kim[r * n + c] += pim[r * n + c] * dd;
-        }
-    }
-    // Multiply by -i.
-    for (size_t s = 0; s < kre.size(); ++s) {
-        const double ar = kre[s];
-        kre[s] = kim[s];
-        kim[s] = -ar;
-    }
-}
-
-void
 Rk4Panel::step()
 {
     const double dt = dt_;
@@ -201,44 +157,39 @@ Rk4Panel::step()
     drive(t_ + dt, drive_end_);
     // Rotated matrix elements at 0, 1 and 2 half-steps; the last
     // rotor is the next step's start.
-    for (size_t e = 0; e < links_.size(); ++e) {
-        Link &link = links_[e];
-        const Complex end = link.phase * link.full;
-        v0_[e] = link.value * link.phase;
-        v1_[e] = link.value * (link.phase * link.half);
-        v2_[e] = link.value * end;
-        link.phase = end;
+    const size_t links = rotors_.size();
+    for (size_t e = 0; e < links; ++e) {
+        Rotor &rot = rotors_[e];
+        const Complex end = rot.phase * rot.full;
+        rotated_[e] = rot.value * rot.phase;
+        rotated_[links + e] = rot.value * (rot.phase * rot.half);
+        rotated_[2 * links + e] = rot.value * end;
+        rot.phase = end;
     }
 
-    const size_t n = re_.size();
-    const double h = 0.5 * dt;
-    rhs(re_, im_, v0_, drive_now_, k1re_, k1im_);
-    for (size_t s = 0; s < n; ++s) {
-        tre_[s] = re_[s] + k1re_[s] * h;
-        tim_[s] = im_[s] + k1im_[s] * h;
-    }
-    rhs(tre_, tim_, v1_, drive_mid_, k2re_, k2im_);
-    for (size_t s = 0; s < n; ++s) {
-        tre_[s] = re_[s] + k2re_[s] * h;
-        tim_[s] = im_[s] + k2im_[s] * h;
-    }
-    rhs(tre_, tim_, v1_, drive_mid_, k3re_, k3im_);
-    for (size_t s = 0; s < n; ++s) {
-        tre_[s] = re_[s] + k3re_[s] * dt;
-        tim_[s] = im_[s] + k3im_[s] * dt;
-    }
-    rhs(tre_, tim_, v2_, drive_end_, k4re_, k4im_);
-    const double sixth = dt / 6.0;
-    for (size_t s = 0; s < n; ++s) {
-        re_[s] += (k1re_[s] + k2re_[s] * 2.0 + k3re_[s] * 2.0 + k4re_[s])
-                  * sixth;
-        im_[s] += (k1im_[s] + k2im_[s] * 2.0 + k3im_[s] * 2.0 + k4im_[s])
-                  * sixth;
+    const Mat4KernelTable &kernels = mat4Kernels();
+    Rk4BlockStep block;
+    block.rows = static_cast<int>(rows_.size());
+    block.links = static_cast<int>(links);
+    block.ends = ends_.data();
+    block.v = rotated_.data();
+    block.occ = occ_.data();
+    block.dt = dt;
+    block.work = work_.data();
+    for (int c = 0; c < cols_; c += kRk4BlockLanes) {
+        const size_t at = index(0, c);
+        block.lanes = std::min(kRk4BlockLanes, cols_ - c);
+        block.drive[0] = drive_now_.data() + c;
+        block.drive[1] = drive_mid_.data() + c;
+        block.drive[2] = drive_end_.data() + c;
+        block.re = re_.data() + at;
+        block.im = im_.data() + at;
+        kernels.rk4_block_step(block);
     }
 
     if (++steps_ % 8192 == 0) {
-        for (Link &link : links_)
-            link.phase /= std::abs(link.phase);
+        for (Rotor &rot : rotors_)
+            rot.phase /= std::abs(rot.phase);
     }
     t_ += dt;
     drive_now_.swap(drive_end_);
@@ -268,25 +219,22 @@ PairSimulator::swapTransferScores(double xi,
         bra_im[r] = b.imag();
     }
 
-    std::vector<double> best(n, 0.0), ov_re(n), ov_im(n);
+    std::vector<double> best(n, 0.0);
     const int steps = static_cast<int>(std::ceil(duration_ns / dt));
     for (int s = 0; s < steps; ++s) {
         panel.step();
         // Projection onto the (bare-phase-rotating) target: the
         // interaction picture keeps populations directly comparable.
-        std::fill(ov_re.begin(), ov_re.end(), 0.0);
-        std::fill(ov_im.begin(), ov_im.end(), 0.0);
-        for (size_t r = 0; r < rows.size(); ++r) {
-            for (int c = 0; c < n; ++c) {
+        for (int c = 0; c < n; ++c) {
+            double ov_re = 0.0, ov_im = 0.0;
+            for (size_t r = 0; r < rows.size(); ++r) {
                 const double pr = panel.re(r, c);
                 const double pi = panel.im(r, c);
-                ov_re[c] += bra_re[r] * pr - bra_im[r] * pi;
-                ov_im[c] += bra_re[r] * pi + bra_im[r] * pr;
+                ov_re += bra_re[r] * pr - bra_im[r] * pi;
+                ov_im += bra_re[r] * pi + bra_im[r] * pr;
             }
+            best[c] = std::max(best[c], ov_re * ov_re + ov_im * ov_im);
         }
-        for (int c = 0; c < n; ++c)
-            best[c] = std::max(best[c], ov_re[c] * ov_re[c]
-                                            + ov_im[c] * ov_im[c]);
     }
     return best;
 }

@@ -32,10 +32,18 @@
  * scan stage is one panel with one column per probe frequency; a
  * trajectory is a TrajectoryStream that can be integrated on into a
  * longer window instead of being restarted at t = 0.
+ *
+ * The columns are independent lanes doing identical IEEE operations:
+ * each block of four is advanced by the dispatched
+ * Mat4KernelTable::rk4_block_step (linalg/mat4_kernels.hpp), whose
+ * AVX2 backend holds the block in one register, bit for bit with the
+ * scalar backend. The drive evaluation (libm sin, cos and sqrt per
+ * column) and the coupling rotors stay scalar.
  */
 
 #include <optional>
 
+#include "linalg/mat4_kernels.hpp"
 #include "sim/bias.hpp"
 #include "sim/flux.hpp"
 #include "sim/hamiltonian.hpp"
@@ -140,14 +148,18 @@ class PairSimulator
  *
  * Only the rows reachable from the nonzero entries of the initial
  * columns through the coupling list are stored and integrated, with
- * the couplings that touch them kept in list order. The panel is two
- * real arrays (real and imaginary parts, row-major with columns
- * innermost), its complex arithmetic is written out in
- * std::complex's operation order, and the drive term is evaluated
+ * the couplings that touch them kept in list order. The columns are
+ * padded to whole blocks of kRk4BlockLanes; each block is two real
+ * arrays (real and imaginary parts, rows x lanes, lanes innermost),
+ * and one dispatched Mat4KernelTable::rk4_block_step advances it by
+ * a step, with its complex arithmetic written out in std::complex's
+ * operation order. Pad lanes start at +0 with zero drive and are
+ * never read back. The drive (libm) and the per-coupling phase
+ * rotors stay scalar and serve every block; the drive is evaluated
  * twice per step: the half-step value serves k2 and k3, and k4's
  * end-of-step value is the next step's k1. Each reachable entry is
- * therefore bit-identical to a full-dimension std::complex RK4 with
- * four drive evaluations per step.
+ * therefore bit-identical, on every backend, to a full-dimension
+ * std::complex RK4 with four drive evaluations per step.
  */
 class Rk4Panel
 {
@@ -173,33 +185,31 @@ class Rk4Panel
     const std::vector<int> &rows() const { return rows_; }
 
     /** Entry (rows()[r], c): real and imaginary parts. */
-    double re(size_t r, int c) const { return re_[r * cols_ + c]; }
-    double im(size_t r, int c) const { return im_[r * cols_ + c]; }
+    double re(size_t r, int c) const { return re_[index(r, c)]; }
+    double im(size_t r, int c) const { return im_[index(r, c)]; }
     Complex at(size_t r, int c) const { return {re(r, c), im(r, c)}; }
 
   private:
-    /** One kept coupling: local row indices and its phase rotor. */
-    struct Link
+    /** A kept coupling's matrix element and phase rotor. */
+    struct Rotor
     {
-        int i = 0;          ///< Local index of the coupling's row.
-        int j = 0;          ///< Local index of its col.
         double value = 0.0; ///< Matrix element.
         Complex phase;      ///< Rotor at the current step's start.
         Complex half;       ///< Rotor increment over dt / 2.
         Complex full;       ///< half * half: increment over dt.
     };
 
+    /** Offset of entry (r, c) in the block-major arrays. */
+    size_t
+    index(size_t r, int c) const
+    {
+        const size_t block = static_cast<size_t>(c / kRk4BlockLanes);
+        return (block * rows_.size() + r) * kRk4BlockLanes
+               + c % kRk4BlockLanes;
+    }
+
     /** Per-column drive delta at time t (equal frequencies share). */
     void drive(double t, std::vector<double> &out) const;
-
-    /**
-     * k = -i H_I psi at one RK4 stage: couplings `v[e]` (the rotated
-     * matrix elements of the stage) and per-column drive `d`.
-     */
-    void rhs(const std::vector<double> &pre,
-             const std::vector<double> &pim,
-             const std::vector<Complex> &v, const std::vector<double> &d,
-             std::vector<double> &kre, std::vector<double> &kim) const;
 
     const PairSimulator &sim_;
     double xi_;
@@ -207,17 +217,17 @@ class Rk4Panel
     double dt_;
     int cols_;
     std::vector<int> rows_;
-    std::vector<double> occ_; ///< Coupler occupation per local row.
-    std::vector<Link> links_;
-    std::vector<double> re_, im_;
+    std::vector<double> occ_;  ///< Coupler occupation per local row.
+    std::vector<int> ends_;    ///< Local (i, j) rows per coupling.
+    std::vector<Rotor> rotors_;
+    std::vector<Complex> rotated_; ///< Elements at t, t+dt/2, t+dt.
+    std::vector<double> re_, im_;  ///< Blocks of rows x lanes.
     double t_ = 0.0;
     int steps_ = 0;
-    std::vector<double> drive_now_; ///< Drive at t_ (next k1).
-    // Per-stage buffers, kept across steps to avoid reallocation.
-    std::vector<double> drive_mid_, drive_end_;
-    std::vector<Complex> v0_, v1_, v2_;
-    std::vector<double> k1re_, k1im_, k2re_, k2im_, k3re_, k3im_,
-        k4re_, k4im_, tre_, tim_;
+    // Per padded column: drive at t_ (the next k1), at the half step
+    // and at the step's end.
+    std::vector<double> drive_now_, drive_mid_, drive_end_;
+    std::vector<double> work_; ///< The block kernel's scratch.
 };
 
 /**

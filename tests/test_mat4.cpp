@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "linalg/mat4.hpp"
 #include "linalg/mat4_kernels.hpp"
@@ -155,6 +157,83 @@ expectKernelsBitIdentical(const Mat4KernelTable &s,
     EXPECT_TRUE(bitIdentical16(so.data(), vo.data()))
         << "layer_bwd (no layer): " << what;
 }
+
+/** A state entry stressing rounding: signed zeros, denormals,
+ *  tiny and ordinary magnitudes. */
+double
+edgeCaseEntry(Rng &rng)
+{
+    switch (rng.uniformInt(6)) {
+    case 0:
+        return 0.0;
+    case 1:
+        return -0.0;
+    case 2:
+        return rng.uniform(-1.0, 1.0) * 1e-310; // denormal
+    case 3:
+        return rng.uniform(-1.0, 1.0) * 1e-300;
+    default:
+        return rng.uniform(-1.0, 1.0);
+    }
+}
+
+/** A random RK4 panel block and the buffers its step reads. */
+struct RandomRk4Block
+{
+    std::vector<int> ends;
+    std::vector<Complex> v;
+    std::vector<double> occ, drive, re, im, work;
+    Rk4BlockStep step;
+
+    RandomRk4Block(const RandomRk4Block &) = delete;
+    RandomRk4Block &operator=(const RandomRk4Block &) = delete;
+
+    RandomRk4Block(Rng &rng, int rows, int lanes)
+    {
+        const int links =
+            rows < 2 ? 0 : static_cast<int>(rng.uniformInt(2 * rows + 1));
+        for (int e = 0; e < links; ++e) {
+            const int i = static_cast<int>(rng.uniformInt(rows));
+            const int j = static_cast<int>(
+                (i + 1 + rng.uniformInt(rows - 1)) % rows);
+            ends.push_back(i);
+            ends.push_back(j);
+        }
+        for (int e = 0; e < 3 * links; ++e)
+            v.emplace_back(rng.uniform(-0.5, 0.5),
+                           rng.uniform(-0.5, 0.5));
+        for (int r = 0; r < rows; ++r) {
+            const uint64_t kind = rng.uniformInt(4);
+            occ.push_back(kind == 0   ? 0.0
+                          : kind == 1 ? 1.0
+                          : kind == 2 ? 2.0
+                                      : rng.uniform(0.0, 2.0));
+        }
+        for (int s = 0; s < 3 * kRk4BlockLanes; ++s)
+            drive.push_back(rng.uniformInt(5) == 0
+                                ? 0.0
+                                : rng.uniform(-1.0, 1.0));
+        for (int s = 0; s < rows * kRk4BlockLanes; ++s) {
+            re.push_back(edgeCaseEntry(rng));
+            im.push_back(edgeCaseEntry(rng));
+        }
+        // Scratch starts as NaN: nothing may read it before writing.
+        work.assign(rk4BlockWorkSize(rows),
+                    std::numeric_limits<double>::quiet_NaN());
+        step.rows = rows;
+        step.lanes = lanes;
+        step.links = links;
+        step.ends = ends.data();
+        step.v = v.data();
+        step.occ = occ.data();
+        for (int s = 0; s < 3; ++s)
+            step.drive[s] = drive.data() + s * kRk4BlockLanes;
+        step.dt = rng.uniform(0.001, 0.05);
+        step.re = re.data();
+        step.im = im.data();
+        step.work = work.data();
+    }
+};
 
 const Mat4KernelTable *
 avx2OrSkip()
@@ -328,4 +407,64 @@ TEST(Mat4Kernels, WrappersMatchDispatchedTable)
     }
 
     ASSERT_TRUE(setMat4Backend(original));
+}
+
+TEST(Mat4Kernels, Rk4BlockStepScalarVsAvx2)
+{
+    // Random panel blocks of 1-27 rows with random link lists, 1-4
+    // real lanes and signed zeros and denormals in the state, two
+    // steps each: every real lane of both backends must be
+    // byte-equal, and the scalar backend must leave the pad lanes
+    // as it found them.
+    const Mat4KernelTable *v = avx2OrSkip();
+    if (v == nullptr)
+        GTEST_SKIP() << "AVX2 backend unavailable on this host/build";
+    const Mat4KernelTable *s = mat4BackendTable(Mat4Backend::Scalar);
+    ASSERT_NE(s, nullptr);
+
+    Rng rng(0x52B4B10Cull);
+    for (int trial = 0; trial < 27 * 4 * 4; ++trial) {
+        const int rows = 1 + trial % 27;
+        const int lanes = 1 + (trial / 27) % kRk4BlockLanes;
+        Rng same = rng;
+        RandomRk4Block sb(rng, rows, lanes);
+        RandomRk4Block vb(same, rows, lanes);
+        // Pad lanes hold junk, which must not reach a real lane.
+        for (int r = 0; r < rows; ++r) {
+            for (int c = lanes; c < kRk4BlockLanes; ++c) {
+                vb.re[r * kRk4BlockLanes + c] = rng.uniform(-1e3, 1e3);
+                vb.im[r * kRk4BlockLanes + c] =
+                    std::numeric_limits<double>::quiet_NaN();
+            }
+        }
+        const std::vector<double> pad_re = sb.re, pad_im = sb.im;
+        for (int step = 0; step < 2; ++step) {
+            s->rk4_block_step(sb.step);
+            v->rk4_block_step(vb.step);
+        }
+        for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < kRk4BlockLanes; ++c) {
+                const size_t at = r * kRk4BlockLanes + c;
+                if (c < lanes) {
+                    EXPECT_EQ(std::memcmp(&sb.re[at], &vb.re[at],
+                                          sizeof(double)),
+                              0)
+                        << rows << " rows, lane " << c << ", row " << r
+                        << ": " << sb.re[at] << " vs " << vb.re[at];
+                    EXPECT_EQ(std::memcmp(&sb.im[at], &vb.im[at],
+                                          sizeof(double)),
+                              0)
+                        << rows << " rows, lane " << c << ", row " << r
+                        << ": " << sb.im[at] << " vs " << vb.im[at];
+                } else {
+                    EXPECT_EQ(std::memcmp(&sb.re[at], &pad_re[at],
+                                          sizeof(double)),
+                              0);
+                    EXPECT_EQ(std::memcmp(&sb.im[at], &pad_im[at],
+                                          sizeof(double)),
+                              0);
+                }
+            }
+        }
+    }
 }

@@ -17,6 +17,7 @@
 
 #include "calib/drift.hpp"
 #include "linalg/eig_herm.hpp"
+#include "linalg/mat4_kernels.hpp"
 #include "linalg/polar.hpp"
 #include "sim/bias.hpp"
 #include "sim/device.hpp"
@@ -660,10 +661,30 @@ kernelCases()
             {"coarse/0.005", 0.005, coarseOptions(), 90.0}};
 }
 
-TEST(Rk4Panel, ScanPanelsMatchTheReferenceBitForBit)
+/**
+ * Runs `body` once on every Mat4 kernel backend this host offers
+ * (the panel's block step is dispatched through it), then restores
+ * the backend that was active.
+ */
+template <class Body>
+void
+onEveryBackend(Body body)
 {
-    // Every column of every scan stage (7 or 11 probes, then 9 and
-    // 9), and the drive frequency the scan settles on.
+    const Mat4Backend original = activeMat4Backend();
+    for (Mat4Backend backend : {Mat4Backend::Scalar, Mat4Backend::Avx2}) {
+        if (!setMat4Backend(backend))
+            continue;
+        SCOPED_TRACE(mat4BackendName(backend));
+        body();
+    }
+    ASSERT_TRUE(setMat4Backend(original));
+}
+
+/** Every column of every scan stage (7 or 11 probes, then 9 and 9),
+ *  and the drive frequency the scan settles on. */
+void
+expectScanPanelsMatchTheReference()
+{
     for (const KernelCase &kc : kernelCases()) {
         SCOPED_TRACE(kc.name);
         const PairSimulator sim(testDevice().edgeParams(0),
@@ -712,7 +733,15 @@ TEST(Rk4Panel, ScanPanelsMatchTheReferenceBitForBit)
     }
 }
 
-TEST(Rk4Panel, TrajectoriesMatchTheReferenceBitForBit)
+TEST(Rk4Panel, ScanPanelsMatchTheReferenceBitForBit)
+{
+    onEveryBackend(expectScanPanelsMatchTheReference);
+}
+
+/** Every sample of trajectories at both amplitudes and option sets,
+ *  past a rotor renormalization, and of an undriven one. */
+void
+expectTrajectoriesMatchTheReference()
 {
     for (const KernelCase &kc : kernelCases()) {
         SCOPED_TRACE(kc.name);
@@ -732,6 +761,69 @@ TEST(Rk4Panel, TrajectoriesMatchTheReferenceBitForBit)
     const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
     expectSameSamples(sim.simulateTrajectory(0.0, ghz(2.0), 10.0),
                       referenceTrajectory(ref, 0.0, ghz(2.0), 10.0));
+}
+
+TEST(Rk4Panel, TrajectoriesMatchTheReferenceBitForBit)
+{
+    onEveryBackend(expectTrajectoriesMatchTheReference);
+}
+
+TEST(Rk4Panel, EveryColumnMatchesItsOneColumnPanel)
+{
+    // Panels of 1-9 columns -- one to three 4-lane blocks, the last
+    // partly padded -- at distinct drive frequencies, column c
+    // starting in dressed computational state c % 4. Each column
+    // must be byte-equal to a one-column panel from the same initial
+    // column: no block boundary, pad lane or neighbouring lane may
+    // move a bit. Rows the one-column panel leaves out (unreachable
+    // from that column) must be zero in the wide one.
+    const PairSimulator &sim = testSimulator();
+    const CMat &dressed = sim.dressed().vectors;
+    const int dim = sim.hamiltonian().dim();
+    const double wd = sim.dressedSplitting();
+    const double xi = 0.04;
+    const double dt = 0.02;
+    const int steps = 400;
+    onEveryBackend([&] {
+        for (int n = 1; n <= 9; ++n) {
+            SCOPED_TRACE(n);
+            CMat initial(dim, n);
+            std::vector<double> omegas(n);
+            for (int c = 0; c < n; ++c) {
+                for (int i = 0; i < dim; ++i)
+                    initial(i, c) = dressed(i, c % 4);
+                omegas[c] = wd + 0.02 * (c - 4);
+            }
+            Rk4Panel wide(sim, xi, initial, omegas, dt);
+            for (int s = 0; s < steps; ++s)
+                wide.step();
+            for (int c = 0; c < n; ++c) {
+                SCOPED_TRACE(c);
+                CMat col(dim, 1);
+                for (int i = 0; i < dim; ++i)
+                    col(i, 0) = initial(i, c);
+                Rk4Panel one(sim, xi, col, {omegas[c]}, dt);
+                for (int s = 0; s < steps; ++s)
+                    one.step();
+                size_t k = 0;
+                for (size_t r = 0; r < wide.rows().size(); ++r) {
+                    const double got[2] = {wide.re(r, c), wide.im(r, c)};
+                    if (k < one.rows().size()
+                        && one.rows()[k] == wide.rows()[r]) {
+                        const double want[2] = {one.re(k, 0),
+                                                one.im(k, 0)};
+                        EXPECT_EQ(bytesOf(got, 2), bytesOf(want, 2))
+                            << "row " << wide.rows()[r];
+                        ++k;
+                    } else {
+                        EXPECT_EQ(wide.at(r, c), Complex{})
+                            << "row " << wide.rows()[r];
+                    }
+                }
+                EXPECT_EQ(k, one.rows().size());
+            }
+        }
+    });
 }
 
 TEST(Rk4Panel, StreamContinuesIntoALongerWindow)
