@@ -23,6 +23,12 @@ every ``*.md`` file a comment or string there cites (``DESIGN.md
 section 4``, ``docs/workloads.md``) must exist, resolved against the
 repo root or the citing file's directory.
 
+And it checks the metrics catalog (the table under "Metrics
+catalog" in docs/architecture.md) against the code: every name that
+src/ registers through ``counter("...")``, ``gauge("...")`` or
+``histogram("...")`` must have a row of the same kind, and every row
+must name a metric src/ still registers.
+
 Failures print ``file:line: message`` (clickable in CI logs) and
 the script exits nonzero. External links (http/https/mailto) and
 pure-``#`` self-links are ignored. Pure stdlib.
@@ -187,6 +193,62 @@ def check_code_citations(failures):
                     )
 
 
+METRIC_RE = re.compile(r"\b(counter|gauge|histogram)\(\s*\"([^\"]+)\"")
+CATALOG_DOC = REPO / "docs" / "architecture.md"
+CATALOG_HEADING = "### Metrics catalog"
+CATALOG_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*(\w+)\s*\|")
+
+
+def catalog_rows():
+    """{name: (kind, line)} of the catalog table in CATALOG_DOC."""
+    rows = {}
+    in_catalog = False
+    lines = CATALOG_DOC.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            in_catalog = line.strip() == CATALOG_HEADING
+            continue
+        m = CATALOG_ROW_RE.match(line) if in_catalog else None
+        if m:
+            rows[m.group(1)] = (m.group(2), lineno)
+    return rows
+
+
+def check_metrics_catalog(failures):
+    """Registry names in src/ and the catalog rows match one to one."""
+    doc = CATALOG_DOC.relative_to(REPO)
+    rows = catalog_rows()
+    if not rows:
+        failures.append(f"{doc}: no '{CATALOG_HEADING}' table")
+        return
+    registered = {}
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in CODE_SUFFIXES or not path.is_file():
+            continue
+        text = path.read_text(encoding="utf-8")
+        for m in METRIC_RE.finditer(text):
+            kind, name = m.group(1), m.group(2)
+            lineno = text.count("\n", 0, m.start()) + 1
+            registered[name] = kind
+            where = f"{path.relative_to(REPO)}:{lineno}"
+            if name not in rows:
+                failures.append(
+                    f"{where}: {kind} `{name}` is missing from the "
+                    f"metrics catalog in {doc}"
+                )
+            elif rows[name][0] != kind:
+                failures.append(
+                    f"{where}: {kind} `{name}` is listed as a "
+                    f"{rows[name][0]} in {doc}:{rows[name][1]}"
+                )
+    for name, (_, lineno) in sorted(rows.items()):
+        if name not in registered:
+            failures.append(
+                f"{doc}:{lineno}: catalog row `{name}` names no "
+                "metric registered in src/"
+            )
+
+
 def main(argv):
     if argv:
         files = [pathlib.Path(a).resolve() for a in argv]
@@ -204,6 +266,7 @@ def main(argv):
         check_file(md, failures)
     if not argv:
         check_code_citations(failures)
+        check_metrics_catalog(failures)
     for f in failures:
         print(f)
     if failures:
@@ -211,7 +274,8 @@ def main(argv):
               f"across {checked} files)")
         return 1
     print(f"docs gate: OK ({checked} files, all links and code "
-          "paths resolve)")
+          "paths resolve" + ("" if argv else ", metrics cataloged")
+          + ")")
     return 0
 
 

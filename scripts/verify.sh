@@ -89,8 +89,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 1200 \
 
 # Docs gate: every intra-repo link and code path in docs/*.md and
 # README.md, and every *.md file cited in the code, must resolve
-# against the working tree.
+# against the working tree, and every registry metric in src/ must
+# be in the metrics catalog. Then the A/B script's verdict on
+# canned numbers.
 python3 scripts/check_docs.py
+python3 scripts/ab_qbench.py --selftest
 
 # Repository benchmark: build qbench/ from source against the
 # library's current API (into .bench_build) and run its helper

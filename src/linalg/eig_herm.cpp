@@ -13,11 +13,13 @@ namespace {
 /**
  * One connected block of the Hermitized input: its global indices in
  * ascending order, the dense submatrix over them, and the rotations
- * accumulated on it.
+ * accumulated on the kept rows of its eigenvector matrix (row k of
+ * `v` is local row kept[k]).
  */
 struct Block
 {
     std::vector<size_t> index;
+    std::vector<size_t> kept;
     CMat a;
     CMat v;
 };
@@ -72,7 +74,7 @@ sweepBlock(Block &b)
             // Rows update: A <- R^dag * A
             for (size_t k = 0; k < m; ++k)
                 rotatePair(a(p, k), a(q, k), c, std::conj(sp));
-            for (size_t k = 0; k < m; ++k)
+            for (size_t k = 0; k < v.rows(); ++k)
                 rotatePair(v(k, p), v(k, q), c, sp);
         }
     }
@@ -81,11 +83,24 @@ sweepBlock(Block &b)
 } // namespace
 
 HermEig
-jacobiEigHerm(const CMat &h_in, double tol)
+jacobiEigHerm(const CMat &h, double tol)
+{
+    std::vector<size_t> rows(h.rows());
+    std::iota(rows.begin(), rows.end(), size_t{0});
+    return jacobiEigHermRows(h, rows, tol);
+}
+
+HermEig
+jacobiEigHermRows(const CMat &h_in, const std::vector<size_t> &rows,
+                  double tol)
 {
     const size_t n = h_in.rows();
     if (h_in.cols() != n)
         panic("jacobiEigHerm requires a square matrix");
+    for (size_t r : rows)
+        if (r >= n)
+            panic("jacobiEigHermRows: row %zu of a %zux%zu matrix", r,
+                  n, n);
 
     CMat a(n, n);
     for (size_t i = 0; i < n; ++i)
@@ -123,13 +138,22 @@ jacobiEigHerm(const CMat &h_in, double tol)
         local[i] = b.index.size();
         b.index.push_back(i);
     }
+    // Output row i is row kept_at[i] of its block's kept rows.
+    std::vector<size_t> kept_at(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        Block &b = blocks[block_of[rows[i]]];
+        kept_at[i] = b.kept.size();
+        b.kept.push_back(local[rows[i]]);
+    }
     for (Block &b : blocks) {
         const size_t m = b.index.size();
         b.a = CMat(m, m);
         for (size_t r = 0; r < m; ++r)
             for (size_t c = 0; c < m; ++c)
                 b.a(r, c) = a(b.index[r], b.index[c]);
-        b.v = CMat::identity(m);
+        b.v = CMat(b.kept.size(), m);
+        for (size_t k = 0; k < b.kept.size(); ++k)
+            b.v(k, b.kept[k]) = Complex(1.0);
     }
     // The off-norm sums the within-block entries above the diagonal
     // in global row-major order; every other entry is +-0.
@@ -162,13 +186,14 @@ jacobiEigHerm(const CMat &h_in, double tol)
 
     HermEig out;
     out.values.resize(n);
-    out.vectors = CMat(n, n);
+    out.vectors = CMat(rows.size(), n);
     for (size_t c = 0; c < n; ++c) {
         const size_t k = order[c];
         const Block &b = blocks[block_of[k]];
         out.values[c] = diag[k];
-        for (size_t r = 0; r < b.index.size(); ++r)
-            out.vectors(b.index[r], c) = b.v(r, local[k]);
+        for (size_t i = 0; i < rows.size(); ++i)
+            if (block_of[rows[i]] == block_of[k])
+                out.vectors(i, c) = b.v(kept_at[i], local[k]);
     }
     return out;
 }

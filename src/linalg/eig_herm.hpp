@@ -6,7 +6,10 @@
  * Cyclic Jacobi eigensolver for complex Hermitian matrices.
  *
  * Used for static Hamiltonian spectra (dressed states, ZZ-null bias
- * search) and Hermitian matrix functions.
+ * search) and Hermitian matrix functions. A caller that reads only a
+ * few rows of the eigenvector matrix (the zero-ZZ search reads the
+ * four bare computational rows) asks jacobiEigHermRows for them, and
+ * the rotations of every other row are never accumulated.
  */
 
 #include <vector>
@@ -20,7 +23,9 @@ struct HermEig
 {
     /** Real eigenvalues in ascending order. */
     std::vector<double> values;
-    /** Unitary matrix whose columns are the eigenvectors. */
+    /** Unitary matrix whose columns are the eigenvectors (from
+     *  jacobiEigHermRows: only the requested rows, in request
+     *  order). */
     CMat vectors;
 };
 
@@ -52,6 +57,20 @@ struct HermEig
  * @param tol  off-diagonal convergence threshold relative to the norm.
  */
 HermEig jacobiEigHerm(const CMat &h, double tol = 1e-13);
+
+/**
+ * jacobiEigHerm keeping only rows `rows` of the eigenvector matrix:
+ * `vectors` is rows.size() x n, and its row i is, byte for byte, row
+ * rows[i] of jacobiEigHerm's `vectors`; the eigenvalues are the same
+ * bytes. Rows may come in any order, repeat, or be none at all (the
+ * eigenvalues alone). Exact because each pivot's rotation is computed
+ * from the matrix alone, and a column rotation updates each row of
+ * the eigenvector matrix from that row's own entries. jacobiEigHerm
+ * is this routine with every row requested.
+ */
+HermEig jacobiEigHermRows(const CMat &h,
+                          const std::vector<size_t> &rows,
+                          double tol = 1e-13);
 
 } // namespace qbasis
 

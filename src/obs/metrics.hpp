@@ -10,7 +10,8 @@
  * The registry unifies the serving stack's previously ad-hoc stats:
  * CompileService, SynthEngine, the shared decomposition cache, and
  * the recalibration scheduler all mirror their counters here under
- * stable dotted names (see the catalog in README "Observability"),
+ * stable dotted names (see the metrics catalog in
+ * docs/architecture.md, "Observability"),
  * so one `metricsSnapshot()` reports the whole stack. The legacy
  * per-instance structs (`CompileServiceStats`, `SynthEngine::Stats`,
  * ...) remain the authoritative inputs of the bit-identity digests;

@@ -8,36 +8,74 @@
 
 namespace qbasis {
 
-DressedStates
-dressedComputationalStates(const PairHamiltonian &h, double omega_c)
+namespace {
+
+/** The eigenstates picked for the four bare computational states. */
+struct DressedPick
 {
-    const CMat hmat = h.staticHamiltonian(omega_c);
-    const HermEig eig = jacobiEigHerm(hmat);
-    const int dim = h.dim();
-    const std::vector<int> comp = h.computationalIndices();
+    std::array<size_t, 4> column{}; ///< Eigenpair index per state.
+    double min_bare_overlap = 1.0;
+};
 
-    DressedStates out;
-    out.vectors = CMat(dim, 4);
-
+/**
+ * Greedy pick, state by state: the untaken eigenvector with the
+ * largest |<bare k|e>|^2, the first of equals. Bare state k's
+ * amplitudes are row bare_row[k] of eig.vectors.
+ */
+DressedPick
+pickDressed(const HermEig &eig, const std::array<size_t, 4> &bare_row)
+{
+    const size_t dim = eig.values.size();
+    DressedPick pick;
     std::vector<bool> taken(dim, false);
     for (int k = 0; k < 4; ++k) {
-        const int bare = comp[k];
-        int best = -1;
+        size_t best = 0;
         double best_overlap = -1.0;
-        for (int e = 0; e < dim; ++e) {
+        for (size_t e = 0; e < dim; ++e) {
             if (taken[e])
                 continue;
-            const double ov = std::norm(eig.vectors(bare, e));
+            const double ov = std::norm(eig.vectors(bare_row[k], e));
             if (ov > best_overlap) {
                 best_overlap = ov;
                 best = e;
             }
         }
-        out.min_bare_overlap = std::min(out.min_bare_overlap,
-                                        best_overlap);
+        pick.min_bare_overlap =
+            std::min(pick.min_bare_overlap, best_overlap);
         taken[best] = true;
+        pick.column[k] = best;
+    }
+    return pick;
+}
+
+/** The bare computational indices |00>, |01>, |10>, |11>. */
+std::array<size_t, 4>
+computationalRows(const PairHamiltonian &h)
+{
+    const std::vector<int> comp = h.computationalIndices();
+    std::array<size_t, 4> rows{};
+    for (int k = 0; k < 4; ++k)
+        rows[k] = static_cast<size_t>(comp[k]);
+    return rows;
+}
+
+} // namespace
+
+DressedStates
+dressedComputationalStates(const PairHamiltonian &h, double omega_c)
+{
+    const HermEig eig = jacobiEigHerm(h.staticHamiltonian(omega_c));
+    const std::array<size_t, 4> bare = computationalRows(h);
+    const DressedPick pick = pickDressed(eig, bare);
+    const int dim = h.dim();
+
+    DressedStates out;
+    out.vectors = CMat(dim, 4);
+    out.min_bare_overlap = pick.min_bare_overlap;
+    for (int k = 0; k < 4; ++k) {
+        const size_t best = pick.column[k];
         // Phase fix: bare component real positive.
-        Complex phase = eig.vectors(bare, best);
+        Complex phase = eig.vectors(bare[k], best);
         const double mag = std::abs(phase);
         phase = mag > 1e-12 ? phase / mag : Complex(1.0);
         for (int i = 0; i < dim; ++i)
@@ -50,7 +88,16 @@ dressedComputationalStates(const PairHamiltonian &h, double omega_c)
 double
 staticZZ(const PairHamiltonian &h, double omega_c)
 {
-    return dressedComputationalStates(h, omega_c).staticZZ();
+    // Only the energies matter, and the pick reads only the four bare
+    // rows of the eigenvectors: accumulate just those.
+    const std::array<size_t, 4> bare = computationalRows(h);
+    const HermEig eig = jacobiEigHermRows(
+        h.staticHamiltonian(omega_c), {bare.begin(), bare.end()});
+    const DressedPick pick = pickDressed(eig, {0, 1, 2, 3});
+    DressedStates out;
+    for (int k = 0; k < 4; ++k)
+        out.energies[k] = eig.values[pick.column[k]];
+    return out.staticZZ();
 }
 
 ZzBiasResult

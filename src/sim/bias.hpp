@@ -6,6 +6,13 @@
  * Static spectrum analysis of the unit cell: dressed computational
  * states and the zero-ZZ coupler bias search (paper Section VIII-B,
  * protocol step 2).
+ *
+ * Both pick the dressed states with one greedy loop, which reads only
+ * the four bare computational rows of the eigenvectors. The search
+ * probes the static ZZ some 50 times per edge and needs only the
+ * energies, so staticZZ() asks the Jacobi solver for just those four
+ * rows (linalg/eig_herm); its value is byte-equal to
+ * dressedComputationalStates(h, w).staticZZ().
  */
 
 #include <array>
@@ -42,7 +49,9 @@ struct DressedStates
 DressedStates dressedComputationalStates(const PairHamiltonian &h,
                                          double omega_c);
 
-/** Static ZZ at the given coupler frequency. */
+/** Static ZZ at the given coupler frequency: the bytes of
+ *  dressedComputationalStates(h, omega_c).staticZZ(), without
+ *  accumulating the eigenvector rows the pick does not read. */
 double staticZZ(const PairHamiltonian &h, double omega_c);
 
 /** Result of the zero-ZZ bias search. */

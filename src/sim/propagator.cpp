@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/polar.hpp"
+#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 #include "weyl/cartan.hpp"
 
@@ -261,14 +262,34 @@ PairSimulator::calibrateDriveFrequency(double xi) const
             ? std::min(opts_.probe_duration, 0.9 / xi + 20.0)
             : opts_.probe_duration;
 
-    // One panel per stage; the first best score wins ties.
+    static Counter &probes_run =
+        MetricsRegistry::instance().counter("sim.scan_probes");
+    static Counter &probes_skipped =
+        MetricsRegistry::instance().counter("sim.scan_probes_skipped");
+
+    // One panel per stage over the grid points that are not == to an
+    // earlier probe; the first best score wins ties. A skipped point
+    // cannot move the winner: its score (a column's score does not
+    // depend on its panel) already entered the running maximum, and
+    // the update below is a strict >.
+    std::vector<double> probed;
     auto scan = [&](double lo, double hi, int points) {
-        std::vector<double> omegas(points);
-        for (int i = 0; i < points; ++i)
-            omegas[i] = lo + (hi - lo) * i / (points - 1);
+        std::vector<double> omegas;
+        for (int i = 0; i < points; ++i) {
+            const double w = lo + (hi - lo) * i / (points - 1);
+            if (std::find(probed.begin(), probed.end(), w)
+                == probed.end()) {
+                omegas.push_back(w);
+                probed.push_back(w);
+            }
+        }
+        probes_run.add(omegas.size());
+        probes_skipped.add(points - omegas.size());
+        if (omegas.empty())
+            return;
         const std::vector<double> scores =
             swapTransferScores(xi, omegas, probe_ns, opts_.probe_dt);
-        for (int i = 0; i < points; ++i) {
+        for (size_t i = 0; i < omegas.size(); ++i) {
             if (scores[i] > best_score) {
                 best_score = scores[i];
                 best_w = omegas[i];

@@ -29,7 +29,10 @@
  * row stays +-0, and every sum over rows starts from +0, which in
  * round-to-nearest never becomes -0; so dropping those rows changes
  * no bit of any score, sample or selected gate. A drive-frequency
- * scan stage is one panel with one column per probe frequency; a
+ * scan stage is one panel with one column per probe frequency it has
+ * not integrated before: the refinement grids are centred on an
+ * earlier probe and usually end on two more, and such a repeat is
+ * skipped, since its score is already in the running maximum. A
  * trajectory is a TrajectoryStream that can be integrated on into a
  * longer window instead of being restarted at t = 0.
  *
@@ -95,8 +98,13 @@ class PairSimulator
     /**
      * Coarse + fine scan for the drive frequency maximizing
      * population transfer at amplitude `xi` (flux units of Phi0).
-     * This is calibration step 1 of Section VI; each of its three
-     * stages is one swapTransferScores() panel.
+     * This is calibration step 1 of Section VI. Each of its three
+     * stages (drive_scan_points, 9 and 9 grid points) is one
+     * swapTransferScores() panel over the points not == to an
+     * earlier probe; the first best score wins ties, so the result
+     * is the bytes of the three full grids. Counts the columns it
+     * integrates and the points it skips in the registry counters
+     * `sim.scan_probes` and `sim.scan_probes_skipped`.
      */
     double calibrateDriveFrequency(double xi) const;
 

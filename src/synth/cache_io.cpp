@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 
@@ -13,6 +14,8 @@ constexpr char kMagic[8] = {'Q', 'B', 'W', 'C', 'A', 'C', 'H', 'E'};
 constexpr size_t kHeaderBytes = 124;
 constexpr size_t kIndexEntryBytes = 48;
 constexpr size_t kSectionCount = 3; // index, payload, plans
+/** A plan record's fixed part: two hashes, six counts, the swaps. */
+constexpr size_t kPlanFixedBytes = 48;
 /** Sanity cap on a decoded plan's device size: far above any real
  *  device, low enough that a crafted record cannot make the replay
  *  validator allocate absurd scratch. */
@@ -119,6 +122,19 @@ struct Cursor
     i64()
     {
         return static_cast<int64_t>(u64());
+    }
+
+    /** An i64 field that holds an int (plan layouts, ops, device
+     *  ids); a value outside int's range fails the cursor. */
+    int
+    intField()
+    {
+        const int64_t v = i64();
+        if (v < INT_MIN || v > INT_MAX) {
+            ok = false;
+            return 0;
+        }
+        return static_cast<int>(v);
     }
 
     double
@@ -413,14 +429,15 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
     const uint64_t index_off = cur.u64();
     const uint64_t index_size = cur.u64();
     const uint32_t index_crc = cur.u32();
-    cur.u32(); // pad
+    uint32_t pads = cur.u32();
     const uint64_t payload_off = cur.u64();
     const uint64_t payload_size = cur.u64();
     const uint32_t payload_crc = cur.u32();
-    cur.u32(); // pad
+    pads |= cur.u32();
     const uint64_t plans_off = cur.u64();
     const uint64_t plans_size = cur.u64();
     const uint32_t plans_crc = cur.u32();
+    pads |= cur.u32();
 
     // Overflow-safe section-table validation: every arithmetic term
     // below is bounded *before* it is formed, so a crafted header
@@ -432,7 +449,8 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
         || payload_off != kHeaderBytes + index_size
         || payload_size > UINT64_MAX - payload_off
         || plans_off != payload_off + payload_size
-        || plans_size > UINT64_MAX - plans_off)
+        || plans_size > UINT64_MAX - plans_off
+        || plan_count > plans_size / kPlanFixedBytes || pads != 0)
         return fail(CacheIoStatus::Malformed,
                     "inconsistent section table");
     const uint64_t expected_size = plans_off + plans_size;
@@ -454,10 +472,14 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
         return fail(CacheIoStatus::ChecksumMismatch,
                     "plans section checksum mismatch");
 
+    // Only the encoder's own bytes decode: keys strictly ascending,
+    // blobs back to back in index order, plans strictly ascending,
+    // so whatever decodes re-encodes to the same bytes.
     std::vector<CacheSnapshotEntry> entries;
     entries.reserve(static_cast<size_t>(entry_count));
     Cursor idx{data + index_off, static_cast<size_t>(index_size), 0,
                true};
+    uint64_t next_blob = 0;
     for (uint64_t i = 0; i < entry_count; ++i) {
         DecompositionCache::ClassKey key;
         key.context = idx.u64();
@@ -466,10 +488,16 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
         key.qz = idx.i64();
         const uint64_t off = idx.u64();
         const uint64_t len = idx.u64();
-        if (!idx.ok || len > payload_size || off > payload_size - len)
+        if (!idx.ok || off != next_blob || len > payload_size - off)
             return fail(CacheIoStatus::Malformed,
                         "entry " + std::to_string(i)
-                            + ": payload out of bounds");
+                            + ": payload out of bounds or out of "
+                              "order");
+        next_blob = off + len;
+        if (!entries.empty() && !(entries.back().first < key))
+            return fail(CacheIoStatus::Malformed,
+                        "entry " + std::to_string(i)
+                            + ": keys not strictly ascending");
 
         Cursor pay{data + payload_off + off, static_cast<size_t>(len),
                    0, true};
@@ -502,6 +530,9 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
                             + ": payload size mismatch");
         entries.emplace_back(key, std::move(dec));
     }
+    if (next_blob != payload_size)
+        return fail(CacheIoStatus::Malformed,
+                    "payload section size mismatch");
 
     std::vector<TranspilePlan> plans;
     plans.reserve(static_cast<size_t>(plan_count));
@@ -541,23 +572,22 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
         plan.key.epochs.reserve(n_epochs);
         for (uint32_t e = 0; e < n_epochs; ++e) {
             DeviceEpoch de;
-            de.device_id = static_cast<int>(pcur.i64());
+            de.device_id = pcur.intField();
             de.epoch = pcur.u64();
             plan.key.epochs.push_back(de);
         }
         plan.initial_layout.reserve(n_init);
         for (uint32_t l = 0; l < n_init; ++l)
-            plan.initial_layout.push_back(
-                static_cast<int>(pcur.i64()));
+            plan.initial_layout.push_back(pcur.intField());
         plan.final_layout.reserve(n_final);
         for (uint32_t l = 0; l < n_final; ++l)
-            plan.final_layout.push_back(static_cast<int>(pcur.i64()));
+            plan.final_layout.push_back(pcur.intField());
         plan.ops.reserve(n_ops);
         for (uint32_t o = 0; o < n_ops; ++o) {
             PlanOp op;
-            op.source = static_cast<int>(pcur.i64());
-            op.q0 = static_cast<int>(pcur.i64());
-            op.q1 = static_cast<int>(pcur.i64());
+            op.source = pcur.intField();
+            op.q0 = pcur.intField();
+            op.q1 = pcur.intField();
             plan.ops.push_back(op);
         }
         plan.class_keys.reserve(n_classes);
@@ -572,7 +602,12 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
         if (!pcur.ok)
             return fail(CacheIoStatus::Malformed,
                         "plan " + std::to_string(i)
-                            + ": record truncated");
+                            + ": record truncated or an int field "
+                              "out of range");
+        if (!plans.empty() && !(plans.back().key < plan.key))
+            return fail(CacheIoStatus::Malformed,
+                        "plan " + std::to_string(i)
+                            + ": keys not strictly ascending");
         plans.push_back(std::move(plan));
     }
     if (pcur.off != plans_size)

@@ -59,7 +59,12 @@
  * header_crc, each section by its table entry), so any single-byte
  * corruption is rejected at load time. Version or quantization
  * mismatches are rejected before any entry is parsed; a failed load
- * never modifies the destination cache.
+ * never modifies the destination cache. Past the checksums, the
+ * decoder accepts only the layout the encoder writes: zero padding,
+ * keys strictly ascending, payload blobs back to back in index
+ * order, plan fields within int range, and no more plans than the
+ * plans section can hold. So a snapshot that decodes re-encodes to
+ * exactly its own bytes, even when its checksums were forged.
  */
 
 #include <cstdint>
@@ -149,8 +154,8 @@ encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
 /**
  * Decode snapshot bytes into `out` (appended). On any failure `out`
  * is untouched and the result carries the status + a message;
- * corrupt, truncated, or version-mismatched inputs are rejected
- * without UB regardless of content.
+ * corrupt, truncated, version-mismatched or non-canonical inputs are
+ * rejected without UB regardless of content.
  */
 CacheIoResult decodeCacheSnapshot(const uint8_t *data, size_t size,
                                   std::vector<CacheSnapshotEntry> *out);

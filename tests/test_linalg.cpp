@@ -2,7 +2,8 @@
  * @file
  * Tests for the linalg library: fixed and dynamic matrices,
  * eigensolvers (the block Jacobi solver byte for byte against the
- * dense loop, on the unit cell's static Hamiltonians among others),
+ * dense loop, on the unit cell's static Hamiltonians among others,
+ * and its row-restricted form against the full one),
  * simultaneous diagonalization, exponentials, SU(2) helpers, tensor
  * factorization, Haar sampling.
  */
@@ -412,25 +413,44 @@ driftedHeavyHexEdge(int e)
     return driftParams(dev.edgeParams(e), DriftModel{}, rng);
 }
 
-TEST(JacobiHermBlocks, MatchesDenseLoopOnBiasSearchHamiltonians)
+/** A static Hamiltonian of the zero-ZZ search, with its edge's bare
+ *  computational indices. */
+struct BiasSearchHamiltonian
 {
-    // 40 points around the zero-ZZ bias of undrifted edges of the
-    // default 10x10 device and of drifted heavy-hex edges.
+    CMat h;
+    std::vector<size_t> computational;
+};
+
+/** 320 static Hamiltonians: 40 points around the zero-ZZ bias of
+ *  undrifted edges of the default 10x10 device and of drifted
+ *  heavy-hex edges. */
+std::vector<BiasSearchHamiltonian>
+biasSearchHamiltonians()
+{
     const GridDevice grid{GridDeviceParams{}};
     std::vector<PairDeviceParams> edges = {
         grid.edgeParams(0), grid.edgeParams(37), grid.edgeParams(111)};
     for (int e : {0, 12, 13, 41, 77})
         edges.push_back(driftedHeavyHexEdge(e));
 
-    for (size_t k = 0; k < edges.size(); ++k) {
-        const PairSimulator sim(edges[k], grid.couplerOmegaMax());
+    std::vector<BiasSearchHamiltonian> out;
+    for (const PairDeviceParams &p : edges) {
+        const PairSimulator sim(p, grid.couplerOmegaMax());
         const PairHamiltonian &h = sim.hamiltonian();
-        for (int step = -20; step < 20; ++step) {
-            const double omega_c = sim.omegaC0() + 0.05 * step;
-            EXPECT_TRUE(matchesDenseLoop(h.staticHamiltonian(omega_c)))
-                << "edge " << k << " step " << step;
-        }
+        const std::vector<int> comp = h.computationalIndices();
+        for (int step = -20; step < 20; ++step)
+            out.push_back({h.staticHamiltonian(sim.omegaC0() + 0.05 * step),
+                           {comp.begin(), comp.end()}});
     }
+    return out;
+}
+
+TEST(JacobiHermBlocks, MatchesDenseLoopOnBiasSearchHamiltonians)
+{
+    const std::vector<BiasSearchHamiltonian> hs = biasSearchHamiltonians();
+    ASSERT_EQ(hs.size(), 320u);
+    for (size_t k = 0; k < hs.size(); ++k)
+        EXPECT_TRUE(matchesDenseLoop(hs[k].h)) << "matrix " << k;
 }
 
 TEST(JacobiHermBlocks, MatchesDenseLoopOnRandomDenseMatrices)
@@ -505,6 +525,117 @@ TEST(JacobiHermBlocks, DiagonalInputTakesZeroSweeps)
         EXPECT_EQ(ones, 1u);
     }
     EXPECT_TRUE(std::is_sorted(e.values.begin(), e.values.end()));
+}
+
+// --- jacobiEigHermRows against the full solver ---------------------
+//
+// Keeping only some rows of the eigenvector matrix must not move a
+// byte of the eigenvalues or of any row kept.
+
+/** Whether jacobiEigHermRows(h, rows) is the eigenvalues and rows
+ *  `rows` of jacobiEigHerm(h), byte for byte. */
+::testing::AssertionResult
+matchesFullRows(const CMat &h, const std::vector<size_t> &rows)
+{
+    const HermEig got = jacobiEigHermRows(h, rows);
+    const HermEig want = jacobiEigHerm(h);
+    const size_t n = h.rows();
+    if (got.values.size() != n || got.vectors.rows() != rows.size()
+        || got.vectors.cols() != n)
+        return ::testing::AssertionFailure() << "wrong shape";
+    if (std::memcmp(got.values.data(), want.values.data(),
+                    n * sizeof(double))
+        != 0)
+        return ::testing::AssertionFailure() << "eigenvalues differ";
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (std::memcmp(&got.vectors(i, 0), &want.vectors(rows[i], 0),
+                        n * sizeof(Complex))
+            != 0)
+            return ::testing::AssertionFailure()
+                   << "row " << rows[i] << " (request " << i
+                   << ") differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Each row of 0..n-1 with probability 1/2, in ascending order. */
+std::vector<size_t>
+randomRows(size_t n, Rng &rng)
+{
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < n; ++r)
+        if (rng.uniform() < 0.5)
+            rows.push_back(r);
+    return rows;
+}
+
+TEST(JacobiHermRows, MatchesFullSolverOnBiasSearchHamiltonians)
+{
+    // The four bare computational rows the zero-ZZ search reads, and
+    // every row one at a time on a few of the matrices.
+    const std::vector<BiasSearchHamiltonian> hs = biasSearchHamiltonians();
+    for (size_t k = 0; k < hs.size(); ++k) {
+        EXPECT_TRUE(matchesFullRows(hs[k].h, hs[k].computational))
+            << "matrix " << k;
+        if (k % 40 != 0)
+            continue;
+        for (size_t r = 0; r < hs[k].h.rows(); ++r)
+            EXPECT_TRUE(matchesFullRows(hs[k].h, {r}))
+                << "matrix " << k << " row " << r;
+    }
+}
+
+TEST(JacobiHermRows, MatchesFullSolverOnRandomInputs)
+{
+    Rng rng(4500);
+    for (double density : {1.0, 0.15, 0.05})
+        for (size_t n = 1; n <= 27; ++n)
+            for (int rep = 0; rep < 4; ++rep) {
+                const CMat h =
+                    randomPatternHermitian(n, density, false, rng);
+                EXPECT_TRUE(matchesFullRows(h, randomRows(n, rng)))
+                    << "density " << density << " n " << n;
+            }
+}
+
+TEST(JacobiHermRows, NegativeZerosAreZeros)
+{
+    Rng rng(4600);
+    for (double density : {0.05, 0.15, 0.5})
+        for (size_t n = 2; n <= 27; n += 5)
+            for (int rep = 0; rep < 8; ++rep) {
+                const CMat h =
+                    randomPatternHermitian(n, density, true, rng);
+                EXPECT_TRUE(matchesFullRows(h, randomRows(n, rng)))
+                    << "density " << density << " n " << n;
+            }
+}
+
+TEST(JacobiHermRows, RowsOutOfOrderAndRepeated)
+{
+    Rng rng(4700);
+    for (size_t n : {4, 9, 27}) {
+        for (int rep = 0; rep < 8; ++rep) {
+            const CMat h = randomPatternHermitian(n, 0.2, rep % 2, rng);
+            std::vector<size_t> rows(n);
+            std::iota(rows.begin(), rows.end(), size_t{0});
+            std::reverse(rows.begin(), rows.end());
+            EXPECT_TRUE(matchesFullRows(h, rows)) << "n " << n;
+            const std::vector<size_t> mixed = {n - 1, 0, n / 2, 0,
+                                               n - 1, 1};
+            EXPECT_TRUE(matchesFullRows(h, mixed)) << "n " << n;
+        }
+    }
+}
+
+TEST(JacobiHermRows, EmptyRowListGivesTheEigenvalues)
+{
+    Rng rng(4800);
+    for (size_t n : {1, 6, 27}) {
+        const CMat h = randomPatternHermitian(n, 0.3, true, rng);
+        EXPECT_TRUE(matchesFullRows(h, {})) << "n " << n;
+        EXPECT_EQ(jacobiEigHermRows(h, {}).vectors.rows(), 0u);
+    }
 }
 
 TEST(SimDiag, CommutingPairJointlyDiagonalized)

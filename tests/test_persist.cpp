@@ -584,6 +584,222 @@ TEST_F(PersistTest, CraftedOverflowHeadersAreRejected)
         EXPECT_FALSE(r.ok());
         EXPECT_TRUE(out.empty());
     }
+    // A forged plan_count (@40) must be bounded by the plans section
+    // before the decoder reserves room for that many plans; an
+    // unbounded reserve threw std::bad_alloc out of the decoder.
+    for (const uint64_t plan_count :
+         {uint64_t{1} << 40, UINT64_MAX / 2, UINT64_MAX}) {
+        std::vector<uint8_t> bad = bytes;
+        patch_u64(bad, 40, plan_count);
+        reseal(bad);
+        std::vector<CacheSnapshotEntry> out;
+        std::vector<TranspilePlan> plans;
+        const CacheIoResult r =
+            decodeCacheSnapshot(bad.data(), bad.size(), &out, &plans);
+        EXPECT_EQ(r.status, CacheIoStatus::Malformed);
+        EXPECT_TRUE(out.empty());
+        EXPECT_TRUE(plans.empty());
+    }
+}
+
+// --- Multi-byte mutants and section-length splices ----------------
+//
+// Every mutant must either be rejected, with nothing appended to the
+// outputs, or decode to entries and plans that encode back to exactly
+// the mutated bytes: the decoder accepts only canonical snapshots, so
+// whatever it accepts is what the encoder would have written. None
+// may crash (the ASan job runs these too).
+
+/** Header layout (v3): section s's table row {offset u64, size u64,
+ *  crc32 u32, pad u32} sits at 48 + 24 s; the header CRC at 120. */
+constexpr size_t kSectionRow = 48;
+constexpr size_t kHeaderCrc = 120;
+constexpr size_t kHeaderSize = 124;
+
+uint64_t
+readU64(const std::vector<uint8_t> &buf, size_t off)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<uint64_t>(buf[off + static_cast<size_t>(i)])
+             << (8 * i);
+    return v;
+}
+
+void
+writeLe(std::vector<uint8_t> &buf, size_t off, uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        buf[off + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Recompute every section CRC the table can locate, then the
+ *  header CRC. */
+void
+resealAll(std::vector<uint8_t> &buf)
+{
+    for (size_t sec = 0; sec < 3; ++sec) {
+        const size_t row = kSectionRow + 24 * sec;
+        const uint64_t off = readU64(buf, row);
+        const uint64_t size = readU64(buf, row + 8);
+        if (off <= buf.size() && size <= buf.size() - off)
+            writeLe(buf, row + 16,
+                    cacheCrc32(buf.data() + off,
+                               static_cast<size_t>(size)),
+                    4);
+    }
+    writeLe(buf, kHeaderCrc, cacheCrc32(buf.data(), kHeaderCrc), 4);
+}
+
+/** Sample entries plus two plans, so every section is non-empty. */
+std::vector<uint8_t>
+sampleSnapshotWithPlans()
+{
+    std::vector<TranspilePlan> plans(2);
+    plans[0].key.structural_hash = 0x5151ull;
+    plans[0].key.options_hash = 0x0F0Full;
+    plans[0].key.epochs = {{0, 1}, {2, 3}};
+    plans[0].num_physical = 5;
+    plans[0].initial_layout = {0, 1, 2};
+    plans[0].final_layout = {1, 0, 2};
+    plans[0].swaps_inserted = 1;
+    plans[0].ops = {{0, 0, 1}, {-1, 0, 1}, {1, 2, -1}};
+    plans[0].class_keys = {makeKey(0xA11CEull, 1, 2, 3)};
+    plans[1].key.structural_hash = 0x7777ull;
+    plans[1].key.epochs = {{1, 9}};
+    plans[1].num_physical = 2;
+    plans[1].initial_layout = {1, 0};
+    plans[1].final_layout = {1, 0};
+    plans[1].ops = {{0, 1, 0}};
+    plans[1].class_keys = {makeKey(0xB0Bull, 0, 0, 0)};
+    return encodeCacheSnapshot(sampleEntries(), std::move(plans));
+}
+
+/** Rejected with empty outputs, or the canonical bytes of what it
+ *  decodes to. */
+::testing::AssertionResult
+rejectedOrCanonical(const std::vector<uint8_t> &mutant)
+{
+    std::vector<CacheSnapshotEntry> entries;
+    std::vector<TranspilePlan> plans;
+    const CacheIoResult r = decodeCacheSnapshot(
+        mutant.data(), mutant.size(), &entries, &plans);
+    if (!r.ok()) {
+        if (entries.empty() && plans.empty())
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "rejected (" << r.message << ") but leaked "
+               << entries.size() << " entries, " << plans.size()
+               << " plans";
+    }
+    const std::vector<uint8_t> again =
+        encodeCacheSnapshot(std::move(entries), std::move(plans));
+    if (again == mutant)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "accepted a " << mutant.size()
+           << "-byte mutant that re-encodes to " << again.size()
+           << " different bytes";
+}
+
+TEST_F(PersistTest, MultiByteMutantsAreRejectedOrCanonical)
+{
+    // 2-8 bytes XORed with nonzero values, anywhere in the file or
+    // inside one region (header, each section), each mutant tried
+    // as is and with every CRC resealed.
+    const std::vector<uint8_t> bytes = sampleSnapshotWithPlans();
+    ASSERT_TRUE(rejectedOrCanonical(bytes));
+    std::vector<std::pair<size_t, size_t>> regions = {
+        {0, bytes.size()}, {0, kHeaderSize}};
+    for (size_t sec = 0; sec < 3; ++sec) {
+        const uint64_t off = readU64(bytes, kSectionRow + 24 * sec);
+        const uint64_t size = readU64(bytes, kSectionRow + 24 * sec + 8);
+        ASSERT_GT(size, 0u);
+        regions.emplace_back(off, off + size);
+    }
+    Rng rng(0xF022u);
+    size_t accepted = 0;
+    for (int m = 0; m < 6000; ++m) {
+        const auto [lo, hi] = regions[static_cast<size_t>(m) % regions.size()];
+        std::vector<uint8_t> mutant = bytes;
+        const uint64_t n = 2 + rng.uniformInt(7);
+        for (uint64_t k = 0; k < n; ++k) {
+            const size_t pos = lo + rng.uniformInt(hi - lo);
+            mutant[pos] ^= static_cast<uint8_t>(1 + rng.uniformInt(255));
+        }
+        if (m % 2 == 1)
+            resealAll(mutant);
+        std::vector<CacheSnapshotEntry> probe;
+        accepted += decodeCacheSnapshot(mutant.data(), mutant.size(),
+                                        &probe)
+                        .ok();
+        EXPECT_TRUE(rejectedOrCanonical(mutant))
+            << "mutant " << m << " (" << n << " bytes in [" << lo
+            << ", " << hi << ")" << (m % 2 ? ", resealed" : "") << ")";
+    }
+    // Resealed payload mutants are valid snapshots of other values:
+    // the accepting branch is exercised, not only the rejections.
+    EXPECT_GT(accepted, 0u);
+}
+
+TEST_F(PersistTest, SectionLengthSplicesAreRejectedOrCanonical)
+{
+    // Insert or delete bytes inside one section, then rewrite the
+    // section table (that section's size, the later offsets) and
+    // reseal every CRC: the damage is then visible only to the
+    // structural checks.
+    const std::vector<uint8_t> bytes = sampleSnapshotWithPlans();
+    Rng rng(0x5B11CEu);
+    for (size_t sec = 0; sec < 3; ++sec) {
+        const size_t row = kSectionRow + 24 * sec;
+        const uint64_t off = readU64(bytes, row);
+        const uint64_t size = readU64(bytes, row + 8);
+        for (int m = 0; m < 400; ++m) {
+            std::vector<uint8_t> mutant = bytes;
+            const size_t at = off + rng.uniformInt(size);
+            const size_t lengths[] = {1, 2, 3, 4, 7, 8, 9, 16, 24, 32, 48};
+            const size_t len = lengths[rng.uniformInt(11)];
+            const bool insert = m % 2 == 0;
+            int64_t delta = 0;
+            if (insert) {
+                std::vector<uint8_t> junk(len);
+                for (uint8_t &b : junk)
+                    b = static_cast<uint8_t>(rng.uniformInt(256));
+                // Half the inserts copy bytes of the section itself,
+                // so they look like well-formed records.
+                if (m % 4 == 0 && at + len <= off + size)
+                    std::copy(bytes.begin() + static_cast<long>(at),
+                              bytes.begin() + static_cast<long>(at + len),
+                              junk.begin());
+                mutant.insert(mutant.begin() + static_cast<long>(at),
+                              junk.begin(), junk.end());
+                delta = static_cast<int64_t>(len);
+            } else {
+                const size_t cut =
+                    std::min<size_t>(len, off + size - at);
+                mutant.erase(mutant.begin() + static_cast<long>(at),
+                             mutant.begin() + static_cast<long>(at + cut));
+                delta = -static_cast<int64_t>(cut);
+            }
+            writeLe(mutant, row + 8,
+                    static_cast<uint64_t>(static_cast<int64_t>(size)
+                                          + delta),
+                    8);
+            for (size_t later = sec + 1; later < 3; ++later) {
+                const size_t lrow = kSectionRow + 24 * later;
+                writeLe(mutant, lrow,
+                        static_cast<uint64_t>(static_cast<int64_t>(
+                                                  readU64(bytes, lrow))
+                                              + delta),
+                        8);
+            }
+            resealAll(mutant);
+            EXPECT_TRUE(rejectedOrCanonical(mutant))
+                << "section " << sec << (insert ? " insert " : " delete ")
+                << len << " at " << at;
+        }
+    }
 }
 
 // --- Warm entries are bit-identical through the engine -------------

@@ -19,6 +19,7 @@
 #include "linalg/eig_herm.hpp"
 #include "linalg/mat4_kernels.hpp"
 #include "linalg/polar.hpp"
+#include "obs/metrics.hpp"
 #include "sim/bias.hpp"
 #include "sim/device.hpp"
 #include "sim/flux.hpp"
@@ -45,6 +46,29 @@ testSimulator()
     static const PairSimulator sim(testDevice().edgeParams(0),
                                    testDevice().couplerOmegaMax());
     return sim;
+}
+
+/** The heavy-hex(rows, cols) device of seed 17, as the repository
+ *  benchmark builds it. */
+GridDevice
+heavyHexDevice(int rows, int cols)
+{
+    GridDeviceParams g;
+    g.topology = DeviceTopology::HeavyHex;
+    g.rows = rows;
+    g.cols = cols;
+    g.seed = 17;
+    return GridDevice(g);
+}
+
+/** Edge `e` of `dev`, drifted on the device-0 stream of fleet seed
+ *  2022. */
+PairDeviceParams
+driftedEdge(const GridDevice &dev, int e)
+{
+    Rng rng(Rng::deriveSeed(Rng::deriveSeed(2022, 0),
+                            static_cast<uint64_t>(e)));
+    return driftParams(dev.edgeParams(e), DriftModel{}, rng);
 }
 
 TEST(FluxCurve, RoundTripAndMonotone)
@@ -167,20 +191,11 @@ TEST(Bias, ZzChangesSignAcrossWindow)
 
 TEST(Bias, WarnsOnlyAboutTheChosenBias)
 {
-    // Edge 13 of the drifted heavy-hex(4,9) lattice (device seed 17,
-    // each edge drifted on the device-0 stream of fleet seed 2022):
-    // the low end of its zero-ZZ scan window hybridizes |11>, but the
-    // bias the search settles on does not.
-    GridDeviceParams g;
-    g.topology = DeviceTopology::HeavyHex;
-    g.rows = 4;
-    g.cols = 9;
-    g.seed = 17;
-    const GridDevice dev(g);
-    const int edge = 13;
-    Rng rng(Rng::deriveSeed(Rng::deriveSeed(2022, 0), edge));
-    const PairDeviceParams p =
-        driftParams(dev.edgeParams(edge), DriftModel{}, rng);
+    // Edge 13 of the drifted heavy-hex(4,9) lattice: the low end of
+    // its zero-ZZ scan window hybridizes |11>, but the bias the
+    // search settles on does not.
+    const GridDevice dev = heavyHexDevice(4, 9);
+    const PairDeviceParams p = driftedEdge(dev, 13);
 
     testing::internal::CaptureStderr();
     const PairSimulator sim(p, dev.couplerOmegaMax());
@@ -915,6 +930,219 @@ TEST(Rk4Panel, SeedOutsideTheBlockWidensTheRowsAndStillMatches)
         for (int i = 0; i < dim; ++i)
             if (!kept[i])
                 EXPECT_EQ(want[i], Complex{}) << "row " << i;
+    }
+}
+
+// --- Skipped work, bit for bit --------------------------------------
+//
+// staticZZ accumulates only the eigenvector rows its dressed-state
+// pick reads, and the drive scan integrates each distinct frequency
+// once. Neither may move a byte of what it returns.
+
+TEST(Bias, StaticZzMatchesDressedStatesAtEveryProbedBias)
+{
+    // The zero-ZZ search is replayed here from the full dressed-state
+    // values: its 33-point scan of PairSimulator's window, then the
+    // bisection of the gentlest sign change. At every bias it probes,
+    // staticZZ must give the bytes of the full route, and the replay
+    // must settle on the simulator's bias.
+    const GridDevice hh = heavyHexDevice(4, 9);
+    std::vector<std::pair<PairDeviceParams, double>> edges = {
+        {testDevice().edgeParams(0), testDevice().couplerOmegaMax()},
+        {testDevice().edgeParams(37), testDevice().couplerOmegaMax()}};
+    for (int e : {0, 13, 41, 77, 129})
+        edges.emplace_back(driftedEdge(hh, e), hh.couplerOmegaMax());
+
+    for (size_t k = 0; k < edges.size(); ++k) {
+        SCOPED_TRACE(k);
+        const PairDeviceParams &p = edges[k].first;
+        const PairSimulator sim(p, edges[k].second);
+        const PairHamiltonian &h = sim.hamiltonian();
+        int probes = 0;
+        auto probe = [&](double w) {
+            const double got = staticZZ(h, w);
+            const double want = dressedComputationalStates(h, w).staticZZ();
+            EXPECT_EQ(bytesOf(&got, 1), bytesOf(&want, 1))
+                << "omega_c " << w << ": " << got << " vs " << want;
+            ++probes;
+            return want;
+        };
+
+        const double margin = sim.options().bias_margin;
+        const double two_photon =
+            0.5 * (p.qubit_a.omega + p.qubit_b.omega - p.coupler.alpha);
+        const double lo =
+            std::max(std::min(p.qubit_a.omega, p.qubit_b.omega),
+                     two_photon)
+            + margin;
+        const double hi =
+            std::max(p.qubit_a.omega, p.qubit_b.omega) - margin;
+        const int n = 33;
+        std::vector<double> w(n), zz(n);
+        for (int i = 0; i < n; ++i) {
+            w[i] = lo + (hi - lo) * i / (n - 1);
+            zz[i] = probe(w[i]);
+        }
+        int bracket = -1;
+        double bracket_mag = 1e300;
+        for (int i = 0; i + 1 < n; ++i) {
+            ASSERT_NE(zz[i], 0.0);
+            if (zz[i] * zz[i + 1] < 0.0) {
+                const double mag =
+                    std::max(std::abs(zz[i]), std::abs(zz[i + 1]));
+                if (mag < bracket_mag) {
+                    bracket_mag = mag;
+                    bracket = i;
+                }
+            }
+        }
+        ASSERT_GE(bracket, 0);
+        double a = w[bracket], b = w[bracket + 1];
+        double f_a = zz[bracket];
+        double omega_c0 = 0.0;
+        for (int iter = 0;; ++iter) {
+            ASSERT_LT(iter, 80);
+            const double mid = 0.5 * (a + b);
+            const double f_mid = probe(mid);
+            if (std::abs(f_mid) < 1e-9) {
+                omega_c0 = mid;
+                break;
+            }
+            if (f_a * f_mid < 0.0) {
+                b = mid;
+            } else {
+                a = mid;
+                f_a = f_mid;
+            }
+        }
+        const double want = sim.omegaC0();
+        EXPECT_EQ(bytesOf(&omega_c0, 1), bytesOf(&want, 1));
+        EXPECT_GT(probes, n);
+    }
+}
+
+/** The drive scan with every grid point integrated, and the number
+ *  of points and of distinct frequencies over its three grids. */
+struct FullGridScan
+{
+    double omega_d = 0.0;
+    size_t points = 0;
+    size_t distinct = 0;
+};
+
+/** PairSimulator::calibrateDriveFrequency as it was before repeated
+ *  probes were skipped: each stage one panel over its whole grid. */
+FullGridScan
+fullGridDriveFrequency(const PairSimulator &sim, double xi)
+{
+    const SimOptions &o = sim.options();
+    const double probe_ns =
+        xi > 1e-6 ? std::min(o.probe_duration, 0.9 / xi + 20.0)
+                  : o.probe_duration;
+    FullGridScan out;
+    out.omega_d = sim.dressedSplitting();
+    double best_score = -1.0;
+    std::vector<double> seen;
+    auto stage = [&](double lo, double hi, int points) {
+        std::vector<double> omegas(points);
+        for (int i = 0; i < points; ++i)
+            omegas[i] = lo + (hi - lo) * i / (points - 1);
+        const std::vector<double> scores =
+            sim.swapTransferScores(xi, omegas, probe_ns, o.probe_dt);
+        for (int i = 0; i < points; ++i) {
+            if (scores[i] > best_score) {
+                best_score = scores[i];
+                out.omega_d = omegas[i];
+            }
+            if (std::find(seen.begin(), seen.end(), omegas[i])
+                == seen.end())
+                seen.push_back(omegas[i]);
+        }
+        out.points += static_cast<size_t>(points);
+    };
+    const double center = sim.dressedSplitting();
+    stage(center - o.drive_scan_span, center + o.drive_scan_span,
+          o.drive_scan_points);
+    const double span2 =
+        2.0 * o.drive_scan_span / (o.drive_scan_points - 1);
+    stage(out.omega_d - span2, out.omega_d + span2, 9);
+    stage(out.omega_d - span2 / 4.0, out.omega_d + span2 / 4.0, 9);
+    out.distinct = seen.size();
+    return out;
+}
+
+/** Registry counts of one calibrateDriveFrequency() call. */
+struct ScanCounts
+{
+    uint64_t probes = 0;
+    uint64_t skipped = 0;
+};
+
+ScanCounts
+countedDriveScan(const PairSimulator &sim, double xi, double *omega_d)
+{
+    Counter &probes =
+        MetricsRegistry::instance().counter("sim.scan_probes");
+    Counter &skipped =
+        MetricsRegistry::instance().counter("sim.scan_probes_skipped");
+    const uint64_t probes0 = probes.value();
+    const uint64_t skipped0 = skipped.value();
+    *omega_d = sim.calibrateDriveFrequency(xi);
+    return {probes.value() - probes0, skipped.value() - skipped0};
+}
+
+TEST(DriveScan, SkippedProbesMatchTheFullGrids)
+{
+    // Every edge of the drifted heavy-hex(2,4) lattice at xi = 0.04,
+    // with the benchmark's SimOptions and the defaults, on every
+    // backend: the scan picks the full grids' drive frequency, and
+    // integrates each distinct frequency once.
+    const GridDevice dev = heavyHexDevice(2, 4);
+    const int edges = static_cast<int>(dev.coupling().edges().size());
+    const double xi = 0.04;
+    size_t repeats = 0;
+    onEveryBackend([&] {
+        for (const SimOptions &opts : {coarseOptions(), SimOptions{}}) {
+            for (int e = 0; e < edges; ++e) {
+                SCOPED_TRACE(e);
+                const PairSimulator sim(driftedEdge(dev, e),
+                                        dev.couplerOmegaMax(), opts);
+                const FullGridScan want = fullGridDriveFrequency(sim, xi);
+                double got = 0.0;
+                const ScanCounts counts = countedDriveScan(sim, xi, &got);
+                EXPECT_EQ(bytesOf(&got, 1), bytesOf(&want.omega_d, 1))
+                    << got << " vs " << want.omega_d;
+                EXPECT_EQ(counts.probes, want.distinct);
+                EXPECT_EQ(counts.skipped, want.points - want.distinct);
+                repeats += want.points - want.distinct;
+            }
+        }
+    });
+    // Not vacuous: every refinement centre repeats a probe.
+    EXPECT_GE(repeats, 2u * 2u * static_cast<size_t>(edges));
+}
+
+TEST(DriveScan, CountsIntegratedAndSkippedProbes)
+{
+    // Edge 0 of the default device at xi = 0.04: the benchmark's
+    // settings lay out 7 + 9 + 9 grid points, the defaults
+    // 11 + 9 + 9. Both refinement centres and four end points repeat
+    // an earlier probe.
+    struct Case
+    {
+        SimOptions opts;
+        uint64_t probes, skipped;
+    };
+    for (const Case &c :
+         {Case{coarseOptions(), 19, 6}, Case{SimOptions{}, 23, 6}}) {
+        const PairSimulator sim(testDevice().edgeParams(0),
+                                testDevice().couplerOmegaMax(), c.opts);
+        double omega_d = 0.0;
+        const ScanCounts counts = countedDriveScan(sim, 0.04, &omega_d);
+        EXPECT_EQ(counts.probes, c.probes);
+        EXPECT_EQ(counts.skipped, c.skipped);
+        EXPECT_EQ(counts.probes + counts.skipped,
+                  static_cast<uint64_t>(c.opts.drive_scan_points + 18));
     }
 }
 
