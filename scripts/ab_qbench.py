@@ -24,6 +24,10 @@ count for neither); the gain verdict (a gain needs at least 10
 pairs, wins in at least 9 of 10, and medians further apart than the
 parent's interquartile range);
 and the distinct `verification digest` lines with their counts.
+It also prints each side's median and quartiles of the rows of the
+`--- timings ---` block every run prints (compile_cold_s, retune_s,
+p50_ms, p99_ms; setup_s is already among the metrics), for
+information only: they get no bound and no verdict.
 A traced run (`--trace 1`) prints per-layer metrics instead of the
 end-to-end ones, so traced pairs compare those and each span's
 self time in the per-layer ledger, and give no verdict. Every run's
@@ -114,6 +118,28 @@ def ledger_self_ms(log_text):
     return rows
 
 
+def timings_block(log_text):
+    """{name: value} from the `--- timings ---` block a run prints
+    (`--- timings (traced) ---` on a traced run); the block ends at
+    the first line that is not one name and one number."""
+    rows = {}
+    in_block = False
+    for line in log_text.splitlines():
+        if line.startswith("--- "):
+            in_block = line.startswith("--- timings")
+            continue
+        if not in_block:
+            continue
+        fields = line.split()
+        try:
+            if len(fields) != 2:
+                raise ValueError
+            rows[fields[0]] = float(fields[1])
+        except ValueError:
+            in_block = False
+    return rows
+
+
 def git(*args, cwd=REPO):
     subprocess.run(["git", *args], cwd=cwd, check=True,
                    stdout=subprocess.DEVNULL)
@@ -121,7 +147,8 @@ def git(*args, cwd=REPO):
 
 def run_side(src, target, args, log):
     """One qbench run in checkout `src`; returns (result, digest).
-    The result carries the run's ledger as "ledger" when traced."""
+    The result carries the run's timings block as "timings", and its
+    ledger as "ledger" when traced."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
     cmd = [sys.executable, "qbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
@@ -138,6 +165,7 @@ def run_side(src, target, args, log):
     except (IndexError, json.JSONDecodeError):
         result = None
     if result is not None:
+        result["timings"] = timings_block(proc.stdout)
         result["ledger"] = ledger_self_ms(proc.stdout)
     return result, digest
 
@@ -168,9 +196,11 @@ def report(runs, digests, args):
           "(medians [quartiles])")
     claimed = None
     every = runs["parent"] + runs["change"]
+    printed = set()
     for name, unit, better, bound in benchmark_metrics():
         if not all(name in r["metrics"] for r in every):
             continue
+        printed.add(name)
         vals = {side: [r["metrics"][name]["value"] for r in runs[side]]
                 for side in ("parent", "change")}
         qp, qc = quartiles(vals["parent"]), quartiles(vals["change"])
@@ -185,6 +215,20 @@ def report(runs, digests, args):
               f"better){flag}")
         if name == args.metric:
             claimed = (vals, better)
+
+    names = [n for n in every[0]["timings"]
+             if n not in printed
+             and all(n in r["timings"] for r in every)]
+    if names:
+        print("\ntimings block, for information (median [quartiles]; "
+              "no bound, no verdict)")
+    for name in names:
+        qp = quartiles([r["timings"][name] for r in runs["parent"]])
+        qc = quartiles([r["timings"][name] for r in runs["change"]])
+        rel = (qc[1] - qp[1]) / qp[1] if qp[1] else 0.0
+        print(f"  {name:26s} parent {qp[1]:.4g} [{qp[0]:.4g}, "
+              f"{qp[2]:.4g}]  change {qc[1]:.4g} [{qc[0]:.4g}, "
+              f"{qc[2]:.4g}]  {rel:+.1%}")
 
     spans = sorted({s for r in every for s in r["ledger"]})
     if spans:
@@ -324,6 +368,29 @@ def selftest():
     check("ledger rows parse, other sections do not",
           ledger_self_ms(ledger) == {"synth.batch": 3056.937,
                                      "sim.scan": 1271.59})
+
+    log = ("--- end-to-end metrics ---\n"
+           "  setup_s                            0.182000 s\n"
+           "--- timings ---\n"
+           "  setup_s                0.182113\n"
+           "  compile_cold_s         0.103456\n"
+           "  retune_s               0.000000\n"
+           "  p50_ms                 0.091250\n"
+           "  p99_ms                 0.571000\n"
+           "latency: median over 48 blocks of 1000 requests (block p99 "
+           "has 10 beyond it)\n"
+           "verification digest 0x0d74a2bcaf328453 (repeats exactly at "
+           "a fixed seed)\n")
+    check("the timings block parses and ends at the latency line",
+          timings_block(log) == {"setup_s": 0.182113,
+                                 "compile_cold_s": 0.103456,
+                                 "retune_s": 0.0, "p50_ms": 0.09125,
+                                 "p99_ms": 0.571})
+    check("a traced run's timings block parses too",
+          timings_block(log.replace("--- timings ---",
+                                    "--- timings (traced) ---"))
+          ["compile_cold_s"] == 0.103456)
+    check("no timings block, no rows", timings_block(ledger) == {})
 
     for name, passed in checks:
         print(f"  {'ok  ' if passed else 'FAIL'} {name}")

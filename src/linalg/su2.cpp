@@ -63,39 +63,40 @@ phaseGate(double phi)
 Mat2
 u3(double theta, double phi, double lambda)
 {
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    return Mat2(c, -std::exp(kI * lambda) * s,
-                std::exp(kI * phi) * s,
-                std::exp(kI * (phi + lambda)) * c);
+    return U3Factors(theta, phi, lambda).matrix();
+}
+
+U3Factors::U3Factors(double theta, double phi, double lambda)
+    : c_(std::cos(theta / 2.0)), s_(std::sin(theta / 2.0)),
+      e_lambda_(std::exp(kI * lambda)), e_phi_(std::exp(kI * phi)),
+      e_sum_(std::exp(kI * (phi + lambda)))
+{
 }
 
 Mat2
-du3DTheta(double theta, double phi, double lambda)
+U3Factors::matrix() const
 {
-    const double c = 0.5 * std::cos(theta / 2.0);
-    const double s = 0.5 * std::sin(theta / 2.0);
-    return Mat2(-s, -std::exp(kI * lambda) * c,
-                std::exp(kI * phi) * c,
-                -std::exp(kI * (phi + lambda)) * s);
+    return Mat2(c_, -e_lambda_ * s_, e_phi_ * s_, e_sum_ * c_);
 }
 
 Mat2
-du3DPhi(double theta, double phi, double lambda)
+U3Factors::dTheta() const
 {
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    return Mat2(0.0, 0.0, kI * std::exp(kI * phi) * s,
-                kI * std::exp(kI * (phi + lambda)) * c);
+    const double c = 0.5 * c_;
+    const double s = 0.5 * s_;
+    return Mat2(-s, -e_lambda_ * c, e_phi_ * c, -e_sum_ * s);
 }
 
 Mat2
-du3DLambda(double theta, double phi, double lambda)
+U3Factors::dPhi() const
 {
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
-    return Mat2(0.0, -kI * std::exp(kI * lambda) * s, 0.0,
-                kI * std::exp(kI * (phi + lambda)) * c);
+    return Mat2(0.0, 0.0, kI * e_phi_ * s_, kI * e_sum_ * c_);
+}
+
+Mat2
+U3Factors::dLambda() const
+{
+    return Mat2(0.0, -kI * e_lambda_ * s_, 0.0, kI * e_sum_ * c_);
 }
 
 Mat2

@@ -41,14 +41,38 @@ Mat2 phaseGate(double phi);
  */
 Mat2 u3(double theta, double phi, double lambda);
 
-/** Derivative of u3 with respect to theta. */
-Mat2 du3DTheta(double theta, double phi, double lambda);
+/**
+ * The five factors of one U3 gate -- cos(t/2), sin(t/2), e^{i l},
+ * e^{i p} and e^{i(p+l)} -- computed once (two real trig and three
+ * complex exp calls), and the gate and its three partial derivatives
+ * built from them. u3() is matrix() of a fresh instance, so the
+ * formula exists once; the synthesis objective keeps one per local
+ * U3 of an evaluation for its backward pass.
+ */
+class U3Factors
+{
+  public:
+    /** Factors of U3(0, 0, 0) = identity. */
+    U3Factors() = default;
 
-/** Derivative of u3 with respect to phi. */
-Mat2 du3DPhi(double theta, double phi, double lambda);
+    U3Factors(double theta, double phi, double lambda);
 
-/** Derivative of u3 with respect to lambda. */
-Mat2 du3DLambda(double theta, double phi, double lambda);
+    /** u3(theta, phi, lambda). */
+    Mat2 matrix() const;
+
+    /** Derivative of u3 with respect to theta. */
+    Mat2 dTheta() const;
+
+    /** Derivative of u3 with respect to phi. */
+    Mat2 dPhi() const;
+
+    /** Derivative of u3 with respect to lambda. */
+    Mat2 dLambda() const;
+
+  private:
+    double c_ = 1.0, s_ = 0.0;
+    Complex e_lambda_{1.0}, e_phi_{1.0}, e_sum_{1.0};
+};
 
 /** Haar-random SU(2) element (via unit quaternion). */
 Mat2 randomSU2(Rng &rng);

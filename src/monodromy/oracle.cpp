@@ -7,7 +7,6 @@
 #include "opt/adam.hpp"
 #include "opt/lbfgs.hpp"
 #include "opt/multistart.hpp"
-#include "opt/nelder_mead.hpp"
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
@@ -16,25 +15,20 @@ namespace qbasis {
 
 namespace {
 
-/** ZYZ Euler rotation (always det +1). */
-Mat2
-zyz(double a, double b, double c)
-{
-    return rz(a) * ry(b) * rz(c);
-}
-
-/** Derivatives of the ZYZ rotation with respect to its angles. */
+/** ZYZ Euler rotation rz(a) ry(b) rz(c) (always det +1) and its
+ *  derivatives with respect to the three angles. */
 void
 zyzWithDerivs(double a, double b, double c, Mat2 &w, Mat2 da[3])
 {
     const Mat2 za = rz(a);
     const Mat2 yb = ry(b);
     const Mat2 zc = rz(c);
-    w = za * yb * zc;
+    const Mat2 zy = za * yb;
+    w = zy * zc;
     const Complex half(0.0, -0.5);
     da[0] = (pauliZ() * za * half) * yb * zc;
     da[1] = za * (pauliY() * yb * half) * zc;
-    da[2] = za * yb * (pauliZ() * zc * half);
+    da[2] = zy * (pauliZ() * zc * half);
 }
 
 /** Tr(G (x1 kron x0)). */
@@ -57,24 +51,27 @@ traceWithKron(const Mat4 &g, const Mat2 &x1, const Mat2 &x0)
  * middle local layers of the sandwich
  *   M(w) = (Q^dag B1) W1 (B2) W2 ... (Bn Q),
  * all fixed factors special so the product stays in SU(4).
+ * valueAndGrad's intermediates live in scratch vectors sized by
+ * makeChain(), so an evaluation allocates nothing.
  */
 struct Chain
 {
     std::vector<Mat4> factors; ///< n+1 fixed factors between locals.
     MakhlinInvariants target;
+    // Scratch: locals, their derivatives, and prefix/suffix products.
+    std::vector<Mat2> w1, w0;
+    std::vector<std::array<Mat2, 3>> d1, d0;
+    std::vector<Mat4> wk, prefix, suffix;
 
     size_t middles() const { return factors.size() - 1; }
 
     double
     valueAndGrad(const std::vector<double> &p,
-                 std::vector<double> &grad) const
+                 std::vector<double> &grad)
     {
         const size_t nw = middles();
 
         // Build locals with derivatives.
-        std::vector<Mat2> w1(nw), w0(nw);
-        std::vector<std::array<Mat2, 3>> d1(nw), d0(nw);
-        std::vector<Mat4> wk(nw);
         for (size_t j = 0; j < nw; ++j) {
             Mat2 da[3];
             zyzWithDerivs(p[6 * j], p[6 * j + 1], p[6 * j + 2], w1[j],
@@ -87,7 +84,6 @@ struct Chain
         }
 
         // Prefix products A_j = F0 W1 F1 ... W_j F_j.
-        std::vector<Mat4> prefix(nw + 1);
         prefix[0] = factors[0];
         for (size_t j = 0; j < nw; ++j)
             prefix[j + 1] = prefix[j] * wk[j] * factors[j + 1];
@@ -95,7 +91,6 @@ struct Chain
 
         // Suffix products R_j = F_j W_{j+1} F_{j+1} ... F_n
         // (everything right of W_j).
-        std::vector<Mat4> suffix(nw + 1);
         suffix[nw] = factors[nw];
         for (size_t j = nw; j-- > 1;)
             suffix[j] = factors[j] * wk[j] * suffix[j + 1];
@@ -145,29 +140,6 @@ struct Chain
         }
         return f;
     }
-
-    double
-    value(const std::vector<double> &p) const
-    {
-        const size_t nw = middles();
-        Mat4 m = factors[0];
-        for (size_t j = 0; j < nw; ++j) {
-            const Mat2 a = zyz(p[6 * j], p[6 * j + 1], p[6 * j + 2]);
-            const Mat2 b =
-                zyz(p[6 * j + 3], p[6 * j + 4], p[6 * j + 5]);
-            m = m * Mat4::kron(a, b) * factors[j + 1];
-        }
-        const Mat4 mtm = m.transpose() * m;
-        const Complex tr = mtm.trace();
-        Complex tr2{};
-        for (int i = 0; i < 4; ++i)
-            for (int j = 0; j < 4; ++j)
-                tr2 += mtm(i, j) * mtm(j, i);
-        MakhlinInvariants inv;
-        inv.g1 = tr * tr / 16.0;
-        inv.g2 = ((tr * tr - tr2) / 4.0).real();
-        return invariantDistanceSq(inv, target);
-    }
 };
 
 Chain
@@ -185,6 +157,14 @@ makeChain(const Mat4 &target, const std::vector<Mat4> &layers)
     for (size_t i = 1; i + 1 < layers.size(); ++i)
         chain.factors.push_back(layers[i].toSU4());
     chain.factors.push_back(layers.back().toSU4() * q);
+    const size_t nw = chain.middles();
+    chain.w1.resize(nw);
+    chain.w0.resize(nw);
+    chain.d1.resize(nw);
+    chain.d0.resize(nw);
+    chain.wk.resize(nw);
+    chain.prefix.resize(nw + 1);
+    chain.suffix.resize(nw + 1);
     return chain;
 }
 
@@ -194,7 +174,7 @@ double
 layeredResidual(const Mat4 &target, const std::vector<Mat4> &layers,
                 const OracleOptions &opts)
 {
-    const Chain chain = makeChain(target, layers);
+    Chain chain = makeChain(target, layers);
     const size_t dim = 6 * chain.middles();
 
     const auto grad_obj = [&chain](const std::vector<double> &x,

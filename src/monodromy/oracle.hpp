@@ -30,7 +30,10 @@ namespace qbasis {
 struct OracleOptions
 {
     int restarts = 8;            ///< Multistart count.
-    int nm_iters = 500;          ///< Nelder-Mead iterations per start.
+    /// L-BFGS steps per start, after nm_iters / 2 Adam steps. The
+    /// name is from the Nelder-Mead search it once bounded; its
+    /// value is mixed into the cache and depth-verdict keys.
+    int nm_iters = 500;
     double residual_tol = 1e-6;  ///< Feasible iff residual <= tol.
     uint64_t seed = 0x0bac1e5ull; ///< Deterministic search seed.
 };

@@ -5,7 +5,7 @@
  * @file
  * Process-wide cache of predictDepth() verdicts.
  *
- * The depth oracle is itself a multistart Nelder-Mead search, and
+ * The depth oracle is itself a multistart Adam + L-BFGS search, and
  * before this cache it reran once per class job -- every engine batch
  * and every serial synthesizeGate() paid the full oracle ladder even
  * when the (target class, basis, options) triple had been decided

@@ -317,7 +317,7 @@ BatchState::startJob(ClassJob &job)
  * verdict through the pool *before* the first job starts, instead of
  * serially at the head of each job's startJob. Jobs are distinct
  * Weyl classes by construction, so the batch's uncached verdicts
- * (each a multistart Nelder-Mead search) fan out across workers;
+ * (each a multistart Adam + L-BFGS search) fan out across workers;
  * repeat classes hit DepthOracleCache and concurrent batches dedupe
  * through its in-flight claims. Verdicts are pure functions of
  * (class, basis, options), so prefetching cannot change any result

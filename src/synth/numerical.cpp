@@ -28,7 +28,9 @@ namespace {
  * valueAndGrad performs no allocation: one objective instance is the
  * whole per-restart working set, and every product uses the fused
  * Kronecker kernels from linalg/mat4.hpp instead of materializing
- * 4x4 local operators.
+ * 4x4 local operators. Each local U3's trig and phase factors are
+ * computed once per evaluation and serve both the forward matrix and
+ * the backward pass's three partials.
  */
 class SynthObjective
 {
@@ -36,7 +38,8 @@ class SynthObjective
     SynthObjective(const Mat4 &target, const std::vector<Mat4> &layers)
         : target_(target), target_dag_(target.dagger()),
           layers_(layers), n_(static_cast<int>(layers.size())),
-          right_(n_ + 1), bright_(n_ + 1), u1_(n_ + 1), u0_(n_ + 1)
+          right_(n_ + 1), bright_(n_ + 1), u1_(n_ + 1), u0_(n_ + 1),
+          f1_(n_ + 1), f0_(n_ + 1)
     {
     }
 
@@ -52,8 +55,10 @@ class SynthObjective
         //   right[j]  = K_j bright[j]   (so right[n] = V).
         for (int j = 0; j <= n_; ++j) {
             const double *a = &p[6 * j];
-            u1_[j] = u3(a[0], a[1], a[2]);
-            u0_[j] = u3(a[3], a[4], a[5]);
+            f1_[j] = U3Factors(a[0], a[1], a[2]);
+            f0_[j] = U3Factors(a[3], a[4], a[5]);
+            u1_[j] = f1_[j].matrix();
+            u0_[j] = f0_[j].matrix();
         }
         right_[0] = Mat4::kron(u1_[0], u0_[0]);
         for (int j = 1; j <= n_; ++j) {
@@ -83,14 +88,13 @@ class SynthObjective
             kronTracePartialQ1(g_, u0_[j], s1_);
             kronTracePartialQ0(g_, u1_[j], s0_);
 
-            const double *a = &p[6 * j];
             const Complex dtr[6] = {
-                mat2ElementDot(du3DTheta(a[0], a[1], a[2]), s1_),
-                mat2ElementDot(du3DPhi(a[0], a[1], a[2]), s1_),
-                mat2ElementDot(du3DLambda(a[0], a[1], a[2]), s1_),
-                mat2ElementDot(du3DTheta(a[3], a[4], a[5]), s0_),
-                mat2ElementDot(du3DPhi(a[3], a[4], a[5]), s0_),
-                mat2ElementDot(du3DLambda(a[3], a[4], a[5]), s0_),
+                mat2ElementDot(f1_[j].dTheta(), s1_),
+                mat2ElementDot(f1_[j].dPhi(), s1_),
+                mat2ElementDot(f1_[j].dLambda(), s1_),
+                mat2ElementDot(f0_[j].dTheta(), s0_),
+                mat2ElementDot(f0_[j].dPhi(), s0_),
+                mat2ElementDot(f0_[j].dLambda(), s0_),
             };
             for (int k = 0; k < 6; ++k) {
                 grad[6 * j + k] =
@@ -115,6 +119,8 @@ class SynthObjective
     // Scratch (see class comment).
     std::vector<Mat4> right_, bright_;
     std::vector<Mat2> u1_, u0_;
+    // The forward pass's U3 factors, reread by the backward pass.
+    std::vector<U3Factors> f1_, f0_;
     Mat4 left_, tdl_, g_;
     Mat2 s1_, s0_;
 };
@@ -258,7 +264,7 @@ synthesizeGate(const Mat4 &target, const Mat4 &basis,
     int start = 1;
     if (opts.use_depth_prediction) {
         // Verdicts are cached process-wide: the oracle's multistart
-        // Nelder-Mead search runs once per (basis, options, class).
+        // Adam + L-BFGS search runs once per (basis, options, class).
         start = DepthOracleCache::shared().predict(
             target, basis, opts.max_layers, opts.oracle);
         if (start == 0)

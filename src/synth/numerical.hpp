@@ -8,7 +8,7 @@
  * Finds the local (1Q) layers that realize a target 2Q gate from a
  * fixed number of basis-gate applications by minimizing the trace
  * infidelity 1 - |Tr(T^dag V)|^2/16 with analytic gradients (Adam)
- * plus a Nelder-Mead polish. Following the paper's key optimization,
+ * plus an L-BFGS polish. Following the paper's key optimization,
  * the layer count starts at the analytically predicted feasible
  * depth instead of 1, which both speeds up synthesis and guarantees
  * depth-optimal results.
@@ -28,7 +28,7 @@ struct SynthOptions
     double target_infidelity = 1e-9; ///< Acceptable decomposition error.
     int restarts = 6;                ///< Random restarts per depth.
     int adam_iters = 700;            ///< Gradient steps per restart.
-    int polish_iters = 250;          ///< Nelder-Mead polish steps.
+    int polish_iters = 250;          ///< L-BFGS polish steps.
     bool use_depth_prediction = true; ///< Start at the analytic depth.
     uint64_t seed = 0x5399ull;       ///< Deterministic search seed.
     OracleOptions oracle;            ///< Oracle settings for depth.

@@ -4,13 +4,16 @@
  * eigensolvers (the block Jacobi solver byte for byte against the
  * dense loop, on the unit cell's static Hamiltonians among others,
  * and its row-restricted form against the full one),
- * simultaneous diagonalization, exponentials, SU(2) helpers, tensor
- * factorization, Haar sampling.
+ * simultaneous diagonalization, exponentials, SU(2) helpers (the U3
+ * factors byte for byte against the separate U3 and derivative
+ * formulas), tensor factorization, Haar sampling.
  */
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -31,6 +34,8 @@
 #include "sim/propagator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+
+#include "u3_reference.hpp"
 
 namespace qbasis {
 namespace {
@@ -820,20 +825,62 @@ TEST(Su2, U3AngleRoundTripEdgeCases)
 TEST(Su2, DerivativesMatchFiniteDifference)
 {
     const double t = 0.7, p = 1.1, l = -0.4, h = 1e-6;
-    const Mat2 dth = du3DTheta(t, p, l);
+    const U3Factors f(t, p, l);
+    const Mat2 dth = f.dTheta();
     const Mat2 fd_t =
         (u3(t + h, p, l) - u3(t - h, p, l)) * Complex(1.0 / (2 * h));
     EXPECT_LT(dth.maxAbsDiff(fd_t), 1e-8);
 
-    const Mat2 dph = du3DPhi(t, p, l);
+    const Mat2 dph = f.dPhi();
     const Mat2 fd_p =
         (u3(t, p + h, l) - u3(t, p - h, l)) * Complex(1.0 / (2 * h));
     EXPECT_LT(dph.maxAbsDiff(fd_p), 1e-8);
 
-    const Mat2 dla = du3DLambda(t, p, l);
+    const Mat2 dla = f.dLambda();
     const Mat2 fd_l =
         (u3(t, p, l + h) - u3(t, p, l - h)) * Complex(1.0 / (2 * h));
     EXPECT_LT(dla.maxAbsDiff(fd_l), 1e-8);
+}
+
+bool
+sameBytes(const Mat2 &a, const Mat2 &b)
+{
+    return std::memcmp(a.data(), b.data(), 4 * sizeof(Complex)) == 0;
+}
+
+TEST(Su2, U3FactorsMatchTheSeparateFormulasByteForByte)
+{
+    // Every triple of signed zeros, +-pi, subnormals and angles of
+    // magnitude up to 1e3, then random triples in the synthesis
+    // range and out to 1e3.
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const double special[] = {0.0,  -0.0,   kPi,      -kPi,
+                              tiny, -tiny,  1e-310,   -2.5e-320,
+                              1e3,  -1e3,   -777.125, 123.456789};
+    std::vector<std::array<double, 3>> angles;
+    for (double t : special)
+        for (double p : special)
+            for (double l : special)
+                angles.push_back({t, p, l});
+    Rng rng(502);
+    for (int i = 0; i < 1000; ++i) {
+        const double r = i % 2 ? kPi : 1e3;
+        angles.push_back({rng.uniform(-r, r), rng.uniform(-r, r),
+                          rng.uniform(-r, r)});
+    }
+
+    for (const auto &[t, p, l] : angles) {
+        const U3Factors f(t, p, l);
+        SCOPED_TRACE(::testing::Message()
+                     << std::hexfloat << "theta " << t << " phi " << p
+                     << " lambda " << l);
+        ASSERT_TRUE(sameBytes(f.matrix(), u3(t, p, l)));
+        ASSERT_TRUE(sameBytes(f.matrix(), reference::u3(t, p, l)));
+        ASSERT_TRUE(sameBytes(f.dTheta(), reference::du3DTheta(t, p, l)));
+        ASSERT_TRUE(sameBytes(f.dPhi(), reference::du3DPhi(t, p, l)));
+        ASSERT_TRUE(
+            sameBytes(f.dLambda(), reference::du3DLambda(t, p, l)));
+    }
 }
 
 TEST(Factor, ExactTensorProductRecovered)
