@@ -529,7 +529,7 @@ main(int argc, char **argv)
     const double warm_hit_rate =
         warm_driver.cacheManifest().warmHitRate();
     const bool results_match =
-        compilePassesBitIdentical(cold.pass, warm.pass);
+        canonicalBytes(cold.pass) == canonicalBytes(warm.pass);
     const double speedup =
         warm.wall_ms > 0.0 ? cold.wall_ms / warm.wall_ms : 0.0;
 

@@ -351,10 +351,9 @@ runFaulted(const BenchConfig &cfg, int shards,
                                       circuits, verify, &fb.plan);
     fb.health_digest = healthReportDigest(fb.run.post.health);
     fb.replay_identical =
-        healthReportsBitIdentical(fb.run.post.health,
-                                  replay.post.health)
-        && fb.health_digest == healthReportDigest(replay.post.health)
-        && recalibReportsBitIdentical(fb.run.post, replay.post);
+        canonicalBytes(fb.run.post.health)
+            == canonicalBytes(replay.post.health)
+        && canonicalBytes(fb.run.post) == canonicalBytes(replay.post);
     fb.served_last_good = quarantinedServedLastGood(fb.run.post)
                           && quarantinedServedLastGood(replay.post);
     return fb;
@@ -536,7 +535,7 @@ main(int argc, char **argv)
     }
 
     const bool results_match =
-        recalibReportsBitIdentical(sync.post, async_r.post);
+        canonicalBytes(sync.post) == canonicalBytes(async_r.post);
     const double speedup =
         async_r.wall_ms > 0.0 ? sync.wall_ms / async_r.wall_ms : 0.0;
 

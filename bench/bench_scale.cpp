@@ -400,7 +400,7 @@ runDeterminism(const PointSpec &spec, int threads)
     det.wall_b_ms = sinceMs(t0);
 
     // Identical-but-failed runs do not count as determinism.
-    det.results_match = fleetReportsBitIdentical(ra, rb)
+    det.results_match = canonicalBytes(ra) == canonicalBytes(rb)
                         && ra.failedDevices() == 0
                         && rb.failedDevices() == 0;
     det.report_digest = fleetReportDigest(ra);

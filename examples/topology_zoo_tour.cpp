@@ -29,7 +29,7 @@ main()
 
     // 1. The heavy-hex ladder bench_scale climbs.
     std::printf("heavy-hex lattices (degree <= 3 everywhere):\n");
-    for (const auto [rows, cols] :
+    for (const auto &[rows, cols] :
          {std::pair{1, 1}, {2, 2}, {2, 4}, {3, 6}, {4, 9}}) {
         const CouplingMap cm = CouplingMap::heavyHex(rows, cols);
         size_t max_degree = 0;

@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/api.hpp"
+#include "util/bytes.hpp"
 #include "util/fault.hpp"
 #include "util/fnv.hpp"
 #include "util/logging.hpp"
@@ -42,55 +43,44 @@ struct FleetMetrics
     }
 };
 
-bool
-mat4BitIdentical(const Mat4 &a, const Mat4 &b)
+void
+putSummary(std::vector<uint8_t> &buf, const GateSetSummary &s)
 {
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            if (a(i, j).real() != b(i, j).real()
-                || a(i, j).imag() != b(i, j).imag())
-                return false;
-        }
+    putString(buf, s.label);
+    putF64(buf, s.avg_basis_ns);
+    putF64(buf, s.avg_swap_ns);
+    putF64(buf, s.avg_cnot_ns);
+    putF64(buf, s.avg_basis_fidelity);
+    putF64(buf, s.avg_swap_fidelity);
+    putF64(buf, s.avg_cnot_fidelity);
+    putF64(buf, s.avg_swap_layers);
+    putF64(buf, s.avg_cnot_layers);
+    putF64(buf, s.one_q_share_swap);
+    putF64(buf, s.max_decomposition_infidelity);
+}
+
+void
+putEdgeCalibration(std::vector<uint8_t> &buf, const EdgeCalibration &e)
+{
+    putI64(buf, e.edge_id);
+    putF64(buf, e.xi);
+    putF64(buf, e.omega_d);
+    putF64(buf, e.omega_c0);
+    putF64(buf, e.zz_residual);
+    putU64(buf, e.calibrated_cycle);
+    putF64(buf, e.gate.duration_ns);
+    putMat4(buf, e.gate.gate);
+}
+
+void
+putCircuits(std::vector<uint8_t> &buf,
+            const std::vector<FleetCircuitResult> &circuits)
+{
+    putU64(buf, circuits.size());
+    for (const FleetCircuitResult &c : circuits) {
+        putString(buf, c.name);
+        putCircuitResult(buf, c.result);
     }
-    return true;
-}
-
-bool
-summariesBitIdentical(const GateSetSummary &a, const GateSetSummary &b)
-{
-    return a.label == b.label && a.avg_basis_ns == b.avg_basis_ns
-           && a.avg_swap_ns == b.avg_swap_ns
-           && a.avg_cnot_ns == b.avg_cnot_ns
-           && a.avg_basis_fidelity == b.avg_basis_fidelity
-           && a.avg_swap_fidelity == b.avg_swap_fidelity
-           && a.avg_cnot_fidelity == b.avg_cnot_fidelity
-           && a.avg_swap_layers == b.avg_swap_layers
-           && a.avg_cnot_layers == b.avg_cnot_layers
-           && a.one_q_share_swap == b.one_q_share_swap
-           && a.max_decomposition_infidelity
-                  == b.max_decomposition_infidelity;
-}
-
-bool
-circuitResultsBitIdentical(const CompiledCircuitResult &a,
-                           const CompiledCircuitResult &b)
-{
-    return a.fidelity == b.fidelity && a.makespan_ns == b.makespan_ns
-           && a.swaps_inserted == b.swaps_inserted
-           && a.two_qubit_gates == b.two_qubit_gates
-           && a.depth == b.depth;
-}
-
-bool
-edgeCalibrationsBitIdentical(const EdgeCalibration &a,
-                             const EdgeCalibration &b)
-{
-    return a.edge_id == b.edge_id && a.xi == b.xi
-           && a.omega_d == b.omega_d && a.omega_c0 == b.omega_c0
-           && a.zz_residual == b.zz_residual
-           && a.calibrated_cycle == b.calibrated_cycle
-           && a.gate.duration_ns == b.gate.duration_ns
-           && mat4BitIdentical(a.gate.gate, b.gate.gate);
 }
 
 /** Build the unified compile request for one fleet circuit. */
@@ -112,227 +102,110 @@ fleetRequest(const FleetOptions &opts, const FleetCircuit &fc,
 
 } // namespace
 
-bool
-recalibReportsBitIdentical(const RecalibCycleReport &a,
-                           const RecalibCycleReport &b)
+std::vector<uint8_t>
+canonicalBytes(const RecalibCycleReport &report)
 {
-    if (a.cycle != b.cycle || a.devices.size() != b.devices.size())
-        return false;
-    for (size_t d = 0; d < a.devices.size(); ++d) {
-        const RecalibDeviceCycle &da = a.devices[d];
-        const RecalibDeviceCycle &db = b.devices[d];
-        if (da.device_id != db.device_id
-            || da.calibration_version != db.calibration_version
-            || da.edges.size() != db.edges.size()
-            || da.bases.size() != db.bases.size()
-            || da.verify.size() != db.verify.size())
-            return false;
-        for (size_t e = 0; e < da.edges.size(); ++e) {
-            if (!edgeCalibrationsBitIdentical(da.edges[e],
-                                              db.edges[e]))
-                return false;
+    std::vector<uint8_t> buf;
+    putU64(buf, report.cycle);
+    putU64(buf, report.devices.size());
+    for (const RecalibDeviceCycle &d : report.devices) {
+        putI64(buf, d.device_id);
+        putU64(buf, d.calibration_version);
+        putU64(buf, d.edges.size());
+        for (const EdgeCalibration &e : d.edges)
+            putEdgeCalibration(buf, e);
+        putU64(buf, d.bases.size());
+        for (const EdgeBasis &b : d.bases) {
+            putF64(buf, b.duration_ns);
+            putString(buf, b.label);
+            putMat4(buf, b.gate);
         }
-        for (size_t e = 0; e < da.bases.size(); ++e) {
-            if (da.bases[e].duration_ns != db.bases[e].duration_ns
-                || da.bases[e].label != db.bases[e].label
-                || !mat4BitIdentical(da.bases[e].gate,
-                                     db.bases[e].gate))
-                return false;
-        }
-        for (size_t c = 0; c < da.verify.size(); ++c) {
-            if (da.verify[c].name != db.verify[c].name
-                || !circuitResultsBitIdentical(da.verify[c].result,
-                                               db.verify[c].result))
-                return false;
-        }
+        putCircuits(buf, d.verify);
     }
-    return true;
+    return buf;
 }
 
-bool
-healthReportsBitIdentical(const HealthReport &a, const HealthReport &b)
+std::vector<uint8_t>
+canonicalBytes(const HealthReport &report)
 {
-    if (a.stage_retries != b.stage_retries
-        || a.contained_errors != b.contained_errors
-        || a.quarantine_skipped != b.quarantine_skipped
-        || a.synth_restarts_failed != b.synth_restarts_failed
-        || a.cache_quarantines != b.cache_quarantines
-        || a.last_cache_quarantine != b.last_cache_quarantine
-        || a.max_stale_cycles != b.max_stale_cycles
-        || a.device_failures != b.device_failures
-        || a.first_device_error != b.first_device_error
-        || a.quarantined.size() != b.quarantined.size())
-        return false;
-    for (size_t i = 0; i < a.quarantined.size(); ++i) {
-        const EdgeQuarantine &qa = a.quarantined[i];
-        const EdgeQuarantine &qb = b.quarantined[i];
-        if (qa.device_id != qb.device_id || qa.edge_id != qb.edge_id
-            || qa.since_cycle != qb.since_cycle
-            || qa.release_cycle != qb.release_cycle
-            || qa.failures != qb.failures || qa.error != qb.error
-            || qa.stale_cycles != qb.stale_cycles)
-            return false;
+    std::vector<uint8_t> buf;
+    putU64(buf, report.stage_retries);
+    putU64(buf, report.contained_errors);
+    putU64(buf, report.quarantine_skipped);
+    putU64(buf, report.synth_restarts_failed);
+    putU64(buf, report.cache_quarantines);
+    putString(buf, report.last_cache_quarantine);
+    putU64(buf, report.max_stale_cycles);
+    putU64(buf, report.device_failures);
+    putString(buf, report.first_device_error);
+    putU64(buf, report.quarantined.size());
+    for (const EdgeQuarantine &q : report.quarantined) {
+        putI64(buf, q.device_id);
+        putI64(buf, q.edge_id);
+        putU64(buf, q.since_cycle);
+        putU64(buf, q.release_cycle);
+        putU64(buf, q.failures);
+        putString(buf, q.error);
+        putU64(buf, q.stale_cycles);
     }
-    return true;
+    return buf;
 }
 
 uint64_t
 healthReportDigest(const HealthReport &report)
 {
-    // Mixes exactly the fields healthReportsBitIdentical (above)
-    // compares; extend both together.
-    Fnv64 fnv;
-    fnv.mix(report.stage_retries);
-    fnv.mix(report.contained_errors);
-    fnv.mix(report.quarantine_skipped);
-    fnv.mix(report.synth_restarts_failed);
-    fnv.mix(report.cache_quarantines);
-    fnv.mix(report.last_cache_quarantine.size());
-    fnv.mixString(report.last_cache_quarantine);
-    fnv.mix(report.max_stale_cycles);
-    fnv.mix(report.device_failures);
-    fnv.mix(report.first_device_error.size());
-    fnv.mixString(report.first_device_error);
-    fnv.mix(report.quarantined.size());
-    for (const EdgeQuarantine &q : report.quarantined) {
-        fnv.mix(static_cast<uint64_t>(q.device_id));
-        fnv.mix(static_cast<uint64_t>(q.edge_id));
-        fnv.mix(q.since_cycle);
-        fnv.mix(q.release_cycle);
-        fnv.mix(q.failures);
-        fnv.mix(q.error.size());
-        fnv.mixString(q.error);
-        fnv.mix(q.stale_cycles);
-    }
-    return fnv.h;
+    return fnv64(canonicalBytes(report));
 }
 
-bool
-compilePassesBitIdentical(const FleetCompilePass &a,
-                          const FleetCompilePass &b)
+std::vector<uint8_t>
+canonicalBytes(const FleetCompilePass &pass)
 {
-    if (a.results.size() != b.results.size())
-        return false;
-    for (size_t d = 0; d < a.results.size(); ++d) {
-        if (a.results[d].size() != b.results[d].size())
-            return false;
-        for (size_t c = 0; c < a.results[d].size(); ++c) {
-            const VersionedCompileResult &ra = a.results[d][c];
-            const VersionedCompileResult &rb = b.results[d][c];
-            if (ra.basis_version != rb.basis_version
-                || !circuitResultsBitIdentical(ra.result, rb.result))
-                return false;
+    std::vector<uint8_t> buf;
+    putU64(buf, pass.results.size());
+    for (const auto &device : pass.results) {
+        putU64(buf, device.size());
+        for (const VersionedCompileResult &r : device) {
+            putU64(buf, r.basis_version);
+            putCircuitResult(buf, r.result);
         }
     }
-    return true;
+    return buf;
 }
 
 uint64_t
 compilePassDigest(const FleetCompilePass &pass)
 {
-    // Mixes exactly the fields compilePassesBitIdentical (via
-    // circuitResultsBitIdentical, above) compares; extend both
-    // together when CompiledCircuitResult grows a scored field.
-    Fnv64 fnv;
-    for (const auto &device : pass.results) {
-        for (const VersionedCompileResult &r : device) {
-            fnv.mix(r.basis_version);
-            fnv.mixDouble(r.result.fidelity);
-            fnv.mixDouble(r.result.makespan_ns);
-            fnv.mix(static_cast<uint64_t>(r.result.swaps_inserted));
-            fnv.mix(static_cast<uint64_t>(r.result.two_qubit_gates));
-            fnv.mix(static_cast<uint64_t>(r.result.depth));
-        }
-    }
-    return fnv.h;
+    return fnv64(canonicalBytes(pass));
 }
 
-bool
-fleetReportsBitIdentical(const FleetReport &a, const FleetReport &b)
+std::vector<uint8_t>
+canonicalBytes(const FleetReport &report)
 {
-    if (a.devices.size() != b.devices.size())
-        return false;
-    for (size_t d = 0; d < a.devices.size(); ++d) {
-        const FleetDeviceReport &da = a.devices[d];
-        const FleetDeviceReport &db = b.devices[d];
-        if (da.device_id != db.device_id || da.label != db.label)
-            return false;
-        if (da.set.bases.size() != db.set.bases.size())
-            return false;
-        for (size_t e = 0; e < da.set.bases.size(); ++e) {
-            if (da.set.bases[e].duration_ns
-                    != db.set.bases[e].duration_ns
-                || !mat4BitIdentical(da.set.bases[e].gate,
-                                     db.set.bases[e].gate))
-                return false;
+    std::vector<uint8_t> buf;
+    putU64(buf, report.devices.size());
+    for (const FleetDeviceReport &d : report.devices) {
+        putI64(buf, d.device_id);
+        putString(buf, d.label);
+        putU64(buf, d.set.bases.size());
+        for (const EdgeBasis &b : d.set.bases) {
+            putF64(buf, b.duration_ns);
+            putMat4(buf, b.gate);
         }
-        for (size_t e = 0; e < da.set.edges.size(); ++e) {
-            const EdgeCalibration &ea = da.set.edges[e];
-            const EdgeCalibration &eb = db.set.edges[e];
-            if (ea.omega_d != eb.omega_d
-                || ea.gate.duration_ns != eb.gate.duration_ns)
-                return false;
+        putU64(buf, d.set.edges.size());
+        for (const EdgeCalibration &e : d.set.edges) {
+            putF64(buf, e.omega_d);
+            putF64(buf, e.gate.duration_ns);
         }
-        if (!summariesBitIdentical(da.summary, db.summary))
-            return false;
-        if (da.circuits.size() != db.circuits.size())
-            return false;
-        for (size_t c = 0; c < da.circuits.size(); ++c) {
-            if (da.circuits[c].name != db.circuits[c].name
-                || !circuitResultsBitIdentical(da.circuits[c].result,
-                                               db.circuits[c].result))
-                return false;
-        }
+        putSummary(buf, d.summary);
+        putCircuits(buf, d.circuits);
     }
-    return true;
+    return buf;
 }
 
 uint64_t
 fleetReportDigest(const FleetReport &report)
 {
-    // Mixes exactly the fields fleetReportsBitIdentical (above)
-    // compares; extend both together.
-    Fnv64 fnv;
-    const auto mix_mat4 = [&fnv](const Mat4 &m) {
-        for (int i = 0; i < 4; ++i) {
-            for (int j = 0; j < 4; ++j) {
-                fnv.mixDouble(m(i, j).real());
-                fnv.mixDouble(m(i, j).imag());
-            }
-        }
-    };
-    for (const FleetDeviceReport &d : report.devices) {
-        fnv.mix(static_cast<uint64_t>(d.device_id));
-        fnv.mixString(d.label);
-        for (const EdgeBasis &b : d.set.bases) {
-            fnv.mixDouble(b.duration_ns);
-            mix_mat4(b.gate);
-        }
-        for (const EdgeCalibration &e : d.set.edges) {
-            fnv.mixDouble(e.omega_d);
-            fnv.mixDouble(e.gate.duration_ns);
-        }
-        fnv.mixString(d.summary.label);
-        fnv.mixDouble(d.summary.avg_basis_ns);
-        fnv.mixDouble(d.summary.avg_swap_ns);
-        fnv.mixDouble(d.summary.avg_cnot_ns);
-        fnv.mixDouble(d.summary.avg_basis_fidelity);
-        fnv.mixDouble(d.summary.avg_swap_fidelity);
-        fnv.mixDouble(d.summary.avg_cnot_fidelity);
-        fnv.mixDouble(d.summary.avg_swap_layers);
-        fnv.mixDouble(d.summary.avg_cnot_layers);
-        fnv.mixDouble(d.summary.one_q_share_swap);
-        fnv.mixDouble(d.summary.max_decomposition_infidelity);
-        for (const FleetCircuitResult &c : d.circuits) {
-            fnv.mixString(c.name);
-            fnv.mixDouble(c.result.fidelity);
-            fnv.mixDouble(c.result.makespan_ns);
-            fnv.mix(static_cast<uint64_t>(c.result.swaps_inserted));
-            fnv.mix(static_cast<uint64_t>(c.result.two_qubit_gates));
-            fnv.mix(static_cast<uint64_t>(c.result.depth));
-        }
-    }
-    return fnv.h;
+    return fnv64(canonicalBytes(report));
 }
 
 FleetDriver::FleetDriver(FleetOptions opts)

@@ -20,9 +20,14 @@
  * the shared cache, whose published entries are pure functions of
  * (class gate, basis, options) with derived RNG streams. Reports are
  * therefore bit-identical for a fixed seed at 1 shard and at N
- * shards; see fleetReportsBitIdentical(), which the bench and tests
- * gate on. Per-device drift streams derive from the fleet seed via
+ * shards. Per-device drift streams derive from the fleet seed via
  * Rng::deriveSeed(seed, device_id), independent of shard layout.
+ *
+ * Each report type a determinism contract compares has one encoder,
+ * canonicalBytes() (util/bytes.hpp writers; every list and string
+ * length-prefixed). Equality is equality of those bytes, and each
+ * *Digest() is FNV-64 over the same bytes, so the comparison and the
+ * digest cannot cover different fields.
  */
 
 #include <atomic>
@@ -149,20 +154,19 @@ struct FleetReport
 };
 
 /**
- * True when two reports are bit-identical in every result field
- * (basis matrices, durations, summaries, circuit scores). This is
- * the determinism contract the bench gates on: a fixed-seed fleet
- * must produce equal reports at 1 shard and at N shards.
+ * Canonical bytes of every result field of a report: per device its
+ * id, label, basis durations and matrices, calibrated drive
+ * frequencies and gate durations, summary and circuit scores.
+ * Statuses, cache stats, shard count and wall time are left out.
+ * This is the determinism contract the bench gates on: a fixed-seed
+ * fleet must produce equal bytes at 1 shard and at N shards.
  */
-bool fleetReportsBitIdentical(const FleetReport &a,
-                              const FleetReport &b);
+std::vector<uint8_t> canonicalBytes(const FleetReport &report);
 
 /**
- * FNV-64 digest over exactly the fields fleetReportsBitIdentical
- * compares (defined beside it so the two can never drift apart).
- * The simd-determinism CI job runs the fleet smoke under
- * forced-scalar and auto-dispatch kernel backends and diffs this
- * digest for bit-identity.
+ * FNV-64 over canonicalBytes(report). The simd-determinism CI job
+ * runs the fleet smoke under forced-scalar and auto-dispatch kernel
+ * backends and diffs this digest for bit-identity.
  */
 uint64_t fleetReportDigest(const FleetReport &report);
 
@@ -258,10 +262,11 @@ struct RecalibDeviceCycle
  * Failure-domain accounting of one serving fleet, reported per cycle.
  *
  * Like CacheManifest, this is *excluded* from the bit-identical
- * contract over fault-free runs (recalibReportsBitIdentical ignores
- * it); its own determinism contract is weaker but still exact: for a
- * fixed fault seed, two runs produce bit-identical HealthReports
- * (healthReportsBitIdentical / healthReportDigest).
+ * contract over fault-free runs (a RecalibCycleReport's canonical
+ * bytes leave it out); its own determinism contract is weaker but
+ * still exact: for a fixed fault seed, two runs produce equal
+ * canonicalBytes(const HealthReport &) (and so equal
+ * healthReportDigest).
  */
 struct HealthReport
 {
@@ -290,15 +295,13 @@ struct HealthReport
     std::string first_device_error;
 };
 
-/** Bitwise equality of two health reports -- the fixed-fault-seed
- *  replay contract (fault-free runs trivially satisfy it with empty
- *  reports). */
-bool healthReportsBitIdentical(const HealthReport &a,
-                               const HealthReport &b);
+/** Canonical bytes of every field of a health report -- the
+ *  fixed-fault-seed replay contract (fault-free runs trivially
+ *  satisfy it with empty reports). */
+std::vector<uint8_t> canonicalBytes(const HealthReport &report);
 
-/** FNV-64 digest over exactly the fields healthReportsBitIdentical
- *  compares (defined beside it so the two can never drift apart);
- *  bench_recalib --faults diffs this across replayed runs. */
+/** FNV-64 over canonicalBytes(report); bench_recalib --faults diffs
+ *  this across replayed runs. */
 uint64_t healthReportDigest(const HealthReport &report);
 
 /**
@@ -319,29 +322,29 @@ struct RecalibCycleReport
     CacheManifest cache;
     /** Failure-domain accounting. Excluded from the bit-identical
      *  contract like `cache` (fault-free runs keep it empty); gated
-     *  separately by healthReportsBitIdentical under a fixed fault
+     *  separately by its own canonical bytes under a fixed fault
      *  seed. */
     HealthReport health;
 };
 
-/** Bitwise equality of two post-cycle reports (the CacheManifest is
- *  excluded; see RecalibCycleReport::cache). */
-bool recalibReportsBitIdentical(const RecalibCycleReport &a,
-                                const RecalibCycleReport &b);
+/** Canonical bytes of a post-cycle report: the cycle, then per
+ *  device its id and calibration version, each edge's calibration
+ *  (id, xi, drive and coupler frequencies, ZZ residual, cycle, gate
+ *  duration and matrix), the bases (duration, label, matrix) and the
+ *  verification scores. `cache` and `health` are left out (see
+ *  RecalibCycleReport). */
+std::vector<uint8_t> canonicalBytes(const RecalibCycleReport &report);
 
-/** Bitwise equality of two compile passes' results (per-cell scores
- *  and served calibration versions; wall/wait times excluded). The
- *  warm-start contract gates on this: a fleet compilation restored
- *  from a snapshot must reproduce the cold pass exactly. */
-bool compilePassesBitIdentical(const FleetCompilePass &a,
-                               const FleetCompilePass &b);
+/** Canonical bytes of a compile pass's results: per cell the served
+ *  calibration version and the scores, wall and wait times left out.
+ *  The warm-start contract gates on this: a fleet compilation
+ *  restored from a snapshot must reproduce the cold pass exactly. */
+std::vector<uint8_t> canonicalBytes(const FleetCompilePass &pass);
 
 /**
- * FNV-64 digest over exactly the fields compilePassesBitIdentical
- * compares (defined beside it so the two can never drift apart).
- * The CI persist-roundtrip job writes this next to the snapshot and
- * a later process asserts equality -- the cross-process form of the
- * bit-identical contract.
+ * FNV-64 over canonicalBytes(pass). The CI persist-roundtrip job
+ * writes this next to the snapshot and a later process asserts
+ * equality -- the cross-process form of the bit-identical contract.
  */
 uint64_t compilePassDigest(const FleetCompilePass &pass);
 

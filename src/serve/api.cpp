@@ -6,6 +6,7 @@
 #include "circuit/schedule.hpp"
 #include "noise/coherence.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/fnv.hpp"
 
 namespace qbasis {
@@ -24,36 +25,33 @@ compileStatusName(CompileStatus status)
     return "unknown";
 }
 
-bool
-compileResponsesBitIdentical(const CompileResponse &a,
-                             const CompileResponse &b)
+void
+putCircuitResult(std::vector<uint8_t> &buf,
+                 const CompiledCircuitResult &result)
 {
-    return a.request_id == b.request_id && a.status == b.status
-           && a.error == b.error && a.basis_epoch == b.basis_epoch
-           && a.result.fidelity == b.result.fidelity
-           && a.result.makespan_ns == b.result.makespan_ns
-           && a.result.swaps_inserted == b.result.swaps_inserted
-           && a.result.two_qubit_gates == b.result.two_qubit_gates
-           && a.result.depth == b.result.depth;
+    putF64(buf, result.fidelity);
+    putF64(buf, result.makespan_ns);
+    putU64(buf, static_cast<uint64_t>(result.swaps_inserted));
+    putU64(buf, static_cast<uint64_t>(result.two_qubit_gates));
+    putI64(buf, result.depth);
+}
+
+std::vector<uint8_t>
+canonicalBytes(const CompileResponse &resp)
+{
+    std::vector<uint8_t> buf;
+    putU64(buf, resp.request_id);
+    putU64(buf, static_cast<uint64_t>(resp.status));
+    putString(buf, resp.error);
+    putU64(buf, resp.basis_epoch);
+    putCircuitResult(buf, resp.result);
+    return buf;
 }
 
 uint64_t
 compileResponseDigest(const CompileResponse &resp)
 {
-    // Mixes exactly the fields compileResponsesBitIdentical (above)
-    // compares; extend both together.
-    Fnv64 fnv;
-    fnv.mix(resp.request_id);
-    fnv.mix(static_cast<uint64_t>(resp.status));
-    fnv.mix(resp.error.size());
-    fnv.mixString(resp.error);
-    fnv.mix(resp.basis_epoch);
-    fnv.mixDouble(resp.result.fidelity);
-    fnv.mixDouble(resp.result.makespan_ns);
-    fnv.mix(static_cast<uint64_t>(resp.result.swaps_inserted));
-    fnv.mix(static_cast<uint64_t>(resp.result.two_qubit_gates));
-    fnv.mix(static_cast<uint64_t>(resp.result.depth));
-    return fnv.h;
+    return fnv64(canonicalBytes(resp));
 }
 
 uint64_t

@@ -14,13 +14,15 @@
  *
  * Determinism contract: a CompileResponse is a pure function of
  * (CompileRequest, calibrated basis set at the served epoch,
- * SynthOptions seed). The per-request digest below is the enforcement
- * handle — same request + same basis epoch must produce bit-identical
- * responses regardless of how requests interleave.
+ * SynthOptions seed). Its canonical bytes and their digest below are
+ * the enforcement handle — same request + same basis epoch must
+ * produce bit-identical responses regardless of how requests
+ * interleave.
  */
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/recalib.hpp"
 #include "synth/plan_cache.hpp"
@@ -28,9 +30,9 @@
 namespace qbasis {
 
 /** Which plan-cache tier served a request. Diagnostic only:
- *  deliberately excluded from compileResponseDigest, because the
- *  determinism contract requires plan-hit and plan-miss responses to
- *  stay bit-identical. */
+ *  deliberately left out of a response's canonical bytes, because
+ *  the determinism contract requires plan-hit and plan-miss
+ *  responses to stay bit-identical. */
 enum class PlanServePath : int
 {
     None = 0,   ///< Full pipeline (miss, or plan cache off).
@@ -93,28 +95,34 @@ struct CompileResponse
     double snapshot_wait_ms = 0.0; ///< Snapshot acquisition wall time.
     double queue_ms = 0.0;   ///< Admission-to-dispatch wall time.
     double compile_ms = 0.0; ///< Pipeline wall time.
-    /** Plan-cache disposition (diagnostic; not in the digest). */
+    /** Plan-cache disposition (diagnostic; not in the canonical
+     *  bytes). */
     PlanServePath plan_path = PlanServePath::None;
     CompiledCircuitResult result; ///< Valid only when status == Ok.
 };
 
 /**
- * Bitwise comparison of the deterministic payload of two responses:
- * request_id, status, error, basis_epoch, and every result field.
- * Wall-clock fields (queue/compile/snapshot times) are excluded —
- * they are measurements, not results. Extend together with
- * compileResponseDigest.
+ * Canonical bytes (util/bytes.hpp) of the deterministic payload of a
+ * response: request_id, status, error, basis_epoch, and every result
+ * field. The wall-clock fields (queue/compile/snapshot times) are
+ * measurements, not results, and plan_path is diagnostic, so both
+ * are left out. Two responses are bit-identical exactly when their
+ * bytes are equal.
  */
-bool compileResponsesBitIdentical(const CompileResponse &a,
-                                  const CompileResponse &b);
+std::vector<uint8_t> canonicalBytes(const CompileResponse &resp);
 
 /**
- * FNV-64 digest over exactly the fields compileResponsesBitIdentical
- * compares. Two responses are bit-identical iff digests match (up to
- * FNV collisions); the serve determinism tests and bench_serve gate
- * on this. Extend together with compileResponsesBitIdentical.
+ * FNV-64 over canonicalBytes(resp). The serve determinism tests,
+ * bench_serve and the repository benchmark's verification digest
+ * gate on it.
  */
 uint64_t compileResponseDigest(const CompileResponse &resp);
+
+/** Append the scored fields of a compiled circuit: fidelity,
+ *  makespan, inserted SWAPs, 2Q gates and depth. Every canonical
+ *  encoding that holds a CompiledCircuitResult writes it with this. */
+void putCircuitResult(std::vector<uint8_t> &buf,
+                      const CompiledCircuitResult &result);
 
 /**
  * Structural fingerprint of a request: request_id, device, name,

@@ -33,9 +33,10 @@
  * Determinism contract (verified in tests/test_serve and gated by
  * bench_serve): a CompileResponse is a pure function of the
  * CompileRequest and the basis epoch it was served at — same request
- * + same epoch give bit-identical responses (compileResponseDigest)
- * regardless of arrival order, client thread, queue depth, or which
- * dispatcher picked the request up. Across an epoch swap, responses
+ * + same epoch give bit-identical responses (equal canonicalBytes,
+ * so equal compileResponseDigest; see serve/api.hpp) regardless of
+ * arrival order, client thread, queue depth, or which dispatcher
+ * picked the request up. Across an epoch swap, responses
  * legitimately change and carry the new epoch.
  *
  * Fault site: `serve.admit` (keyed by compileRequestFingerprint, so

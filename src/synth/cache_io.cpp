@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "util/bytes.hpp"
+
 namespace qbasis {
 
 namespace {
@@ -20,59 +22,6 @@ constexpr size_t kPlanFixedBytes = 48;
  *  device, low enough that a crafted record cannot make the replay
  *  validator allocate absurd scratch. */
 constexpr uint64_t kMaxPlanQubits = 1u << 20;
-
-// -- Little-endian primitives ------------------------------------------------
-
-void
-putU32(std::vector<uint8_t> &buf, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &buf, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putI64(std::vector<uint8_t> &buf, int64_t v)
-{
-    putU64(buf, static_cast<uint64_t>(v));
-}
-
-void
-putF64(std::vector<uint8_t> &buf, double v)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double width");
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(buf, bits);
-}
-
-void
-putMat2(std::vector<uint8_t> &buf, const Mat2 &m)
-{
-    for (int r = 0; r < 2; ++r) {
-        for (int c = 0; c < 2; ++c) {
-            putF64(buf, m(r, c).real());
-            putF64(buf, m(r, c).imag());
-        }
-    }
-}
-
-void
-putMat4(std::vector<uint8_t> &buf, const Mat4 &m)
-{
-    for (int r = 0; r < 4; ++r) {
-        for (int c = 0; c < 4; ++c) {
-            putF64(buf, m(r, c).real());
-            putF64(buf, m(r, c).imag());
-        }
-    }
-}
 
 /** Bounds-checked little-endian reader over a byte range. */
 struct Cursor
@@ -219,6 +168,25 @@ cacheEntryEncodedBytes(const TwoQubitDecomposition &dec)
            + dec.basis.size() * 256;
 }
 
+std::vector<uint8_t>
+canonicalBytes(const TwoQubitDecomposition &dec)
+{
+    std::vector<uint8_t> payload;
+    payload.reserve(cacheEntryEncodedBytes(dec));
+    putU32(payload, static_cast<uint32_t>(dec.locals.size()));
+    putU32(payload, static_cast<uint32_t>(dec.basis.size()));
+    putF64(payload, dec.phase.real());
+    putF64(payload, dec.phase.imag());
+    putF64(payload, dec.infidelity);
+    for (const LocalPair &lp : dec.locals) {
+        putMat2(payload, lp.q1);
+        putMat2(payload, lp.q0);
+    }
+    for (const Mat4 &b : dec.basis)
+        putMat4(payload, b);
+    return payload;
+}
+
 size_t
 cacheSnapshotEncodedBytes(size_t entries, size_t payload_bytes)
 {
@@ -282,26 +250,14 @@ encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
     index.reserve(entries.size() * kIndexEntryBytes);
     for (const CacheSnapshotEntry &e : entries) {
         const DecompositionCache::ClassKey &key = e.first;
-        const TwoQubitDecomposition &dec = e.second;
+        const std::vector<uint8_t> blob = canonicalBytes(e.second);
         putU64(index, key.context);
         putI64(index, key.qx);
         putI64(index, key.qy);
         putI64(index, key.qz);
         putU64(index, static_cast<uint64_t>(payload.size()));
-        putU64(index,
-               static_cast<uint64_t>(cacheEntryEncodedBytes(dec)));
-
-        putU32(payload, static_cast<uint32_t>(dec.locals.size()));
-        putU32(payload, static_cast<uint32_t>(dec.basis.size()));
-        putF64(payload, dec.phase.real());
-        putF64(payload, dec.phase.imag());
-        putF64(payload, dec.infidelity);
-        for (const LocalPair &lp : dec.locals) {
-            putMat2(payload, lp.q1);
-            putMat2(payload, lp.q0);
-        }
-        for (const Mat4 &b : dec.basis)
-            putMat4(payload, b);
+        putU64(index, static_cast<uint64_t>(blob.size()));
+        payload.insert(payload.end(), blob.begin(), blob.end());
     }
 
     std::vector<uint8_t> plan_bytes;

@@ -128,6 +128,11 @@ uint32_t cacheCrc32(const uint8_t *data, size_t size);
  *  section, excluding its 48-byte index row). */
 size_t cacheEntryEncodedBytes(const TwoQubitDecomposition &dec);
 
+/** One entry's payload blob, as the payload section stores it: the
+ *  canonical bytes of a decomposition. Two decompositions are
+ *  bit-identical exactly when their blobs are equal. */
+std::vector<uint8_t> canonicalBytes(const TwoQubitDecomposition &dec);
+
 /** Total snapshot bytes for `entries` entries whose payload blobs
  *  sum to `payload_bytes` -- manifest accounting without running the
  *  encoder (header + index rows + payload). */

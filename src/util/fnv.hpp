@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace qbasis {
 
@@ -57,6 +58,18 @@ struct Fnv64
             mixByte(static_cast<uint8_t>(c));
     }
 };
+
+/** FNV-1a 64 over a byte string. mix(v) hashes exactly the bytes
+ *  putU64(v) writes (util/bytes.hpp), so the digest of a canonical
+ *  encoding equals mixing its fields one by one. */
+inline uint64_t
+fnv64(const std::vector<uint8_t> &bytes)
+{
+    Fnv64 fnv;
+    for (const uint8_t b : bytes)
+        fnv.mixByte(b);
+    return fnv.h;
+}
 
 } // namespace qbasis
 

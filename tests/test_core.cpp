@@ -160,8 +160,9 @@ TEST(Selector, StreamsPastTheGateUntilTheCrossingIsKnown)
         selector.push(tr.at(pushed++));
         ASSERT_TRUE(selector.selected().has_value());
         EXPECT_EQ(selector.selected()->index, 0u);
-        if (pushed <= 11)
+        if (pushed <= 11) {
             EXPECT_EQ(selector.selected()->continuous_crossing_ns, -1.0);
+        }
     }
     EXPECT_EQ(pushed, 12u);
     EXPECT_NEAR(selector.selected()->continuous_crossing_ns,

@@ -2,19 +2,28 @@
  * @file
  * Fleet-driver and shared-cache tests: claim/publish semantics,
  * concurrent insert/lookup stress (the sanitizer job's canary),
- * cross-device Weyl-class dedupe, and bit-determinism of fleet
- * results at 1 vs N shards.
+ * cross-device Weyl-class dedupe, bit-determinism of fleet results
+ * at 1 vs N shards, and the canonical byte encodings that every
+ * determinism contract compares.
  */
 
 #include <atomic>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/bv.hpp"
 #include "core/fleet.hpp"
+#include "serve/api.hpp"
+#include "synth/cache_io.hpp"
 #include "synth/engine.hpp"
+#include "util/fnv.hpp"
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
 
@@ -194,34 +203,6 @@ TEST(SharedCache, ConcurrentInsertLookupStress)
 
 // --- Engine shared-cache batches -----------------------------------
 
-bool
-decompositionsBitIdentical(const TwoQubitDecomposition &a,
-                           const TwoQubitDecomposition &b)
-{
-    if (a.layers() != b.layers()
-        || a.locals.size() != b.locals.size()
-        || a.infidelity != b.infidelity
-        || a.phase.real() != b.phase.real()
-        || a.phase.imag() != b.phase.imag())
-        return false;
-    for (size_t l = 0; l < a.locals.size(); ++l) {
-        for (int i = 0; i < 2; ++i) {
-            for (int j = 0; j < 2; ++j) {
-                const Complex ca1 = a.locals[l].q1(i, j);
-                const Complex cb1 = b.locals[l].q1(i, j);
-                const Complex ca0 = a.locals[l].q0(i, j);
-                const Complex cb0 = b.locals[l].q0(i, j);
-                if (ca1.real() != cb1.real()
-                    || ca1.imag() != cb1.imag()
-                    || ca0.real() != cb0.real()
-                    || ca0.imag() != cb0.imag())
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 TEST(SharedBatch, BitIdenticalToSerialCache)
 {
     // The multi-client path through the shared cache must produce
@@ -254,7 +235,7 @@ TEST(SharedBatch, BitIdenticalToSerialCache)
 
     ASSERT_EQ(base.size(), fleet.size());
     for (size_t i = 0; i < base.size(); ++i)
-        EXPECT_TRUE(decompositionsBitIdentical(base[i], fleet[i]))
+        EXPECT_EQ(canonicalBytes(base[i]), canonicalBytes(fleet[i]))
             << "request " << i;
 
     // Counter parity with the serial lookup loop.
@@ -284,7 +265,7 @@ TEST(SharedBatch, SecondDeviceHitsFirstDevicesClasses)
     EXPECT_GT(st.cross_device_hits, 0u);
     EXPECT_EQ(st.multi_device_classes, st.classes);
     ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(decompositionsBitIdentical(a[0], b[0]));
+    EXPECT_EQ(canonicalBytes(a[0]), canonicalBytes(b[0]));
 }
 
 // --- Fleet driver --------------------------------------------------
@@ -341,7 +322,7 @@ TEST_F(FleetTest, BitDeterministicAcrossShardCounts)
 
     EXPECT_EQ(a.shards, 1);
     EXPECT_EQ(b.shards, 3);
-    EXPECT_TRUE(fleetReportsBitIdentical(a, b));
+    EXPECT_EQ(canonicalBytes(a), canonicalBytes(b));
     // Cross-device stats are deterministic too (defined against the
     // lowest device id, not the racy claim winner).
     EXPECT_EQ(a.cache.cross_device_hits, b.cache.cross_device_hits);
@@ -370,7 +351,478 @@ TEST_F(FleetTest, DriftedCalibrationIsDeterministic)
     const FleetReport a = fleet_a.run({spec});
     FleetDriver fleet_b(tinyFleetOptions(1));
     const FleetReport b = fleet_b.run({spec});
-    EXPECT_TRUE(fleetReportsBitIdentical(a, b));
+    EXPECT_EQ(canonicalBytes(a), canonicalBytes(b));
+}
+
+// --- Canonical bytes -----------------------------------------------
+//
+// One encoder per compared report type; equality is byte equality
+// and each digest is FNV-64 over the same bytes. The field-coverage
+// tests list every field of each type's contract: nudging any one of
+// them must change the bytes, and nudging an excluded field must not.
+
+/** Move a field to a neighbouring value: the next integer, one ulp
+ *  of a double or of the last matrix entry, one more character. */
+template <class T>
+void
+nudge(T &v)
+{
+    ++v;
+}
+
+void
+nudge(double &v)
+{
+    v = std::nextafter(v, HUGE_VAL);
+}
+
+void
+nudge(std::string &s)
+{
+    s += '.';
+}
+
+void
+nudge(Mat4 &m)
+{
+    const Complex z = m(3, 3);
+    m(3, 3) = Complex(z.real(), std::nextafter(z.imag(), HUGE_VAL));
+}
+
+template <class T>
+using Mutation = std::pair<const char *, std::function<void(T &)>>;
+
+/** Nudge the field `expr` of a T, named after the expression. */
+#define FIELD(T, expr) Mutation<T>{#expr, [](T &v) { nudge(v.expr); }}
+
+template <class T>
+void
+expectFieldCoverage(const T &base,
+                    const std::vector<Mutation<T>> &contract,
+                    const std::vector<Mutation<T>> &excluded)
+{
+    const std::vector<uint8_t> bytes = canonicalBytes(base);
+    for (const auto &[field, mutate] : contract) {
+        T changed = base;
+        mutate(changed);
+        EXPECT_NE(canonicalBytes(changed), bytes) << field;
+    }
+    for (const auto &[field, mutate] : excluded) {
+        T changed = base;
+        mutate(changed);
+        EXPECT_EQ(canonicalBytes(changed), bytes) << field;
+    }
+}
+
+CompiledCircuitResult
+sampleResult()
+{
+    CompiledCircuitResult r;
+    r.fidelity = 0.75;
+    r.makespan_ns = 812.5;
+    r.swaps_inserted = 3;
+    r.two_qubit_gates = 14;
+    r.depth = 9;
+    return r;
+}
+
+EdgeCalibration
+sampleEdge(int edge_id)
+{
+    EdgeCalibration e;
+    e.edge_id = edge_id;
+    e.xi = 0.04;
+    e.omega_d = 5.125;
+    e.omega_c0 = 6.5;
+    e.zz_residual = 1e-6;
+    e.calibrated_cycle = 2;
+    e.gate.duration_ns = 41.5;
+    e.gate.gate = canonicalGate(0.3, 0.2, 0.1);
+    return e;
+}
+
+EdgeBasis
+sampleBasis()
+{
+    return {canonicalGate(0.3, 0.2, 0.1), 41.5, "xy41"};
+}
+
+FleetReport
+sampleFleetReport()
+{
+    FleetDeviceReport d;
+    d.device_id = 3;
+    d.label = "dev3";
+    d.set.label = "c1";
+    d.set.xi = 0.04;
+    d.set.edges = {sampleEdge(0), sampleEdge(1)};
+    d.set.bases = {sampleBasis(), sampleBasis()};
+    d.summary.label = "c1";
+    d.summary.avg_basis_ns = 41.5;
+    d.summary.avg_swap_ns = 180.0;
+    d.summary.avg_cnot_ns = 102.5;
+    d.summary.avg_basis_fidelity = 0.999;
+    d.summary.avg_swap_fidelity = 0.995;
+    d.summary.avg_cnot_fidelity = 0.997;
+    d.summary.avg_swap_layers = 3.0;
+    d.summary.avg_cnot_layers = 2.0;
+    d.summary.one_q_share_swap = 0.67;
+    d.summary.max_decomposition_infidelity = 1e-10;
+    d.circuits = {{"bv4", sampleResult()}};
+    FleetReport r;
+    r.devices = {d};
+    r.statuses = {{3, true, ""}};
+    r.shards = 2;
+    r.wall_ms = 12.5;
+    return r;
+}
+
+FleetCompilePass
+samplePass()
+{
+    VersionedCompileResult v;
+    v.basis_version = 2;
+    v.snapshot_wait_ms = 0.003;
+    v.result = sampleResult();
+    FleetCompilePass p;
+    p.results = {{v, v}, {v}};
+    p.wall_ms = 40.0;
+    p.snapshot_wait_ms = 0.01;
+    return p;
+}
+
+RecalibCycleReport
+sampleCycleReport()
+{
+    RecalibDeviceCycle d;
+    d.device_id = 1;
+    d.calibration_version = 4;
+    d.edges = {sampleEdge(0)};
+    d.bases = {sampleBasis()};
+    d.verify = {{"qft3", sampleResult()}};
+    RecalibCycleReport r;
+    r.cycle = 2;
+    r.devices = {d};
+    r.cache.entries = 9;
+    r.health.stage_retries = 1;
+    return r;
+}
+
+HealthReport
+sampleHealth()
+{
+    EdgeQuarantine q;
+    q.device_id = 1;
+    q.edge_id = 2;
+    q.since_cycle = 3;
+    q.release_cycle = 5;
+    q.failures = 4;
+    q.error = "injected";
+    q.stale_cycles = 2;
+    HealthReport h;
+    h.quarantined = {q};
+    h.stage_retries = 6;
+    h.contained_errors = 2;
+    h.quarantine_skipped = 1;
+    h.synth_restarts_failed = 3;
+    h.cache_quarantines = 1;
+    h.last_cache_quarantine = "checksum_mismatch";
+    h.max_stale_cycles = 2;
+    h.device_failures = 1;
+    h.first_device_error = "boom";
+    return h;
+}
+
+CompileResponse
+sampleResponse()
+{
+    CompileResponse r;
+    r.request_id = 17;
+    r.status = CompileStatus::Ok;
+    r.error = "none";
+    r.basis_epoch = 3;
+    r.snapshot_wait_ms = 0.01;
+    r.queue_ms = 0.2;
+    r.compile_ms = 1.5;
+    r.plan_path = PlanServePath::Replay;
+    r.result = sampleResult();
+    return r;
+}
+
+TEST(CanonicalBytes, LabelsDoNotRunIntoEachOther)
+{
+    // A device labelled "ab" with summary label "c" against "a" and
+    // "bc": the same characters in a row, different reports.
+    FleetReport ab_c;
+    ab_c.devices.resize(1);
+    ab_c.devices[0].label = "ab";
+    ab_c.devices[0].summary.label = "c";
+    FleetReport a_bc = ab_c;
+    a_bc.devices[0].label = "a";
+    a_bc.devices[0].summary.label = "bc";
+    EXPECT_NE(canonicalBytes(ab_c), canonicalBytes(a_bc));
+    EXPECT_NE(fleetReportDigest(ab_c), fleetReportDigest(a_bc));
+}
+
+TEST(CanonicalBytes, RegroupedCompilePassDiffers)
+{
+    VersionedCompileResult r1;
+    r1.basis_version = 1;
+    r1.result = sampleResult();
+    VersionedCompileResult r2 = r1;
+    r2.basis_version = 2;
+    FleetCompilePass split;
+    split.results = {{r1, r2}, {}};
+    FleetCompilePass regrouped;
+    regrouped.results = {{r1}, {r2}};
+    EXPECT_NE(canonicalBytes(split), canonicalBytes(regrouped));
+    EXPECT_NE(compilePassDigest(split), compilePassDigest(regrouped));
+}
+
+TEST(CanonicalBytes, FewerEdgesWithEqualBasesCompareUnequal)
+{
+    // Nothing may read past the shorter edge list (the sanitize
+    // build's bounds checks abort on it), in either order.
+    const FleetReport a = sampleFleetReport();
+    FleetReport b = a;
+    b.devices[0].set.edges.pop_back();
+    ASSERT_EQ(a.devices[0].set.bases.size(),
+              b.devices[0].set.bases.size());
+    EXPECT_NE(canonicalBytes(a), canonicalBytes(b));
+    EXPECT_NE(canonicalBytes(b), canonicalBytes(a));
+    EXPECT_NE(fleetReportDigest(a), fleetReportDigest(b));
+}
+
+TEST(CanonicalBytes, EqualityIsBitEquality)
+{
+    CompileResponse pos = sampleResponse();
+    pos.result.fidelity = 0.0;
+    CompileResponse neg = pos;
+    neg.result.fidelity = -0.0;
+    EXPECT_NE(canonicalBytes(pos), canonicalBytes(neg));
+
+    CompileResponse nan = pos;
+    nan.result.fidelity = std::numeric_limits<double>::quiet_NaN();
+    const CompileResponse nan_copy = nan;
+    EXPECT_EQ(canonicalBytes(nan), canonicalBytes(nan_copy));
+}
+
+TEST(CanonicalBytes, DigestsAreFnvOverTheBytes)
+{
+    EXPECT_EQ(fleetReportDigest(sampleFleetReport()),
+              fnv64(canonicalBytes(sampleFleetReport())));
+    EXPECT_EQ(compilePassDigest(samplePass()),
+              fnv64(canonicalBytes(samplePass())));
+    EXPECT_EQ(healthReportDigest(sampleHealth()),
+              fnv64(canonicalBytes(sampleHealth())));
+    EXPECT_EQ(compileResponseDigest(sampleResponse()),
+              fnv64(canonicalBytes(sampleResponse())));
+}
+
+TEST(CanonicalBytes, ServingAndHealthDigestsArePinned)
+{
+    // Committed digests are built from these two (the repository
+    // benchmark's verification digest from compileResponseDigest,
+    // bench_recalib --faults from healthReportDigest), so their
+    // values on fixed inputs must not move.
+    EXPECT_EQ(compileResponseDigest(sampleResponse()),
+              0x917d48cc269f2487ull);
+    EXPECT_EQ(healthReportDigest(sampleHealth()), 0x3fb07de97ded1081ull);
+}
+
+TEST(CanonicalBytes, FleetReportFieldCoverage)
+{
+    using R = FleetReport;
+    expectFieldCoverage<R>(
+        sampleFleetReport(),
+        {
+            FIELD(R, devices[0].device_id),
+            FIELD(R, devices[0].label),
+            FIELD(R, devices[0].set.bases[1].duration_ns),
+            FIELD(R, devices[0].set.bases[1].gate),
+            FIELD(R, devices[0].set.edges[1].omega_d),
+            FIELD(R, devices[0].set.edges[1].gate.duration_ns),
+            FIELD(R, devices[0].summary.label),
+            FIELD(R, devices[0].summary.avg_basis_ns),
+            FIELD(R, devices[0].summary.avg_swap_ns),
+            FIELD(R, devices[0].summary.avg_cnot_ns),
+            FIELD(R, devices[0].summary.avg_basis_fidelity),
+            FIELD(R, devices[0].summary.avg_swap_fidelity),
+            FIELD(R, devices[0].summary.avg_cnot_fidelity),
+            FIELD(R, devices[0].summary.avg_swap_layers),
+            FIELD(R, devices[0].summary.avg_cnot_layers),
+            FIELD(R, devices[0].summary.one_q_share_swap),
+            FIELD(R, devices[0].summary.max_decomposition_infidelity),
+            FIELD(R, devices[0].circuits[0].name),
+            FIELD(R, devices[0].circuits[0].result.fidelity),
+            FIELD(R, devices[0].circuits[0].result.makespan_ns),
+            FIELD(R, devices[0].circuits[0].result.swaps_inserted),
+            FIELD(R, devices[0].circuits[0].result.two_qubit_gates),
+            FIELD(R, devices[0].circuits[0].result.depth),
+            {"devices (one more)",
+             [](R &r) { r.devices.push_back(r.devices[0]); }},
+            {"bases (one more)",
+             [](R &r) {
+                 r.devices[0].set.bases.push_back(sampleBasis());
+             }},
+            {"edges (one more)",
+             [](R &r) {
+                 r.devices[0].set.edges.push_back(sampleEdge(2));
+             }},
+            {"circuits (one more)",
+             [](R &r) {
+                 r.devices[0].circuits.push_back(
+                     r.devices[0].circuits[0]);
+             }},
+        },
+        {
+            FIELD(R, wall_ms),
+            FIELD(R, shards),
+            FIELD(R, statuses[0].error),
+            FIELD(R, statuses[0].device_id),
+            FIELD(R, cache.hits),
+            FIELD(R, cache.misses),
+            {"statuses (one more)",
+             [](R &r) { r.statuses.push_back(r.statuses[0]); }},
+            // Calibration detail outside the contract: the basis
+            // matrices and durations above already pin each edge.
+            FIELD(R, devices[0].set.label),
+            FIELD(R, devices[0].set.xi),
+            FIELD(R, devices[0].set.bases[0].label),
+            FIELD(R, devices[0].set.edges[0].edge_id),
+            FIELD(R, devices[0].set.edges[0].xi),
+            FIELD(R, devices[0].set.edges[0].omega_c0),
+            FIELD(R, devices[0].set.edges[0].zz_residual),
+            FIELD(R, devices[0].set.edges[0].calibrated_cycle),
+            FIELD(R, devices[0].set.edges[0].gate.gate),
+        });
+}
+
+TEST(CanonicalBytes, CompilePassFieldCoverage)
+{
+    using P = FleetCompilePass;
+    expectFieldCoverage<P>(
+        samplePass(),
+        {
+            FIELD(P, results[1][0].basis_version),
+            FIELD(P, results[1][0].result.fidelity),
+            FIELD(P, results[1][0].result.makespan_ns),
+            FIELD(P, results[1][0].result.swaps_inserted),
+            FIELD(P, results[1][0].result.two_qubit_gates),
+            FIELD(P, results[1][0].result.depth),
+            {"results (one more device)",
+             [](P &p) { p.results.emplace_back(); }},
+            {"results[0] (one more cell)",
+             [](P &p) { p.results[0].push_back(p.results[0][0]); }},
+        },
+        {
+            FIELD(P, wall_ms),
+            FIELD(P, snapshot_wait_ms),
+            FIELD(P, results[1][0].snapshot_wait_ms),
+        });
+}
+
+TEST(CanonicalBytes, RecalibCycleReportFieldCoverage)
+{
+    using C = RecalibCycleReport;
+    expectFieldCoverage<C>(
+        sampleCycleReport(),
+        {
+            FIELD(C, cycle),
+            FIELD(C, devices[0].device_id),
+            FIELD(C, devices[0].calibration_version),
+            FIELD(C, devices[0].edges[0].edge_id),
+            FIELD(C, devices[0].edges[0].xi),
+            FIELD(C, devices[0].edges[0].omega_d),
+            FIELD(C, devices[0].edges[0].omega_c0),
+            FIELD(C, devices[0].edges[0].zz_residual),
+            FIELD(C, devices[0].edges[0].calibrated_cycle),
+            FIELD(C, devices[0].edges[0].gate.duration_ns),
+            FIELD(C, devices[0].edges[0].gate.gate),
+            FIELD(C, devices[0].bases[0].duration_ns),
+            FIELD(C, devices[0].bases[0].label),
+            FIELD(C, devices[0].bases[0].gate),
+            FIELD(C, devices[0].verify[0].name),
+            FIELD(C, devices[0].verify[0].result.fidelity),
+            FIELD(C, devices[0].verify[0].result.makespan_ns),
+            FIELD(C, devices[0].verify[0].result.swaps_inserted),
+            FIELD(C, devices[0].verify[0].result.two_qubit_gates),
+            FIELD(C, devices[0].verify[0].result.depth),
+            {"devices (one more)",
+             [](C &c) { c.devices.push_back(c.devices[0]); }},
+            {"edges (one more)",
+             [](C &c) { c.devices[0].edges.push_back(sampleEdge(1)); }},
+            {"bases (one more)",
+             [](C &c) { c.devices[0].bases.push_back(sampleBasis()); }},
+            {"verify (one more)",
+             [](C &c) {
+                 c.devices[0].verify.push_back(c.devices[0].verify[0]);
+             }},
+        },
+        {
+            FIELD(C, cache.entries),
+            FIELD(C, cache.warm_hits),
+            FIELD(C, health.stage_retries),
+            FIELD(C, health.first_device_error),
+            // Selection detail outside the contract.
+            FIELD(C, devices[0].edges[0].gate.index),
+            FIELD(C, devices[0].edges[0].gate.leakage),
+            FIELD(C, devices[0].edges[0].gate.continuous_crossing_ns),
+        });
+}
+
+TEST(CanonicalBytes, HealthReportFieldCoverage)
+{
+    using H = HealthReport;
+    expectFieldCoverage<H>(
+        sampleHealth(),
+        {
+            FIELD(H, stage_retries),
+            FIELD(H, contained_errors),
+            FIELD(H, quarantine_skipped),
+            FIELD(H, synth_restarts_failed),
+            FIELD(H, cache_quarantines),
+            FIELD(H, last_cache_quarantine),
+            FIELD(H, max_stale_cycles),
+            FIELD(H, device_failures),
+            FIELD(H, first_device_error),
+            FIELD(H, quarantined[0].device_id),
+            FIELD(H, quarantined[0].edge_id),
+            FIELD(H, quarantined[0].since_cycle),
+            FIELD(H, quarantined[0].release_cycle),
+            FIELD(H, quarantined[0].failures),
+            FIELD(H, quarantined[0].error),
+            FIELD(H, quarantined[0].stale_cycles),
+            {"quarantined (one more)",
+             [](H &h) { h.quarantined.push_back(h.quarantined[0]); }},
+        },
+        {});
+}
+
+TEST(CanonicalBytes, CompileResponseFieldCoverage)
+{
+    using S = CompileResponse;
+    expectFieldCoverage<S>(
+        sampleResponse(),
+        {
+            FIELD(S, request_id),
+            {"status",
+             [](S &s) { s.status = CompileStatus::Failed; }},
+            FIELD(S, error),
+            FIELD(S, basis_epoch),
+            FIELD(S, result.fidelity),
+            FIELD(S, result.makespan_ns),
+            FIELD(S, result.swaps_inserted),
+            FIELD(S, result.two_qubit_gates),
+            FIELD(S, result.depth),
+        },
+        {
+            FIELD(S, snapshot_wait_ms),
+            FIELD(S, queue_ms),
+            FIELD(S, compile_ms),
+            {"plan_path",
+             [](S &s) { s.plan_path = PlanServePath::Memo; }},
+        });
 }
 
 } // namespace

@@ -73,8 +73,9 @@ TEST(Mirror, L0L1PointsAreExactlyFixedPoints)
     Rng rng(2);
     for (int i = 0; i < 200; ++i) {
         const CartanCoords p = sampleChamberPoint(rng);
-        if (distanceToL0L1(p) > 1e-3)
+        if (distanceToL0L1(p) > 1e-3) {
             EXPECT_FALSE(isSwapMirrorFixedPoint(p, 1e-6)) << p.str();
+        }
     }
 }
 

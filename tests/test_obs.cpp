@@ -149,8 +149,9 @@ TEST_F(ObsTest, LogBucketBoundariesAreExact)
         EXPECT_EQ(lo, uint64_t{1} << (b - 1));
         EXPECT_EQ(logBucketIndex(lo), b) << "bucket " << b;
         EXPECT_EQ(logBucketIndex(hi), b) << "bucket " << b;
-        if (b > 1)
+        if (b > 1) {
             EXPECT_EQ(logBucketIndex(lo - 1), b - 1);
+        }
     }
     EXPECT_EQ(logBucketLowerBound(0), 0u);
     EXPECT_EQ(logBucketUpperBound(0), 0u);

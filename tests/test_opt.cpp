@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the optimizer library: Nelder-Mead, Adam, multistart.
+ * Tests for the optimizer library: Adam, L-BFGS under multistart.
  */
 
 #include <cmath>
@@ -8,65 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "opt/adam.hpp"
+#include "opt/lbfgs.hpp"
 #include "opt/multistart.hpp"
-#include "opt/nelder_mead.hpp"
 
 namespace qbasis {
 namespace {
-
-double
-quadratic(const std::vector<double> &x)
-{
-    double s = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) {
-        const double d = x[i] - static_cast<double>(i);
-        s += (i + 1) * d * d;
-    }
-    return s;
-}
-
-TEST(NelderMead, MinimizesQuadratic)
-{
-    const OptResult r = nelderMead(quadratic, {5.0, -3.0, 2.0});
-    EXPECT_LT(r.fval, 1e-10);
-    EXPECT_NEAR(r.x[0], 0.0, 1e-4);
-    EXPECT_NEAR(r.x[1], 1.0, 1e-4);
-    EXPECT_NEAR(r.x[2], 2.0, 1e-4);
-}
-
-TEST(NelderMead, MinimizesRosenbrock)
-{
-    auto rosen = [](const std::vector<double> &x) {
-        const double a = 1.0 - x[0];
-        const double b = x[1] - x[0] * x[0];
-        return a * a + 100.0 * b * b;
-    };
-    NelderMeadOptions opts;
-    opts.max_iters = 4000;
-    opts.ftol = 1e-16;
-    const OptResult r = nelderMead(rosen, {-1.2, 1.0}, opts);
-    EXPECT_LT(r.fval, 1e-8);
-    EXPECT_NEAR(r.x[0], 1.0, 1e-3);
-    EXPECT_NEAR(r.x[1], 1.0, 1e-3);
-}
-
-TEST(NelderMead, EarlyStopOnTarget)
-{
-    NelderMeadOptions opts;
-    opts.target = 1e-3;
-    const OptResult r = nelderMead(quadratic, {3.0}, opts);
-    EXPECT_TRUE(r.converged);
-    EXPECT_LE(r.fval, 1e-3);
-}
-
-TEST(NelderMead, OneDimensional)
-{
-    auto f = [](const std::vector<double> &x) {
-        return std::pow(x[0] - 2.5, 2.0);
-    };
-    const OptResult r = nelderMead(f, {10.0});
-    EXPECT_NEAR(r.x[0], 2.5, 1e-5);
-}
 
 TEST(Adam, MinimizesQuadraticWithGradient)
 {
@@ -115,8 +61,9 @@ TEST(Multistart, FindsGlobalMinimumOfMultimodal)
     // f(x) = (x^2 - 1)^2 + 0.1 (x - 1): the tilt lowers the left
     // well, so the global minimum sits near x = -1.01 (f ~ -0.20)
     // with a local minimum near x = +0.99 (f ~ -0.0007).
-    auto f = [](const std::vector<double> &x) {
+    auto f = [](const std::vector<double> &x, std::vector<double> &g) {
         const double a = x[0] * x[0] - 1.0;
+        g[0] = 4.0 * x[0] * a + 0.1;
         return a * a + 0.1 * (x[0] - 1.0);
     };
     MultistartOptions ms;
@@ -127,7 +74,7 @@ TEST(Multistart, FindsGlobalMinimumOfMultimodal)
             return std::vector<double>{rng.uniform(-3.0, 3.0)};
         },
         [&](std::vector<double> x0) {
-            return nelderMead(f, std::move(x0));
+            return lbfgsMinimize(f, std::move(x0));
         },
         ms);
     EXPECT_NEAR(r.x[0], -1.01, 0.05);
@@ -138,7 +85,8 @@ TEST(Multistart, FindsGlobalMinimumOfMultimodal)
 TEST(Multistart, StopsEarlyWhenTargetMet)
 {
     int calls = 0;
-    auto f = [&](const std::vector<double> &x) {
+    auto f = [](const std::vector<double> &x, std::vector<double> &g) {
+        g[0] = 2.0 * x[0];
         return x[0] * x[0];
     };
     MultistartOptions ms;
@@ -150,7 +98,7 @@ TEST(Multistart, StopsEarlyWhenTargetMet)
             return std::vector<double>{rng.uniform(-1.0, 1.0)};
         },
         [&](std::vector<double> x0) {
-            return nelderMead(f, std::move(x0));
+            return lbfgsMinimize(f, std::move(x0));
         },
         ms);
     EXPECT_LT(calls, 5);

@@ -204,8 +204,11 @@ TEST_F(PersistTest, EncodedSizeArithmeticMatchesTheEncoder)
     // of running the encoder; the two must never drift apart.
     const std::vector<CacheSnapshotEntry> entries = sampleEntries();
     size_t payload = 0;
-    for (const CacheSnapshotEntry &e : entries)
+    for (const CacheSnapshotEntry &e : entries) {
         payload += cacheEntryEncodedBytes(e.second);
+        EXPECT_EQ(cacheEntryEncodedBytes(e.second),
+                  canonicalBytes(e.second).size());
+    }
     EXPECT_EQ(cacheSnapshotEncodedBytes(entries.size(), payload),
               encodeCacheSnapshot(entries).size());
     EXPECT_EQ(cacheSnapshotEncodedBytes(0, 0),

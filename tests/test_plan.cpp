@@ -230,7 +230,7 @@ TEST_F(PlanTest, AllPlanPathsProduceBitIdenticalDigests)
         EXPECT_EQ(compileResponseDigest(r_on),
                   compileResponseDigest(r_off))
             << "plan path diverged for request " << req.request_id;
-        EXPECT_TRUE(compileResponsesBitIdentical(r_on, r_off));
+        EXPECT_EQ(canonicalBytes(r_on), canonicalBytes(r_off));
         EXPECT_EQ(r_off.plan_path, PlanServePath::None);
         EXPECT_EQ(r_on.plan_path, want_path)
             << "request " << req.request_id;

@@ -19,6 +19,7 @@
 #include "apps/qft.hpp"
 #include "core/fleet.hpp"
 #include "monodromy/depth.hpp"
+#include "synth/cache_io.hpp"
 #include "synth/depth_cache.hpp"
 #include "synth/engine.hpp"
 #include "util/logging.hpp"
@@ -326,7 +327,7 @@ TEST_F(RecalibTest, SyncAndOverlappedCyclesAreBitIdentical)
 {
     const RecalibCycleReport sync = runTinyCycle(1, false);
     const RecalibCycleReport overlapped = runTinyCycle(2, true);
-    EXPECT_TRUE(recalibReportsBitIdentical(sync, overlapped));
+    EXPECT_EQ(canonicalBytes(sync), canonicalBytes(overlapped));
 
     // The cycle genuinely retuned: versions moved past the initial
     // publish and the edge carries the cycle stamp.
@@ -433,33 +434,6 @@ TEST(DepthOracleCacheTest, CachesVerdictsExactly)
 
 // --- Engine restart pruning ----------------------------------------
 
-bool
-decompositionsBitIdentical(const TwoQubitDecomposition &a,
-                           const TwoQubitDecomposition &b)
-{
-    if (a.layers() != b.layers() || a.locals.size() != b.locals.size()
-        || a.infidelity != b.infidelity
-        || a.phase.real() != b.phase.real()
-        || a.phase.imag() != b.phase.imag())
-        return false;
-    for (size_t l = 0; l < a.locals.size(); ++l) {
-        for (int i = 0; i < 2; ++i) {
-            for (int j = 0; j < 2; ++j) {
-                const Complex ca1 = a.locals[l].q1(i, j);
-                const Complex cb1 = b.locals[l].q1(i, j);
-                const Complex ca0 = a.locals[l].q0(i, j);
-                const Complex cb0 = b.locals[l].q0(i, j);
-                if (ca1.real() != cb1.real()
-                    || ca1.imag() != cb1.imag()
-                    || ca0.real() != cb0.real()
-                    || ca0.imag() != cb0.imag())
-                    return false;
-            }
-        }
-    }
-    return true;
-}
-
 TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
 {
     // One thread runs the wave, easy target (CNOT from a CNOT-class
@@ -508,7 +482,7 @@ TEST(EnginePruning, PrunesLateRestartsWithoutChangingResults)
     const auto racy =
         racy_engine.synthesizeBatch(requests, racy_cache, opts);
     ASSERT_EQ(racy.size(), 1u);
-    EXPECT_TRUE(decompositionsBitIdentical(pruned[0], racy[0]));
+    EXPECT_EQ(canonicalBytes(pruned[0]), canonicalBytes(racy[0]));
 }
 
 } // namespace

@@ -764,8 +764,9 @@ expectTrajectoriesMatchTheReference()
                                 testDevice().couplerOmegaMax(), kc.opts);
         const ReferenceModel ref(sim, testDevice().couplerOmegaMax());
         const double wd = sim.calibrateDriveFrequency(kc.xi);
-        if (kc.xi < 0.01)
+        if (kc.xi < 0.01) {
             ASSERT_GT(kc.window_ns / sim.options().dt, 8192.0);
+        }
         expectSameSamples(sim.simulateTrajectory(kc.xi, wd, kc.window_ns),
                           referenceTrajectory(ref, kc.xi, wd,
                                               kc.window_ns));
@@ -928,8 +929,9 @@ TEST(Rk4Panel, SeedOutsideTheBlockWidensTheRowsAndStillMatches)
             EXPECT_EQ(bytesOf(got, 2), bytesOf(exp, 2)) << "row " << i;
         }
         for (int i = 0; i < dim; ++i)
-            if (!kept[i])
+            if (!kept[i]) {
                 EXPECT_EQ(want[i], Complex{}) << "row " << i;
+            }
     }
 }
 

@@ -34,7 +34,7 @@ heavyHexBridges(int rows, int cols)
 
 TEST(Topology, GridCountFormulas)
 {
-    for (const auto [rows, cols] :
+    for (const auto &[rows, cols] :
          {std::pair{1, 2}, {3, 4}, {10, 10}}) {
         const CouplingMap cm = CouplingMap::grid(rows, cols);
         EXPECT_EQ(cm.numQubits(), rows * cols);
@@ -46,7 +46,7 @@ TEST(Topology, GridCountFormulas)
 
 TEST(Topology, HeavyHexCountFormulas)
 {
-    for (const auto [rows, cols] :
+    for (const auto &[rows, cols] :
          {std::pair{1, 1}, {2, 2}, {2, 4}, {3, 6}, {4, 9}}) {
         const CouplingMap cm = CouplingMap::heavyHex(rows, cols);
         const int row_len = 2 * cols + 1;
@@ -150,8 +150,9 @@ TEST(Topology, WorkloadZooRoutesOnHeavyHex)
     const std::vector<int> layout = sabreLayout(logical, cm, 1);
     const RoutedCircuit routed = sabreRoute(logical, cm, layout);
     for (const Gate &g : routed.circuit.gates())
-        if (g.qubits.size() == 2)
+        if (g.qubits.size() == 2) {
             ASSERT_TRUE(cm.connected(g.qubits[0], g.qubits[1]));
+        }
 }
 
 } // namespace

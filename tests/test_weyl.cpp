@@ -353,8 +353,9 @@ TEST(PerfectEntangler, ImpliesMinimumEntanglingPower)
         const CartanCoords c = canonicalize({rng.uniform(0, 1),
                                              rng.uniform(0, 1),
                                              rng.uniform(0, 1)});
-        if (isPerfectEntangler(c))
+        if (isPerfectEntangler(c)) {
             EXPECT_GE(entanglingPower(c), 1.0 / 6.0 - 1e-9) << c.str();
+        }
     }
 }
 
