@@ -45,10 +45,23 @@ echo "=== verify: ${CXX:-c++} ($(${CXX:-c++} --version | head -n1)), " \
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE="$BUILD_TYPE" \
       ${CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j"$(nproc)"
+BIN="$(cd "$BUILD_DIR" && pwd)"
+
+# Every bench writes its BENCH_*.json (and bench_persist its
+# snapshot) to the working directory. Run them in a temporary
+# directory, so that smoke and quick runs never overwrite the
+# committed full-mode files at the repository root.
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+bench() {
+  local name="$1"
+  shift
+  (cd "$WORK" && "$BIN/$name" "$@")
+}
 
 # Dispatched Mat4 kernel backend of this build/host (scalar or
 # avx2, plus the probed host ISA).
-"$BUILD_DIR/bench_mat4" --backend
+bench bench_mat4 --backend
 
 # --timeout turns a hung test (a deadlocked waiter, a quarantined
 # edge never released) into a bounded failure instead of a stuck job.
@@ -57,35 +70,35 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 1200 \
 
 # Mat4 kernel smoke: scalar-vs-SIMD bit-identity on every dispatched
 # kernel is the exit code.
-"$BUILD_DIR/bench_mat4" --smoke
+bench bench_mat4 --smoke
 
 # Fleet smoke: 2-device shard run with cross-device dedupe and
 # bit-determinism asserts baked into the binary's exit code.
-"$BUILD_DIR/bench_fleet" --smoke
+bench bench_fleet --smoke
 
 # Recalib smoke: one overlapped drift cycle; sync-vs-async
 # bit-determinism and the zero-stall assert are the exit code.
-"$BUILD_DIR/bench_recalib" --smoke
+bench bench_recalib --smoke
 
 # Persist smoke: snapshot save -> warm restart -> bit-identical
 # compile, retirement sweep shrinkage, and corrupt-snapshot
 # rejection are the exit code.
-"$BUILD_DIR/bench_persist" --smoke
+bench bench_persist --smoke
 
 # Serve smoke: open-loop load on the CompileService; interleaving
 # bit-identity, the epoch-swap digest change, and reject-with-status
 # admission are the exit code.
-"$BUILD_DIR/bench_serve" --smoke
+bench bench_serve --smoke
 
 # Obs smoke: span overhead, exporter round trip, and traced-vs-
 # untraced digest neutrality (the zero-perturbation contract) are
 # the exit code.
-"$BUILD_DIR/bench_obs" --smoke
+bench bench_obs --smoke
 
 # Scale smoke: one heterogeneous heavy-hex lattice through the full
 # serving lifecycle; sharded bit-determinism, cross-edge dedupe, and
 # plan-tier traffic are the exit code.
-"$BUILD_DIR/bench_scale" --smoke
+bench bench_scale --smoke
 
 # Docs gate: every intra-repo link and code path in docs/*.md and
 # README.md, and every *.md file cited in the code, must resolve
@@ -105,18 +118,23 @@ python3 qbench/run.py --selftest
 # at admission and serve through a fully quarantined fleet). Run
 # BEFORE the --quick bench pass below so the BENCH_*.json files the
 # bench gate reads are the non-faulted ones.
-"$BUILD_DIR/bench_recalib" --faults 1 --smoke
-"$BUILD_DIR/bench_serve" --faults 1 --smoke
+bench bench_recalib --faults 1 --smoke
+bench bench_serve --faults 1 --smoke
 
 if [ "$QUICK" = 0 ]; then
-  "$BUILD_DIR/bench_synth" --quick
-  "$BUILD_DIR/bench_fleet" --quick
-  "$BUILD_DIR/bench_recalib" --quick
-  "$BUILD_DIR/bench_persist" --quick
-  "$BUILD_DIR/bench_serve" --quick
-  "$BUILD_DIR/bench_mat4" --quick
-  "$BUILD_DIR/bench_obs" --quick
-  "$BUILD_DIR/bench_scale" --quick
-  python3 scripts/check_bench.py
+  bench bench_synth --quick
+  bench bench_fleet --quick
+  bench bench_recalib --quick
+  bench bench_persist --quick
+  bench bench_serve --quick
+  bench bench_mat4 --quick
+  bench bench_obs --quick
+  bench bench_scale --quick
+  python3 scripts/check_bench.py \
+    --synth "$WORK/BENCH_synth.json" --fleet "$WORK/BENCH_fleet.json" \
+    --recalib "$WORK/BENCH_recalib.json" \
+    --persist "$WORK/BENCH_persist.json" \
+    --serve "$WORK/BENCH_serve.json" --mat4 "$WORK/BENCH_mat4.json" \
+    --obs "$WORK/BENCH_obs.json" --scale "$WORK/BENCH_scale.json"
 fi
 echo "verify: OK"

@@ -7,6 +7,37 @@
 
 namespace qbasis {
 
+namespace {
+
+/** Qubit count a kind acts on (1 or 2). */
+int
+kindQubits(GateKind kind)
+{
+    return kind >= GateKind::CX ? 2 : 1;
+}
+
+/** Angle count a kind takes (0, 1 or 3). */
+int
+kindParams(GateKind kind)
+{
+    switch (kind) {
+      case GateKind::RX:
+      case GateKind::RY:
+      case GateKind::RZ:
+      case GateKind::Phase:
+      case GateKind::CPhase:
+      case GateKind::CRZ:
+      case GateKind::RZZ:
+        return 1;
+      case GateKind::U3:
+        return 3;
+      default:
+        return 0;
+    }
+}
+
+} // namespace
+
 Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits)
 {
     if (num_qubits <= 0)
@@ -17,11 +48,23 @@ Circuit::Circuit(int num_qubits) : num_qubits_(num_qubits)
 void
 Circuit::append(Gate g)
 {
+    if (g.qubits.size() != static_cast<size_t>(kindQubits(g.kind)))
+        fatal("gate '%s' acts on %d qubit(s), given %zu",
+              g.name().c_str(), kindQubits(g.kind), g.qubits.size());
     for (int q : g.qubits) {
         if (q < 0 || q >= num_qubits_)
             fatal("gate '%s' addresses qubit %d outside register of "
                   "size %d", g.name().c_str(), q, num_qubits_);
     }
+    if (g.isTwoQubit() && g.qubits[0] == g.qubits[1])
+        fatal("gate '%s' needs distinct qubits (got %d, %d)",
+              g.name().c_str(), g.qubits[0], g.qubits[1]);
+    if (g.params.size() != static_cast<size_t>(kindParams(g.kind)))
+        fatal("gate '%s' takes %d angle(s), given %zu",
+              g.name().c_str(), kindParams(g.kind), g.params.size());
+    if (g.kind == GateKind::Unitary2Q && g.custom4 == nullptr)
+        fatal("unitary2q gate on (%d, %d) has no matrix", g.qubits[0],
+              g.qubits[1]);
     gates_.push_back(std::move(g));
 }
 

@@ -30,8 +30,16 @@ class Circuit
     /** Number of gates. */
     size_t size() const { return gates_.size(); }
 
-    /** Append a gate (validates qubit indices). */
+    /**
+     * Append a gate. Fatal unless its qubits are in the register,
+     * its qubit and angle counts match its kind, a 2Q gate's qubits
+     * differ, and a Unitary2Q has a matrix.
+     */
     void append(Gate g);
+
+    /** Make room for `n` gates in total, so that appending up to
+     *  that many allocates nothing. */
+    void reserve(size_t n) { gates_.reserve(n); }
 
     /** Append every gate of another circuit (same register size). */
     void extend(const Circuit &other);
@@ -92,9 +100,9 @@ class Circuit
     {
         append(makeUnitary2(a, b, u, std::move(label)));
     }
-    void unitary1q(int q, const Mat2 &u, std::string label = {})
+    void unitary1q(int q, const Mat2 &u, const char *label = nullptr)
     {
-        append(makeUnitary1(q, u, std::move(label)));
+        append(makeUnitary1(q, u, label));
     }
 
     /** Total two-qubit gate count. */

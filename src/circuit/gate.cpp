@@ -26,7 +26,7 @@ Gate::name() const
       case GateKind::Phase: return "p";
       case GateKind::U3: return "u3";
       case GateKind::Unitary1Q:
-        return label.empty() ? "u1q" : label;
+        return label == nullptr || *label == '\0' ? "u1q" : label;
       case GateKind::CX: return "cx";
       case GateKind::CZ: return "cz";
       case GateKind::Swap: return "swap";
@@ -36,7 +36,9 @@ Gate::name() const
       case GateKind::CRZ: return "crz";
       case GateKind::RZZ: return "rzz";
       case GateKind::Unitary2Q:
-        return label.empty() ? "u2q" : label;
+        return custom4 == nullptr || custom4->label.empty()
+                   ? "u2q"
+                   : custom4->label;
     }
     return "?";
 }
@@ -59,7 +61,9 @@ Gate::matrix2() const
       case GateKind::RZ: return rz(p0);
       case GateKind::Phase: return phaseGate(p0);
       case GateKind::U3:
-        return u3(params.at(0), params.at(1), params.at(2));
+        if (params.size() != 3)
+            fatal("u3 needs 3 angles (got %zu)", params.size());
+        return u3(params[0], params[1], params[2]);
       case GateKind::Unitary1Q: return custom2;
       default:
         panic("matrix2() called on two-qubit gate '%s'",
@@ -80,7 +84,10 @@ Gate::matrix4() const
       case GateKind::CPhase: return cphaseGate(p0);
       case GateKind::CRZ: return crzGate(p0);
       case GateKind::RZZ: return rzzGate(p0);
-      case GateKind::Unitary2Q: return custom4;
+      case GateKind::Unitary2Q:
+        if (custom4 == nullptr)
+            fatal("unitary2q gate has no matrix");
+        return custom4->matrix;
       default:
         panic("matrix4() called on single-qubit gate '%s'",
               name().c_str());
@@ -88,42 +95,49 @@ Gate::matrix4() const
 }
 
 Gate
-makeGate1(GateKind kind, int q, std::vector<double> params)
+makeGate1(GateKind kind, int q, GateParams params)
 {
     Gate g;
     g.kind = kind;
     g.qubits = {q};
-    g.params = std::move(params);
+    g.params = params;
     return g;
 }
 
 Gate
-makeGate2(GateKind kind, int a, int b, std::vector<double> params)
+makeGate2(GateKind kind, int a, int b, GateParams params)
 {
     if (a == b)
         fatal("two-qubit gate needs distinct qubits (got %d, %d)", a, b);
     Gate g;
     g.kind = kind;
     g.qubits = {a, b};
-    g.params = std::move(params);
+    g.params = params;
+    return g;
+}
+
+Gate
+makeUnitary2(int a, int b, std::shared_ptr<const Unitary2QData> u)
+{
+    Gate g = makeGate2(GateKind::Unitary2Q, a, b);
+    g.custom4 = std::move(u);
     return g;
 }
 
 Gate
 makeUnitary2(int a, int b, const Mat4 &u, std::string label)
 {
-    Gate g = makeGate2(GateKind::Unitary2Q, a, b);
-    g.custom4 = u;
-    g.label = std::move(label);
-    return g;
+    return makeUnitary2(a, b,
+                        std::make_shared<const Unitary2QData>(
+                            Unitary2QData{u, std::move(label)}));
 }
 
 Gate
-makeUnitary1(int q, const Mat2 &u, std::string label)
+makeUnitary1(int q, const Mat2 &u, const char *label)
 {
     Gate g = makeGate1(GateKind::Unitary1Q, q);
     g.custom2 = u;
-    g.label = std::move(label);
+    g.label = label;
     return g;
 }
 

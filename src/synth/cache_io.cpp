@@ -283,7 +283,7 @@ encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
             putI64(plan_bytes, p);
         for (const int p : plan.final_layout)
             putI64(plan_bytes, p);
-        for (const PlanOp &op : plan.ops) {
+        for (const RouteOp &op : plan.ops) {
             putI64(plan_bytes, op.source);
             putI64(plan_bytes, op.q0);
             putI64(plan_bytes, op.q1);
@@ -540,7 +540,7 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
             plan.final_layout.push_back(pcur.intField());
         plan.ops.reserve(n_ops);
         for (uint32_t o = 0; o < n_ops; ++o) {
-            PlanOp op;
+            RouteOp op;
             op.source = pcur.intField();
             op.q0 = pcur.intField();
             op.q1 = pcur.intField();

@@ -1,7 +1,10 @@
 #include "transpile/basis_translate.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <unordered_map>
 
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
@@ -48,7 +51,11 @@ orientedTarget(const Gate &g, const CouplingMap &cm, int eid)
 
 /**
  * Shared emission loop: rewrite every 2Q gate using `decs`, which
- * holds the decomposition of each 2Q gate in circuit order.
+ * holds the decomposition of each 2Q gate in circuit order. The
+ * basis applications on one edge share one Unitary2QData while their
+ * matrices are bit-equal; a decomposition whose basis differs in any
+ * bit (one shared class decomposition may serve several edges)
+ * starts a new block for that edge.
  */
 Circuit
 emitTranslation(const Circuit &physical, const CouplingMap &cm,
@@ -57,8 +64,15 @@ emitTranslation(const Circuit &physical, const CouplingMap &cm,
                 BasisTranslationStats *stats)
 {
     Circuit out(physical.numQubits());
+    size_t emitted = physical.size() - decs.size();
+    for (const TwoQubitDecomposition &dec : decs)
+        emitted += 2 + 3 * static_cast<size_t>(dec.layers());
+    out.reserve(emitted);
+
     BasisTranslationStats local_stats;
     size_t next_2q = 0;
+    std::unordered_map<int, std::shared_ptr<const Unitary2QData>>
+        edge_basis;
 
     for (const Gate &g : physical.gates()) {
         if (!g.isTwoQubit()) {
@@ -78,11 +92,18 @@ emitTranslation(const Circuit &physical, const CouplingMap &cm,
         // Emit K_0, then (B, K_j) pairs; locals[j].q1 acts on `lo`.
         out.unitary1q(lo, dec.locals[0].q1, "u");
         out.unitary1q(hi, dec.locals[0].q0, "u");
+        std::shared_ptr<const Unitary2QData> &shared = edge_basis[eid];
         for (int layer = 0; layer < dec.layers(); ++layer) {
-            out.unitary2q(lo, hi, dec.basis[layer],
-                          bases[static_cast<size_t>(eid)].label.empty()
-                              ? "basis"
-                              : bases[static_cast<size_t>(eid)].label);
+            const Mat4 &b = dec.basis[static_cast<size_t>(layer)];
+            if (shared == nullptr ||
+                std::memcmp(shared->matrix.data(), b.data(),
+                            sizeof(Complex) * 16) != 0) {
+                const std::string &label =
+                    bases[static_cast<size_t>(eid)].label;
+                shared = std::make_shared<const Unitary2QData>(
+                    Unitary2QData{b, label.empty() ? "basis" : label});
+            }
+            out.append(makeUnitary2(lo, hi, shared));
             out.unitary1q(lo, dec.locals[layer + 1].q1, "u");
             out.unitary1q(hi, dec.locals[layer + 1].q0, "u");
         }

@@ -22,6 +22,7 @@ Circuit
 reversedCircuit(const Circuit &c)
 {
     Circuit r(c.numQubits());
+    r.reserve(c.size());
     for (auto it = c.gates().rbegin(); it != c.gates().rend(); ++it)
         r.append(*it);
     return r;

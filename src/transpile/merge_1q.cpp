@@ -12,6 +12,27 @@ isIdentityUpToPhase(const Mat2 &u, double tol)
     return std::abs(u.trace()) >= 2.0 - tol;
 }
 
+/** Gates mergeSingleQubitRuns(c) emits at most: each 2Q gate, plus
+ *  one per run of 1Q gates on a qubit (a run whose product is the
+ *  identity emits none). */
+size_t
+mergedSizeBound(const Circuit &c)
+{
+    std::vector<bool> in_run(c.numQubits(), false);
+    size_t bound = 0;
+    for (const Gate &g : c.gates()) {
+        if (g.isTwoQubit()) {
+            in_run[g.qubits[0]] = false;
+            in_run[g.qubits[1]] = false;
+            ++bound;
+        } else if (!in_run[g.qubits[0]]) {
+            in_run[g.qubits[0]] = true;
+            ++bound;
+        }
+    }
+    return bound;
+}
+
 } // namespace
 
 Circuit
@@ -19,6 +40,7 @@ mergeSingleQubitRuns(const Circuit &c, double identity_tol)
 {
     const int n = c.numQubits();
     Circuit out(n);
+    out.reserve(mergedSizeBound(c));
     std::vector<Mat2> pending(n, Mat2::identity());
     std::vector<bool> has_pending(n, false);
 

@@ -60,10 +60,11 @@ circuitParamFingerprint(const Circuit &c)
                     f.mixDouble(g.custom2(r, col).imag());
                 }
         } else if (g.kind == GateKind::Unitary2Q) {
+            const Mat4 &m = g.custom4->matrix;
             for (int r = 0; r < 4; ++r)
                 for (int col = 0; col < 4; ++col) {
-                    f.mixDouble(g.custom4(r, col).real());
-                    f.mixDouble(g.custom4(r, col).imag());
+                    f.mixDouble(m(r, col).real());
+                    f.mixDouble(m(r, col).imag());
                 }
         }
     }
@@ -93,27 +94,13 @@ captureTranspilePlan(PlanKey key, const RoutedCircuit &routed,
                      const std::vector<EdgeBasis> &bases,
                      const SynthOptions &synth_opts)
 {
-    if (routed.sources.size() != routed.circuit.size())
-        panic("plan capture: source map has %zu entries for %zu "
-              "routed gates",
-              routed.sources.size(), routed.circuit.size());
-
     TranspilePlan plan;
     plan.key = std::move(key);
     plan.num_physical = routed.circuit.numQubits();
     plan.initial_layout = routed.initial_layout;
     plan.final_layout = routed.final_layout;
     plan.swaps_inserted = routed.swaps_inserted;
-
-    plan.ops.reserve(routed.circuit.size());
-    for (size_t i = 0; i < routed.circuit.size(); ++i) {
-        const Gate &g = routed.circuit.gates()[i];
-        PlanOp op;
-        op.source = routed.sources[i];
-        op.q0 = g.qubits[0];
-        op.q1 = g.isTwoQubit() ? g.qubits[1] : -1;
-        plan.ops.push_back(op);
-    }
+    plan.ops = routed.ops;
 
     // Class keys of the routed 2Q gates, in circuit order. 1Q merging
     // never touches 2Q gates, so this matches the translated
@@ -164,7 +151,7 @@ replayTranspilePlan(const TranspilePlan &plan, const Circuit &logical,
 
     std::vector<char> seen(logical.size(), 0);
     size_t emitted = 0;
-    for (const PlanOp &op : plan.ops) {
+    for (const RouteOp &op : plan.ops) {
         const bool is_2q = op.q1 >= 0;
         if (op.q0 < 0 || op.q0 >= plan.num_physical)
             return false;
@@ -198,19 +185,8 @@ replayTranspilePlan(const TranspilePlan &plan, const Circuit &logical,
     // Rebuild the routed circuit with the live gate parameters, then
     // run the *same* merge + translate + merge sequence as the full
     // pipeline so the output is bit-identical to a fresh transpile.
-    Circuit routed(plan.num_physical);
-    for (const PlanOp &op : plan.ops) {
-        if (op.source < 0) {
-            routed.swap(op.q0, op.q1);
-            continue;
-        }
-        Gate g = logical.gates()[static_cast<size_t>(op.source)];
-        g.qubits = op.q1 >= 0 ? std::vector<int>{op.q0, op.q1}
-                              : std::vector<int>{op.q0};
-        routed.append(std::move(g));
-    }
-
-    const Circuit merged = mergeSingleQubitRuns(routed);
+    const Circuit merged = mergeSingleQubitRuns(
+        emitRouteOps(logical, plan.num_physical, plan.ops));
     BasisTranslationStats stats;
     std::optional<Circuit> translated = translateFromPublishedClasses(
         merged, cm, bases, synth_opts, peek, &stats);

@@ -33,24 +33,6 @@
 
 namespace qbasis {
 
-/**
- * One step of the routing program. `source >= 0` emits logical gate
- * `source` on physical qubits (q0[, q1]); `source == -1` emits a
- * routing SWAP on (q0, q1). `q1 == -1` marks a single-qubit gate.
- */
-struct PlanOp
-{
-    int source = -1;
-    int q0 = 0;
-    int q1 = -1;
-
-    bool
-    operator==(const PlanOp &o) const
-    {
-        return source == o.source && q0 == o.q0 && q1 == o.q1;
-    }
-};
-
 /** One (device, basis-epoch) coordinate of a plan key. */
 struct DeviceEpoch
 {
@@ -112,7 +94,7 @@ struct TranspilePlan
     std::vector<int> initial_layout; ///< logical -> physical.
     std::vector<int> final_layout;   ///< logical -> physical at end.
     uint64_t swaps_inserted = 0;     ///< Routing SWAP count.
-    std::vector<PlanOp> ops;         ///< Routing program.
+    std::vector<RouteOp> ops;        ///< Routing program.
     /** Weyl-class key of each routed 2Q gate, in circuit order.
      *  Replay pre-checks these against the published class set before
      *  doing any KAK work. */

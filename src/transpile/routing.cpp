@@ -78,12 +78,12 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         return cm.connected(layout[g.qubits[0]], layout[g.qubits[1]]);
     };
 
+    // Record the routing program; the circuit is built from it once
+    // the swap count, and so its size, is known.
     auto emit = [&](size_t gi) {
-        Gate g = logical.gates()[gi];
-        for (int &q : g.qubits)
-            q = layout[q];
-        out.circuit.append(std::move(g));
-        out.sources.push_back(static_cast<int>(gi));
+        const Gate &g = logical.gates()[gi];
+        out.ops.push_back({static_cast<int>(gi), layout[g.qubits[0]],
+                           g.isTwoQubit() ? layout[g.qubits[1]] : -1});
     };
 
     auto advance = [&](size_t gi, std::vector<size_t> &next_front) {
@@ -230,8 +230,7 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         }
 
         const auto [pa, pb] = cm.edges()[best_edge];
-        out.circuit.swap(pa, pb);
-        out.sources.push_back(-1);
+        out.ops.push_back({-1, pa, pb});
         ++out.swaps_inserted;
         std::swap(inverse[pa], inverse[pb]);
         if (inverse[pa] >= 0)
@@ -246,7 +245,27 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         }
     }
 
+    out.circuit = emitRouteOps(logical, np, out.ops);
     out.final_layout = layout;
+    return out;
+}
+
+Circuit
+emitRouteOps(const Circuit &logical, int num_physical,
+             const std::vector<RouteOp> &ops)
+{
+    Circuit out(num_physical);
+    out.reserve(ops.size());
+    for (const RouteOp &op : ops) {
+        if (op.source < 0) {
+            out.swap(op.q0, op.q1);
+            continue;
+        }
+        Gate g = logical.gates()[static_cast<size_t>(op.source)];
+        g.qubits = op.q1 >= 0 ? GateQubits{op.q0, op.q1}
+                              : GateQubits{op.q0};
+        out.append(std::move(g));
+    }
     return out;
 }
 

@@ -25,6 +25,24 @@ struct SabreOptions
     uint64_t seed = 0x5ab3eull;   ///< Tie-breaking seed.
 };
 
+/**
+ * One step of a routing program. `source >= 0` emits logical gate
+ * `source` on physical qubits (q0[, q1]); `source == -1` emits a
+ * routing SWAP on (q0, q1). `q1 == -1` marks a single-qubit gate.
+ */
+struct RouteOp
+{
+    int source = -1;
+    int q0 = 0;
+    int q1 = -1;
+
+    bool
+    operator==(const RouteOp &o) const
+    {
+        return source == o.source && q0 == o.q0 && q1 == o.q1;
+    }
+};
+
 /** Result of routing a logical circuit onto a device. */
 struct RoutedCircuit
 {
@@ -32,13 +50,22 @@ struct RoutedCircuit
     std::vector<int> initial_layout; ///< logical -> physical.
     std::vector<int> final_layout;   ///< logical -> physical at end.
     size_t swaps_inserted = 0;    ///< Number of SWAP gates added.
-    /// Logical gate index behind each emitted gate; -1 for inserted
-    /// SWAPs. Lets a transpile plan replay the routing program on a
-    /// structurally identical circuit with different parameters.
-    std::vector<int> sources;
+    /// The routing program, one op per gate of `circuit`. Lets a
+    /// transpile plan replay it on a structurally identical circuit
+    /// with different parameters.
+    std::vector<RouteOp> ops;
 
     RoutedCircuit() : circuit(1) {}
 };
+
+/**
+ * The circuit on `num_physical` qubits that the routing program
+ * `ops` emits from `logical`, with its gate array sized once. Every
+ * op must fit `logical` and the register (replayTranspilePlan checks
+ * an untrusted program first).
+ */
+Circuit emitRouteOps(const Circuit &logical, int num_physical,
+                     const std::vector<RouteOp> &ops);
 
 /**
  * Route `logical` onto the device described by `cm`, starting from

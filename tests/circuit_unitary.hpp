@@ -1,15 +1,27 @@
-#include "circuit/unitary.hpp"
+#ifndef QBASIS_TESTS_CIRCUIT_UNITARY_HPP
+#define QBASIS_TESTS_CIRCUIT_UNITARY_HPP
+
+/**
+ * @file
+ * Full-circuit unitary construction and equivalence checks for small
+ * registers, the reference the transpiler correctness tests compare
+ * against.
+ */
 
 #include <cmath>
+#include <vector>
 
+#include "circuit/circuit.hpp"
 #include "circuit/statevector.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/su2.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace qbasis {
 
-CMat
+/** Dense 2^n x 2^n unitary of a circuit (n <= 10). */
+inline CMat
 circuitUnitary(const Circuit &c)
 {
     const int n = c.numQubits();
@@ -27,8 +39,12 @@ circuitUnitary(const Circuit &c)
     return u;
 }
 
-bool
-circuitsEquivalent(const Circuit &a, const Circuit &b, double tol)
+/**
+ * True when the circuits implement the same unitary up to global
+ * phase.
+ */
+inline bool
+circuitsEquivalent(const Circuit &a, const Circuit &b, double tol = 1e-8)
 {
     if (a.numQubits() != b.numQubits())
         return false;
@@ -43,10 +59,15 @@ circuitsEquivalent(const Circuit &a, const Circuit &b, double tol)
     return overlap >= 1.0 - tol;
 }
 
-bool
+/**
+ * True when circuit `b` equals circuit `a` followed by a relabeling
+ * of qubits (out_perm[logical] = physical), as produced by routing
+ * passes that leave SWAP permutations in place.
+ */
+inline bool
 circuitsEquivalentUpToPermutation(const Circuit &a, const Circuit &b,
                                   const std::vector<int> &out_perm,
-                                  double tol)
+                                  double tol = 1e-8)
 {
     const int n = a.numQubits();
     if (b.numQubits() != n
@@ -91,3 +112,5 @@ circuitsEquivalentUpToPermutation(const Circuit &a, const Circuit &b,
 }
 
 } // namespace qbasis
+
+#endif // QBASIS_TESTS_CIRCUIT_UNITARY_HPP

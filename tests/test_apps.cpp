@@ -14,7 +14,8 @@
 #include "apps/qaoa.hpp"
 #include "apps/qft.hpp"
 #include "circuit/statevector.hpp"
-#include "circuit/unitary.hpp"
+
+#include "circuit_unitary.hpp"
 
 namespace qbasis {
 namespace {

@@ -4,18 +4,54 @@
  * statevector simulator, and circuit unitary equivalence helpers.
  */
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hpp"
 #include "circuit/schedule.hpp"
 #include "circuit/statevector.hpp"
-#include "circuit/unitary.hpp"
 #include "linalg/random.hpp"
 #include "linalg/su2.hpp"
 #include "util/rng.hpp"
 #include "weyl/gates.hpp"
+
+#include "circuit_unitary.hpp"
+
+namespace {
+
+/** Global operator new calls while counting is on (this binary's
+ *  replacement below counts them). */
+std::atomic<bool> g_count_news{false};
+std::atomic<long> g_news{0};
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (g_count_news.load(std::memory_order_relaxed))
+        g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so that no caller sees `new` paired with `free`.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace qbasis {
 namespace {
@@ -49,6 +85,79 @@ TEST(Circuit, AppendValidatesQubits)
     EXPECT_THROW(c.cx(0, 5), std::runtime_error);
     c.h(0); // fine
     EXPECT_EQ(c.size(), 1u);
+}
+
+TEST(Circuit, AppendRejectsQubitCountOtherThanTheKinds)
+{
+    Circuit c(3);
+    EXPECT_THROW(c.append(makeGate1(GateKind::CX, 0)),
+                 std::runtime_error);
+    EXPECT_THROW(c.append(makeGate2(GateKind::H, 0, 1)),
+                 std::runtime_error);
+    EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(Circuit, AppendRejectsEqualQubitsOnTwoQubitGate)
+{
+    // makeGate2 refuses equal qubits; a hand-built gate used to get
+    // through and make routing panic later.
+    Gate g;
+    g.kind = GateKind::CX;
+    g.qubits = {1, 1};
+    Circuit c(3);
+    EXPECT_THROW(c.append(g), std::runtime_error);
+    EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(Circuit, AppendRejectsAngleCountOtherThanTheKinds)
+{
+    Circuit c(2);
+    EXPECT_THROW(c.append(makeGate1(GateKind::U3, 0, {0.3})),
+                 std::runtime_error);
+    EXPECT_THROW(c.append(makeGate1(GateKind::RZ, 0)),
+                 std::runtime_error);
+    EXPECT_THROW(c.append(makeGate1(GateKind::H, 0, {0.3})),
+                 std::runtime_error);
+    EXPECT_THROW(c.append(makeGate2(GateKind::CPhase, 0, 1)),
+                 std::runtime_error);
+    EXPECT_THROW(makeGate1(GateKind::U3, 0, {0.1, 0.2, 0.3, 0.4}),
+                 std::runtime_error);
+    // A gate that never went through append fails loudly too.
+    EXPECT_THROW(makeGate1(GateKind::U3, 0, {0.3}).matrix2(),
+                 std::runtime_error);
+    EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(Circuit, AppendRejectsUnitary2QWithoutMatrix)
+{
+    Circuit c(2);
+    EXPECT_THROW(c.append(makeGate2(GateKind::Unitary2Q, 0, 1)),
+                 std::runtime_error);
+    EXPECT_THROW(makeGate2(GateKind::Unitary2Q, 0, 1).matrix4(),
+                 std::runtime_error);
+    EXPECT_EQ(c.size(), 0u);
+}
+
+TEST(Circuit, CopyMakesOneAllocation)
+{
+    // Gates own no heap memory: a Unitary2Q copy shares its matrix,
+    // so copying a circuit allocates only its gate array.
+    Rng rng(5);
+    Circuit c(3);
+    c.u3(0, 0.1, 0.2, 0.3);
+    c.unitary1q(1, randomSU2(rng), "u");
+    c.unitary2q(0, 2, randomUnitary4(rng), "a label longer than sso");
+    c.cphase(1, 2, 0.4);
+    const Gate shared = c.gates()[2];
+
+    g_news = 0;
+    g_count_news = true;
+    const Circuit copy = c;
+    g_count_news = false;
+    EXPECT_EQ(g_news.load(), 1);
+    ASSERT_EQ(copy.size(), c.size());
+    EXPECT_EQ(copy.gates()[2].custom4.get(), shared.custom4.get());
+    EXPECT_EQ(copy.gates()[2].name(), "a label longer than sso");
 }
 
 TEST(Circuit, CountsAndDepth)

@@ -14,11 +14,12 @@
 #include "apps/cuccaro.hpp"
 #include "apps/qft.hpp"
 #include "circuit/statevector.hpp"
-#include "circuit/unitary.hpp"
 #include "core/experiment.hpp"
 #include "noise/coherence.hpp"
 #include "synth/textbook.hpp"
 #include "weyl/gates.hpp"
+
+#include "circuit_unitary.hpp"
 
 namespace qbasis {
 namespace {

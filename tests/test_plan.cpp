@@ -209,6 +209,50 @@ TEST_F(PlanTest, StructuralHashSeparatesNearCollisionPairs)
               structuralCircuitHash(narrow));
 }
 
+TEST_F(PlanTest, FingerprintsKeepTheirValuesOnEveryGateKind)
+{
+    // One gate of every GateKind with literal angles and literal
+    // custom matrices, so the values depend on the IR and FNV alone.
+    // Plan keys are persisted in snapshots: these values were taken
+    // before the compact gate layout and must never move.
+    Circuit c(3);
+    c.h(0);
+    c.x(1);
+    c.y(2);
+    c.z(0);
+    c.s(1);
+    c.append(makeGate1(GateKind::Sdg, 2));
+    c.t(0);
+    c.append(makeGate1(GateKind::Tdg, 1));
+    c.rx(2, 0.25);
+    c.ry(0, -1.5);
+    c.rz(1, 3.0);
+    c.phase(2, 0.125);
+    c.u3(0, 0.5, 1.25, -0.75);
+    const Mat2 a(Complex(0.6, 0.0), Complex(0.0, 0.8), Complex(0.0, 0.8),
+                 Complex(0.6, 0.0));
+    const Mat2 b(Complex(0.0, 1.0), Complex(0.0, 0.0), Complex(0.0, 0.0),
+                 Complex(0.0, -1.0));
+    c.unitary1q(1, a, "u");
+    c.cx(0, 1);
+    c.cz(1, 2);
+    c.swap(2, 0);
+    c.iswap(0, 2);
+    c.append(makeGate2(GateKind::SqrtISwap, 1, 0));
+    c.cphase(2, 1, 0.375);
+    c.crz(0, 2, -0.625);
+    c.rzz(1, 0, 2.5);
+    c.unitary2q(2, 1, Mat4::kron(a, b), "basis");
+    ASSERT_EQ(c.size(), static_cast<size_t>(GateKind::Unitary2Q) + 1);
+
+    CompileRequest req(41, 2, "every_kind", c);
+    req.options.t_1q_ns = 35.0;
+    req.options.t_coherence_ns = 80000.0;
+    EXPECT_EQ(structuralCircuitHash(c), 0x92ca48ee193c5e21ull);
+    EXPECT_EQ(circuitParamFingerprint(c), 0x24104c3b173ad0a5ull);
+    EXPECT_EQ(compileRequestFingerprint(req), 0x4bcd72080dc68354ull);
+}
+
 // --- Serve-path digest identity -------------------------------------
 
 TEST_F(PlanTest, AllPlanPathsProduceBitIdenticalDigests)

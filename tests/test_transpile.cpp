@@ -7,17 +7,22 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "apps/qft.hpp"
 #include "circuit/schedule.hpp"
-#include "circuit/unitary.hpp"
+#include "circuit/statevector.hpp"
 #include "linalg/random.hpp"
 #include "transpile/merge_1q.hpp"
 #include "transpile/pipeline.hpp"
 #include "util/rng.hpp"
 #include "weyl/gates.hpp"
+
+#include "circuit_unitary.hpp"
 
 namespace qbasis {
 namespace {
@@ -349,6 +354,107 @@ TEST(Translate, CacheSharedAcrossIdenticalGates)
     EXPECT_EQ(synth.cache.hits(), 2u);
 }
 
+TEST(Translate, GateCopiesKeepMatricesNamesAndAmplitudes)
+{
+    // The copy pattern of the benchmark's statevector check: copy
+    // each gate of a compiled circuit, rewrite its qubits in place,
+    // and append it to a fresh circuit.
+    const CouplingMap cm = CouplingMap::line(3);
+    const auto bases =
+        uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+    Circuit c(3);
+    c.h(0);
+    c.cx(0, 1);
+    c.u3(2, 0.3, 0.2, 0.1);
+    c.cphase(1, 2, 0.77);
+    c.cx(2, 1);
+    LocalSynth synth;
+    const Circuit t = mergeSingleQubitRuns(translateToEdgeBases(
+        c, cm, bases, synth.client, SynthOptions{}));
+
+    std::set<int> touched;
+    for (const Gate &g : t.gates())
+        touched.insert(g.qubits.begin(), g.qubits.end());
+    std::map<int, int> compact;
+    for (const int q : touched)
+        compact.emplace(q, static_cast<int>(compact.size()));
+    Circuit copy(t.numQubits());
+    for (Gate g : t.gates()) {
+        for (int &q : g.qubits)
+            q = compact.at(q);
+        copy.append(std::move(g));
+    }
+
+    ASSERT_EQ(copy.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i) {
+        const Gate &a = t.gates()[i];
+        const Gate &b = copy.gates()[i];
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.qubits, b.qubits);
+        EXPECT_EQ(a.name(), b.name());
+        if (a.isTwoQubit()) {
+            const Mat4 ma = a.matrix4(), mb = b.matrix4();
+            EXPECT_EQ(std::memcmp(ma.data(), mb.data(), sizeof(ma)), 0);
+        } else {
+            const Mat2 ma = a.matrix2(), mb = b.matrix2();
+            EXPECT_EQ(std::memcmp(ma.data(), mb.data(), sizeof(ma)), 0);
+        }
+    }
+
+    Circuit prep(3);
+    for (int q = 0; q < 3; ++q)
+        prep.u3(q, 0.4 + q, 0.9 * q, 1.3 - q);
+    Statevector sa(3), sb(3);
+    sa.applyCircuit(prep);
+    sb.applyCircuit(prep);
+    sa.applyCircuit(t);
+    sb.applyCircuit(copy);
+    EXPECT_EQ(std::memcmp(sa.amplitudes().data(), sb.amplitudes().data(),
+                          sizeof(Complex) * sa.amplitudes().size()),
+              0);
+}
+
+TEST(Translate, BasisApplicationsOnAnEdgeShareOneMatrix)
+{
+    const CouplingMap cm = CouplingMap::line(3);
+    auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "e0");
+    bases[1].gate = canonicalGate(0.45, 0.23, 0.07);
+    bases[1].label = "e1";
+    Circuit c(3);
+    c.cx(0, 1);
+    c.cx(1, 2);
+    c.cphase(1, 0, 0.77);
+    c.rzz(2, 1, 0.4);
+    c.cx(0, 1);
+    LocalSynth synth;
+    const Circuit t = translateToEdgeBases(c, cm, bases, synth.client,
+                                           SynthOptions{});
+
+    std::map<int, const Unitary2QData *> block;
+    std::map<int, long> applications;
+    for (const Gate &g : t.gates()) {
+        if (!g.isTwoQubit())
+            continue;
+        ASSERT_EQ(g.kind, GateKind::Unitary2Q);
+        const int eid = cm.edgeId(g.qubits[0], g.qubits[1]);
+        const auto it = block.emplace(eid, g.custom4.get()).first;
+        EXPECT_EQ(g.custom4.get(), it->second) << "edge " << eid;
+        EXPECT_EQ(g.name(), eid == 0 ? "e0" : "e1");
+        ++applications[eid];
+    }
+    ASSERT_EQ(block.size(), 2u);
+    EXPECT_NE(block[0], block[1]);
+    // The translated circuit holds the only references.
+    for (const Gate &g : t.gates()) {
+        if (g.isTwoQubit()) {
+            EXPECT_EQ(g.custom4.use_count(),
+                      applications[cm.edgeId(g.qubits[0], g.qubits[1])]);
+        }
+    }
+    EXPECT_GT(applications[0], 1);
+    EXPECT_GT(applications[1], 1);
+}
+
 TEST(Translate, RejectsUnroutedCircuits)
 {
     const CouplingMap cm = CouplingMap::line(3);
@@ -408,6 +514,30 @@ TEST(Pipeline, EndToEndSmallDevice)
         perm[result.initial_layout[l]] = result.final_layout[l];
     EXPECT_TRUE(circuitsEquivalentUpToPermutation(
         embedded, result.physical, perm));
+}
+
+TEST(Pipeline, PassesSizeTheirOutputOnce)
+{
+    // Routing, 1Q merging and translation reserve their output up
+    // front rather than grow it by doubling, so each gate array holds
+    // exactly what was emitted. (Merging reserves one gate per 2Q
+    // gate and per 1Q run; no run of this circuit is the identity.)
+    const CouplingMap cm = CouplingMap::grid(2, 3);
+    const auto bases =
+        uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+    const Circuit logical = qftCircuit(5);
+    const RoutedCircuit routed = sabreRoute(
+        logical, cm, sabreLayout(logical, cm, 2, SabreOptions{}));
+    EXPECT_GT(routed.swaps_inserted, 0u);
+    EXPECT_EQ(routed.circuit.gates().capacity(), routed.circuit.size());
+
+    const Circuit merged = mergeSingleQubitRuns(routed.circuit);
+    EXPECT_EQ(merged.gates().capacity(), merged.size());
+
+    LocalSynth synth;
+    const Circuit translated = translateToEdgeBases(
+        merged, cm, bases, synth.client, SynthOptions{});
+    EXPECT_EQ(translated.gates().capacity(), translated.size());
 }
 
 TEST(Pipeline, ScheduleOfTranspiledCircuit)
