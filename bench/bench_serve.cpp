@@ -262,7 +262,7 @@ runOpenLoop(CompileService &service, const BenchConfig &cfg)
     // one-off cold synthesis.
     for (const CompileRequest &req : reqs)
         service.compileSync(req);
-    const CompileServiceStats warm = service.stats();
+    const CompileServiceStats warm = service.snapshot();
 
     Rng rng(cfg.arrival_seed);
     std::vector<double> arrival_ms(reqs.size());
@@ -309,7 +309,7 @@ runOpenLoop(CompileService &service, const BenchConfig &cfg)
     r.p50_ms = percentileSorted(latencies, 0.50);
     r.p95_ms = percentileSorted(latencies, 0.95);
     r.p99_ms = percentileSorted(latencies, 0.99);
-    const CompileServiceStats stats = service.stats();
+    const CompileServiceStats stats = service.snapshot();
     r.max_queue_depth = stats.max_queue_depth;
     r.batches = stats.batches - warm.batches;
     return r;

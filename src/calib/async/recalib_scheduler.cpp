@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -12,31 +11,6 @@
 namespace qbasis {
 
 namespace {
-
-/** Registry mirrors of the scheduler's retry/quarantine stats. */
-struct RecalibMetrics
-{
-    Counter &scheduled;
-    Counter &completed;
-    Counter &published;
-    Counter &retries;
-    Counter &contained_errors;
-    Counter &quarantine_skipped;
-
-    static RecalibMetrics &
-    instance()
-    {
-        MetricsRegistry &reg = MetricsRegistry::instance();
-        static RecalibMetrics m{
-            reg.counter("recalib.scheduled"),
-            reg.counter("recalib.completed"),
-            reg.counter("recalib.published"),
-            reg.counter("recalib.retries"),
-            reg.counter("recalib.contained_errors"),
-            reg.counter("recalib.quarantine_skipped")};
-        return m;
-    }
-};
 
 // Probes of the calibrate hop (simulate, select) and of the publish
 // hop; keys are the logical edge identity, so a fault campaign
@@ -133,13 +107,11 @@ RecalibScheduler::schedule(RecalibJob job)
                 // a job stamped at/after the release cycle arrives.
                 // The device keeps serving the last-good basis.
                 ++stats_.quarantine_skipped;
-                RecalibMetrics::instance().quarantine_skipped.add();
                 return;
             }
             quarantine_.erase(quarantined);
         }
         ++stats_.scheduled;
-        RecalibMetrics::instance().scheduled.add();
         EdgeQueue &q = queues_[key];
         if (q.running) {
             // The edge already has a pipeline in flight: strict FIFO
@@ -270,11 +242,8 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
     basis.duration_ns = cal.gate.duration_ns;
     basis.label = task->job.label;
     task->job.target->publishEdge(cal, basis);
-    RecalibMetrics::instance().published.add();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.published;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.published;
 }
 
 void
@@ -292,13 +261,11 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
             // Task from the calibrate hop. The edge queue stays
             // `running`, so FIFO order is preserved.
             ++stats_.retries;
-            RecalibMetrics::instance().retries.add();
             next = std::make_shared<Task>();
             next->job = task->job;
             next->retries_used = task->retries_used + 1;
         } else {
             ++stats_.completed;
-            RecalibMetrics::instance().completed.add();
             uint64_t release_cycle = 0;
             bool quarantined = false;
             if (error) {
@@ -307,7 +274,6 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                     // Its device keeps serving the last-good basis;
                     // drain() does not fail.
                     ++stats_.contained_errors;
-                    RecalibMetrics::instance().contained_errors.add();
                     Quarantine &quar = quarantine_[key];
                     quar.since_cycle = task->job.cycle;
                     quar.release_cycle =
@@ -340,7 +306,6 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                 while (!q.pending.empty()
                        && q.pending.front().cycle < release_cycle) {
                     ++stats_.quarantine_skipped;
-                    RecalibMetrics::instance().quarantine_skipped.add();
                     q.pending.pop_front();
                 }
                 if (!q.pending.empty())
@@ -382,6 +347,18 @@ RecalibScheduler::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
+}
+
+void
+RecalibScheduler::readMetrics(MetricsSource::Out &out) const
+{
+    const Stats s = stats();
+    out.counter("recalib.scheduled", s.scheduled);
+    out.counter("recalib.completed", s.completed);
+    out.counter("recalib.published", s.published);
+    out.counter("recalib.retries", s.retries);
+    out.counter("recalib.contained_errors", s.contained_errors);
+    out.counter("recalib.quarantine_skipped", s.quarantine_skipped);
 }
 
 std::vector<EdgeQuarantine>

@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "core/recalib.hpp"
+#include "obs/metrics.hpp"
 
 namespace qbasis {
 
@@ -221,6 +222,9 @@ class RecalibScheduler
     void completeTask(const std::shared_ptr<Task> &task,
                       std::exception_ptr error);
     void noteStage(double t0_ms);
+    /** Takes mutex_ under the registry lock, so no code may call the
+     *  registry while it holds mutex_. */
+    void readMetrics(MetricsSource::Out &out) const;
 
     ThreadPool &pool_;
     SharedDecompositionCache &cache_;
@@ -244,6 +248,9 @@ class RecalibScheduler
     std::map<std::tuple<int, int, uint64_t>, std::exception_ptr>
         errors_;
     Stats stats_;
+    /** Last member: the registry reads stats_ here. */
+    MetricsSource metrics_{
+        [this](MetricsSource::Out &out) { readMetrics(out); }};
 };
 
 } // namespace qbasis

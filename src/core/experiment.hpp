@@ -148,16 +148,6 @@ GateSetSummary summarizeGateSet(const GridDevice &device,
                                 const SynthOptions &synth,
                                 double t_1q_ns, double t_coherence_ns);
 
-/** Table II cell: one benchmark compiled against one basis set. */
-struct CompiledCircuitResult
-{
-    double fidelity = 0.0;   ///< Coherence-limited circuit fidelity.
-    double makespan_ns = 0.0; ///< Scheduled duration.
-    size_t swaps_inserted = 0;
-    size_t two_qubit_gates = 0; ///< Basis applications in the result.
-    int depth = 0;
-};
-
 } // namespace qbasis
 
 #endif // QBASIS_CORE_EXPERIMENT_HPP

@@ -23,22 +23,19 @@ namespace {
 /** Forces loadCache() down its rejected-snapshot quarantine path. */
 const FaultSite kFaultFleetLoadCache("fleet.load_cache");
 
-/** Registry mirrors of the driver's failure-domain counters. */
+/** The registry's pass counters; the failure-domain counters are
+ *  the driver's own (FleetDriver::readMetrics). */
 struct FleetMetrics
 {
     Counter &cycles;
     Counter &compile_passes;
-    Counter &device_failures;
-    Counter &cache_quarantines;
 
     static FleetMetrics &
     instance()
     {
         MetricsRegistry &reg = MetricsRegistry::instance();
         static FleetMetrics m{reg.counter("fleet.cycles"),
-                              reg.counter("fleet.compile_passes"),
-                              reg.counter("fleet.device_failures"),
-                              reg.counter("fleet.cache_quarantines")};
+                              reg.counter("fleet.compile_passes")};
         return m;
     }
 };
@@ -211,6 +208,7 @@ fleetReportDigest(const FleetReport &report)
 FleetDriver::FleetDriver(FleetOptions opts)
     : opts_(std::move(opts)),
       pool_(opts_.threads),
+      engine_(pool_),
       cache_(opts_.cache_stripes)
 {
 }
@@ -237,8 +235,7 @@ FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
 
 FleetDeviceReport
 FleetDriver::runDevice(int device_id, const FleetDeviceSpec &spec,
-                       const std::vector<FleetCircuit> &circuits,
-                       SynthEngine &engine)
+                       const std::vector<FleetCircuit> &circuits)
 {
     FleetDeviceReport report;
     report.device_id = device_id;
@@ -249,7 +246,7 @@ FleetDriver::runDevice(int device_id, const FleetDeviceSpec &spec,
     const GridDevice device(spec.grid);
     report.set = calibrateSpec(device_id, spec, device, report.label);
 
-    const SynthClient client{engine, cache_, device_id};
+    const SynthClient client{engine_, cache_, device_id};
     report.summary = summarizeGateSet(device, report.set, client,
                                       opts_.synth, opts_.t_1q_ns,
                                       opts_.t_coherence_ns);
@@ -286,12 +283,12 @@ FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
     }
     report.shards = shardCount(n_devices);
 
-    // Engines borrow the shared pool and carry no synthesis state
-    // of their own, so each device gets a fresh one. A shard thread
-    // runs its own batches' tasks while it joins them, but it sleeps
-    // in shared-cache waits for classes another device is
-    // synthesizing, which is why shards are std::threads rather
-    // than pool tasks.
+    // Every device synthesizes through the driver's one engine,
+    // which holds no synthesis state, only the pool and its restart
+    // counters. A shard thread runs its own batches' tasks while it
+    // joins them, but it sleeps in shared-cache waits for classes
+    // another device is synthesizing, which is why shards are
+    // std::threads rather than pool tasks.
     //
     // Per-device failure domain: a throwing device is contained into
     // its FleetDeviceStatus -- the rest of the fleet completes and
@@ -301,10 +298,7 @@ FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
         FleetDeviceStatus &status = report.statuses[di];
         status.device_id = d;
         try {
-            SynthEngine engine(pool_);
-            report.devices[di] =
-                runDevice(d, specs[di], circuits, engine);
-            absorbEngineStats(engine);
+            report.devices[di] = runDevice(d, specs[di], circuits);
             status.ok = true;
         } catch (const std::exception &e) {
             status.ok = false;
@@ -323,7 +317,6 @@ FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
                  d, report.devices[di].label.c_str(),
                  status.error.c_str());
             device_failures_.fetch_add(1);
-            FleetMetrics::instance().device_failures.add();
             std::lock_guard<std::mutex> lock(health_mutex_);
             if (d < first_device_error_id_) {
                 first_device_error_id_ = d;
@@ -476,23 +469,17 @@ FleetDriver::resetRecalibWindow()
         recalib_->resetWindow();
 }
 
-void
-FleetDriver::absorbEngineStats(const SynthEngine &engine)
-{
-    const SynthEngine::Stats s = engine.stats();
-    restarts_run_.fetch_add(s.restarts_run);
-    restarts_pruned_.fetch_add(s.restarts_pruned);
-    restarts_failed_.fetch_add(s.restarts_failed);
-}
-
 SynthEngine::Stats
 FleetDriver::engineStats() const
 {
-    SynthEngine::Stats s;
-    s.restarts_run = restarts_run_.load();
-    s.restarts_pruned = restarts_pruned_.load();
-    s.restarts_failed = restarts_failed_.load();
-    return s;
+    return engine_.stats();
+}
+
+void
+FleetDriver::readMetrics(MetricsSource::Out &out) const
+{
+    out.counter("fleet.device_failures", device_failures_.load());
+    out.counter("fleet.cache_quarantines", cache_quarantines_.load());
 }
 
 CacheIoResult
@@ -539,7 +526,6 @@ FleetDriver::loadCache(const std::string &path)
              path.c_str(), status_name, r.message.c_str());
     }
     cache_quarantines_.fetch_add(1);
-    FleetMetrics::instance().cache_quarantines.add();
     {
         std::lock_guard<std::mutex> lock(health_mutex_);
         last_cache_quarantine_ = status_name;
@@ -631,8 +617,7 @@ FleetDriver::compileCircuits(const std::vector<FleetCircuit> &circuits)
     double snapshot_wait_ms = 0.0;
     forEachDeviceSharded(devices_.size(), [&, this](int d) {
         FleetDeviceState &state = *devices_[static_cast<size_t>(d)];
-        SynthEngine engine(pool_);
-        const SynthClient client{engine, cache_, d,
+        const SynthClient client{engine_, cache_, d,
                                  TaskPriority::Normal};
         std::vector<VersionedCompileResult> &out =
             pass.results[static_cast<size_t>(d)];
@@ -651,7 +636,6 @@ FleetDriver::compileCircuits(const std::vector<FleetCircuit> &circuits)
             waited += r.snapshot_wait_ms;
             out.push_back(std::move(r));
         }
-        absorbEngineStats(engine);
         std::lock_guard<std::mutex> lock(wait_mutex);
         snapshot_wait_ms += waited;
     });
@@ -681,8 +665,7 @@ FleetDriver::cycleReport(uint64_t cycle,
         out.calibration_version = snap.version;
         out.edges = snap.set->edges;
         out.bases = snap.set->bases;
-        SynthEngine engine(pool_);
-        const SynthClient client{engine, cache_, d,
+        const SynthClient client{engine_, cache_, d,
                                  TaskPriority::Normal};
         out.verify.reserve(verify.size());
         for (const FleetCircuit &fc : verify) {
@@ -696,7 +679,6 @@ FleetDriver::cycleReport(uint64_t cycle,
             cr.result = resp.result;
             out.verify.push_back(std::move(cr));
         }
-        absorbEngineStats(engine);
     });
     report.cache = cacheManifest();
 
@@ -707,7 +689,7 @@ FleetDriver::cycleReport(uint64_t cycle,
     health.stage_retries = rs.retries;
     health.contained_errors = rs.contained_errors;
     health.quarantine_skipped = rs.quarantine_skipped;
-    health.synth_restarts_failed = restarts_failed_.load();
+    health.synth_restarts_failed = engine_.stats().restarts_failed;
     health.cache_quarantines = cache_quarantines_.load();
     health.device_failures = device_failures_.load();
     {

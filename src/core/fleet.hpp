@@ -6,15 +6,16 @@
  * Fleet-level experiment driver: N simulated devices calibrated,
  * summarized (Table I), and compiled against (Table II) concurrently.
  *
- * The driver owns one process-wide ThreadPool and one process-wide
- * SharedDecompositionCache. Devices are dealt round-robin onto
- * `shards` shard threads; each shard runs its devices in increasing
- * device order through its own SynthEngine that *borrows* the shared
- * pool. Every synthesis job, regardless of originating device, lands
- * in the shared cache keyed by (basis hash, options, Weyl class) --
- * so two devices with byte-identical bases (replicated hardware, or
- * a device whose drift left an edge unchanged) synthesize each class
- * exactly once fleet-wide.
+ * The driver owns one process-wide ThreadPool, one SynthEngine on
+ * it, and one process-wide SharedDecompositionCache. Devices are
+ * dealt round-robin onto `shards` shard threads; each shard runs its
+ * devices in increasing device order, and every shard synthesizes
+ * through the driver's engine (it holds no synthesis state, only the
+ * pool and its restart counters). Every synthesis job, regardless of
+ * originating device, lands in the shared cache keyed by (basis
+ * hash, options, Weyl class) -- so two devices with byte-identical
+ * bases (replicated hardware, or a device whose drift left an edge
+ * unchanged) synthesize each class exactly once fleet-wide.
  *
  * Determinism: per-device work only reads fleet-global state through
  * the shared cache, whose published entries are pure functions of
@@ -41,6 +42,7 @@
 #include "calib/async/recalib_scheduler.hpp"
 #include "core/experiment.hpp"
 #include "core/recalib.hpp"
+#include "obs/metrics.hpp"
 #include "synth/cache_io.hpp"
 #include "synth/plan_cache.hpp"
 #include "synth/shared_cache.hpp"
@@ -278,7 +280,7 @@ struct HealthReport
     uint64_t contained_errors = 0;   ///< Tasks quarantined, not failed.
     uint64_t quarantine_skipped = 0; ///< Jobs dropped in quarantine.
     /** Synthesis restarts that threw and were contained as aborted
-     *  slots (summed over every engine the driver ran). */
+     *  slots: FleetDriver::engineStats().restarts_failed. */
     uint64_t synth_restarts_failed = 0;
     uint64_t cache_quarantines = 0;  ///< Snapshots renamed .quarantine.
     /** CacheIoStatus name of the last quarantined snapshot (empty
@@ -405,8 +407,9 @@ class FleetDriver
     /** Reset the scheduler's stats window (per-cycle overlap). */
     void resetRecalibWindow();
 
-    /** Restart accounting summed over every engine the driver ran
-     *  (run(), compileCircuits(), cycleReport()). */
+    /** Restart accounting of the driver's one engine, which run(),
+     *  compileCircuits() and cycleReport() all synthesize through
+     *  (passes that threw included). */
     SynthEngine::Stats engineStats() const;
 
     /**
@@ -487,7 +490,7 @@ class FleetDriver
     SharedDecompositionCache &cache() { return cache_; }
     /** Fleet-wide transpile-plan cache (tier above the Weyl-class
      *  cache; see synth/plan_cache.hpp). The serving layer consults
-     *  it through runCompile's PlanCache overload. */
+     *  it through runCompile's `plans` argument. */
     PlanCache &planCache() { return plan_cache_; }
     ThreadPool &pool() { return pool_; }
     const FleetOptions &options() const { return opts_; }
@@ -495,8 +498,7 @@ class FleetDriver
   private:
     FleetDeviceReport
     runDevice(int device_id, const FleetDeviceSpec &spec,
-              const std::vector<FleetCircuit> &circuits,
-              SynthEngine &engine);
+              const std::vector<FleetCircuit> &circuits);
 
     /** Initial calibration of one device on the shared pool; the
      *  calling shard thread calibrates edges alongside the workers. */
@@ -514,20 +516,18 @@ class FleetDriver
     void forEachDeviceSharded(
         size_t n, const std::function<void(int)> &fn) const;
 
-    void absorbEngineStats(const SynthEngine &engine);
+    void readMetrics(MetricsSource::Out &out) const;
 
     /** Shard threads used for `n` devices (opts_.shards clamped). */
     int shardCount(int n_devices) const;
 
     FleetOptions opts_;
     ThreadPool pool_;
+    SynthEngine engine_; ///< On pool_; every pass synthesizes here.
     SharedDecompositionCache cache_;
     PlanCache plan_cache_;
     std::vector<std::unique_ptr<FleetDeviceState>> devices_;
     std::unique_ptr<RecalibScheduler> recalib_;
-    std::atomic<uint64_t> restarts_run_{0};
-    std::atomic<uint64_t> restarts_pruned_{0};
-    std::atomic<uint64_t> restarts_failed_{0};
     /** Snapshots loadCache() rejected and renamed to .quarantine. */
     std::atomic<uint64_t> cache_quarantines_{0};
     /** run() device failures contained into FleetDeviceStatus. */
@@ -541,6 +541,9 @@ class FleetDriver
      *  base of the warm-hit-rate window. */
     std::atomic<uint64_t> warm_base_hits_{0};
     std::atomic<uint64_t> warm_base_misses_{0};
+    /** Last member: the registry reads the failure counters here. */
+    MetricsSource metrics_{
+        [this](MetricsSource::Out &out) { readMetrics(out); }};
 };
 
 } // namespace qbasis

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "util/logging.hpp"
 
@@ -36,7 +37,24 @@ struct MetricsRegistry::Impl
     std::map<std::string, std::unique_ptr<Counter>> counters;
     std::map<std::string, std::unique_ptr<Gauge>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>> histograms;
+    std::vector<const MetricsSource *> sources;
 };
+
+namespace {
+
+/** Find-or-create under the registry lock. */
+template <typename Metric>
+Metric &
+slotOf(std::map<std::string, std::unique_ptr<Metric>> &metrics,
+       const std::string &name)
+{
+    auto &slot = metrics[name];
+    if (!slot)
+        slot = std::make_unique<Metric>();
+    return *slot;
+}
+
+} // namespace
 
 MetricsRegistry::Impl &
 MetricsRegistry::impl() const
@@ -59,10 +77,7 @@ MetricsRegistry::counter(const std::string &name)
 {
     Impl &i = impl();
     std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.counters[name];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
+    return slotOf(i.counters, name);
 }
 
 Gauge &
@@ -70,10 +85,7 @@ MetricsRegistry::gauge(const std::string &name)
 {
     Impl &i = impl();
     std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.gauges[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
+    return slotOf(i.gauges, name);
 }
 
 Histogram &
@@ -81,10 +93,7 @@ MetricsRegistry::histogram(const std::string &name)
 {
     Impl &i = impl();
     std::lock_guard<std::mutex> lock(i.mutex);
-    auto &slot = i.histograms[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
+    return slotOf(i.histograms, name);
 }
 
 MetricsSnapshot
@@ -92,10 +101,15 @@ MetricsRegistry::snapshot() const
 {
     Impl &i = impl();
     std::lock_guard<std::mutex> lock(i.mutex);
-    MetricsSnapshot snap;
-    snap.counters.reserve(i.counters.size());
+    MetricsSource::Out out;
     for (const auto &[name, c] : i.counters)
-        snap.counters.push_back({name, c->value()});
+        out.sums[name] = c->value();
+    for (const MetricsSource *source : i.sources)
+        source->read_(out);
+    MetricsSnapshot snap;
+    snap.counters.reserve(out.sums.size());
+    for (const auto &[name, value] : out.sums)
+        snap.counters.push_back({name, value});
     snap.gauges.reserve(i.gauges.size());
     for (const auto &[name, g] : i.gauges)
         snap.gauges.push_back({name, g->value()});
@@ -122,6 +136,24 @@ MetricsRegistry::reset()
         (void)name;
         h->reset();
     }
+}
+
+MetricsSource::MetricsSource(Read read) : read_(std::move(read))
+{
+    MetricsRegistry::Impl &i = MetricsRegistry::instance().impl();
+    std::lock_guard<std::mutex> lock(i.mutex);
+    i.sources.push_back(this);
+}
+
+MetricsSource::~MetricsSource()
+{
+    MetricsRegistry::Impl &i = MetricsRegistry::instance().impl();
+    std::lock_guard<std::mutex> lock(i.mutex);
+    Out last;
+    read_(last);
+    for (const auto &[name, value] : last.sums)
+        slotOf(i.counters, name).add(value);
+    i.sources.erase(std::find(i.sources.begin(), i.sources.end(), this));
 }
 
 uint64_t

@@ -7,16 +7,13 @@
  * and log-bucketed histograms, in the spirit of c10d's monitored
  * flight-recorder counters.
  *
- * The registry unifies the serving stack's previously ad-hoc stats:
- * CompileService, SynthEngine, the shared decomposition cache, and
- * the recalibration scheduler all mirror their counters here under
- * stable dotted names (see the metrics catalog in
- * docs/architecture.md, "Observability"),
- * so one `metricsSnapshot()` reports the whole stack. The legacy
- * per-instance structs (`CompileServiceStats`, `SynthEngine::Stats`,
- * ...) remain the authoritative inputs of the bit-identity digests;
- * registry values track them exactly on any fixed workload
- * (asserted in tests/test_obs).
+ * Each counter is written once. An instance that keeps a counter in
+ * its own stats (SynthEngine, SharedDecompositionCache,
+ * CompileService, RecalibScheduler, FleetDriver) registers a
+ * MetricsSource that the registry reads at snapshot time; the
+ * registry owns only what no instance keeps. One `metricsSnapshot()`
+ * reports the whole stack under stable dotted names (see the metrics
+ * catalog in docs/architecture.md, "Observability").
  *
  * Hot-path cost: call sites hold a `static Counter &` resolved once
  * through instance(), so recording is a single relaxed fetch_add --
@@ -26,11 +23,14 @@
  *
  * Lifetime: metric references returned by counter()/gauge()/
  * histogram() are stable for the process lifetime. reset() zeroes
- * values but never invalidates references (tests and bench windows).
+ * registry-owned values but never invalidates references (tests and
+ * bench windows).
  */
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -151,15 +151,51 @@ class MetricsRegistry
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
+    /** Registry-owned values plus, by name, the sum of what every
+     *  live MetricsSource reads. */
     MetricsSnapshot snapshot() const;
 
-    /** Zero every value (references stay valid). */
+    /** Zero every registry-owned value (references stay valid); a
+     *  live source's counters are its instance's. */
     void reset();
 
   private:
+    friend class MetricsSource;
     MetricsRegistry() = default;
     struct Impl;
     Impl &impl() const;
+};
+
+/**
+ * RAII registration of the counters one instance keeps, declared as
+ * the owner's last member so it dies before anything `read` touches.
+ * `read` writes each counter through Out::counter(name, value) and
+ * runs under the registry lock: it must not call the registry, and
+ * no code may call the registry while it holds a lock `read` takes.
+ * The destructor adds the last read to the registry's counters of
+ * the same names, so a destroyed instance stays counted.
+ */
+class MetricsSource
+{
+  public:
+    /** Counter sums by name. */
+    struct Out
+    {
+        std::map<std::string, uint64_t> sums;
+
+        void counter(const char *name, uint64_t v) { sums[name] += v; }
+    };
+    using Read = std::function<void(Out &)>;
+
+    explicit MetricsSource(Read read);
+    ~MetricsSource();
+
+    MetricsSource(const MetricsSource &) = delete;
+    MetricsSource &operator=(const MetricsSource &) = delete;
+
+  private:
+    friend class MetricsRegistry;
+    Read read_;
 };
 
 /** Snapshot of the global registry. */

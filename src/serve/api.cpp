@@ -146,27 +146,6 @@ runCompile(const GridDevice &device, const CalibratedBasisSet &set,
     return runCompileCaptured(device, set, client, req, nullptr);
 }
 
-CompileResponse
-runCompile(const GridDevice &device,
-           const VersionedBasisSet &calibration, const SynthClient &client,
-           const CompileRequest &req)
-{
-    TraceCorrelation correlation(req.request_id);
-    const auto t0 = std::chrono::steady_clock::now();
-    const CalibrationSnapshot snap = [&] {
-        QBASIS_TRACE_SCOPE("compile.snapshot", "request_id",
-                           req.request_id);
-        return calibration.snapshot();
-    }();
-    const double wait_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    CompileResponse resp = runCompile(device, *snap.set, client, req);
-    resp.basis_epoch = snap.version;
-    resp.snapshot_wait_ms = wait_ms;
-    return resp;
-}
-
 namespace {
 
 /** Parameter fingerprint of the memo tier: everything the plan key's
@@ -181,18 +160,6 @@ planMemoFingerprint(const CompileRequest &req)
     return fnv.h;
 }
 
-PlanMemoResult
-toPlanMemo(const CompiledCircuitResult &r)
-{
-    PlanMemoResult m;
-    m.fidelity = r.fidelity;
-    m.makespan_ns = r.makespan_ns;
-    m.swaps_inserted = r.swaps_inserted;
-    m.two_qubit_gates = r.two_qubit_gates;
-    m.depth = r.depth;
-    return m;
-}
-
 } // namespace
 
 CompileResponse
@@ -200,9 +167,6 @@ runCompile(const GridDevice &device,
            const VersionedBasisSet &calibration, const SynthClient &client,
            const CompileRequest &req, PlanCache *plans)
 {
-    if (plans == nullptr)
-        return runCompile(device, calibration, client, req);
-
     TraceCorrelation correlation(req.request_id);
     const auto t0 = std::chrono::steady_clock::now();
     const CalibrationSnapshot snap = [&] {
@@ -213,6 +177,12 @@ runCompile(const GridDevice &device,
     const double wait_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
+    if (plans == nullptr) {
+        CompileResponse resp = runCompile(device, *snap.set, client, req);
+        resp.basis_epoch = snap.version;
+        resp.snapshot_wait_ms = wait_ms;
+        return resp;
+    }
 
     PlanKey key;
     key.structural_hash = structuralCircuitHash(req.circuit);
@@ -223,7 +193,7 @@ runCompile(const GridDevice &device,
     // Tier 1: exact repeat. Skips transpile, schedule, and score;
     // the stored result was produced by the full pipeline at this
     // same epoch, so returning it is trivially bit-identical.
-    PlanMemoResult memo;
+    CompiledCircuitResult memo;
     if (plans->lookupMemo(key, fingerprint, &memo)) {
         QBASIS_TRACE_SCOPE("compile.plan_memo", "request_id",
                            req.request_id);
@@ -233,13 +203,7 @@ runCompile(const GridDevice &device,
         resp.snapshot_wait_ms = wait_ms;
         resp.status = CompileStatus::Ok;
         resp.plan_path = PlanServePath::Memo;
-        resp.result.fidelity = memo.fidelity;
-        resp.result.makespan_ns = memo.makespan_ns;
-        resp.result.swaps_inserted =
-            static_cast<size_t>(memo.swaps_inserted);
-        resp.result.two_qubit_gates =
-            static_cast<size_t>(memo.two_qubit_gates);
-        resp.result.depth = memo.depth;
+        resp.result = memo;
         resp.compile_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
@@ -274,8 +238,7 @@ runCompile(const GridDevice &device,
                 resp.plan_path = PlanServePath::Replay;
                 scoreCompiled(resp, device, *snap.set, req, compiled);
                 plans->noteReplayHit();
-                plans->memoize(key, fingerprint,
-                               toPlanMemo(resp.result));
+                plans->memoize(key, fingerprint, resp.result);
                 resp.compile_ms =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - tr0)
@@ -302,7 +265,7 @@ runCompile(const GridDevice &device,
             plans->store(captureTranspilePlan(
                 key, routed, device.coupling(), snap.set->bases,
                 req.options.transpile.synth));
-            plans->memoize(key, fingerprint, toPlanMemo(resp.result));
+            plans->memoize(key, fingerprint, resp.result);
         } catch (const std::exception &) {
             // A capture failure must never fail a served request.
         }

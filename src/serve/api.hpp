@@ -156,14 +156,8 @@ CompileResponse runCompile(const GridDevice &device,
  * Versioned variant: snapshot `calibration`, compile against the
  * frozen set, and record the served epoch + snapshot wait. An edge
  * mid-recalibration serves its last published basis.
- */
-CompileResponse runCompile(const GridDevice &device,
-                           const VersionedBasisSet &calibration,
-                           const SynthClient &client,
-                           const CompileRequest &req);
-
-/**
- * Plan-cached variant: consult `plans` before the pipeline and feed
+ *
+ * With `plans`, consult the plan cache before the pipeline and feed
  * it afterwards. Tier order per request:
  *
  *  1. memo — exact repeat (same shape, parameter fingerprint, and
@@ -179,13 +173,14 @@ CompileResponse runCompile(const GridDevice &device,
  * Any replay irregularity (unpublished class, structural-hash
  * collision, exception) falls back to the full pipeline, so the
  * response — including a Failed response's error text — is always
- * bit-identical to what the plan-off path produces at the same
- * epoch. `plans == nullptr` degrades to the overload above.
+ * bit-identical to what the plan-off path (`plans == nullptr`)
+ * produces at the same epoch.
  */
 CompileResponse runCompile(const GridDevice &device,
                            const VersionedBasisSet &calibration,
                            const SynthClient &client,
-                           const CompileRequest &req, PlanCache *plans);
+                           const CompileRequest &req,
+                           PlanCache *plans = nullptr);
 
 } // namespace qbasis
 

@@ -18,17 +18,10 @@ namespace {
  *  of client-thread interleaving. */
 const FaultSite kFaultServeAdmit("serve.admit");
 
-/** Registry mirrors of the per-service counters (global: several
- *  service instances aggregate into one process-wide view). */
+/** The registry's serving histograms; the serving counters are the
+ *  service's own (CompileService::readMetrics). */
 struct ServeMetrics
 {
-    Counter &submitted;
-    Counter &admitted;
-    Counter &rejected;
-    Counter &completed;
-    Counter &failed;
-    Counter &batches;
-    Counter &plan_hits;
     Histogram &queue_us;
     Histogram &compile_us;
     Histogram &batch_size;
@@ -37,14 +30,7 @@ struct ServeMetrics
     instance()
     {
         MetricsRegistry &reg = MetricsRegistry::instance();
-        static ServeMetrics m{reg.counter("serve.submitted"),
-                              reg.counter("serve.admitted"),
-                              reg.counter("serve.rejected"),
-                              reg.counter("serve.completed"),
-                              reg.counter("serve.failed"),
-                              reg.counter("serve.batches"),
-                              reg.counter("serve.plan_hits"),
-                              reg.histogram("serve.queue_us"),
+        static ServeMetrics m{reg.histogram("serve.queue_us"),
                               reg.histogram("serve.compile_us"),
                               reg.histogram("serve.batch_size")};
         return m;
@@ -155,13 +141,11 @@ CompileService::submit(CompileRequest req)
         reject_why = e.what();
     }
 
-    ServeMetrics &metrics = ServeMetrics::instance();
     // `submitted` is incremented before the admit/reject outcome and
     // the outcome counter before the queue push; snapshot() reads in
     // the reverse order, which is what makes mid-flight views
     // coherent.
     counters_.submitted.fetch_add(1);
-    metrics.submitted.add();
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (reject_why.empty() && !accepting_)
@@ -171,14 +155,12 @@ CompileService::submit(CompileRequest req)
                      + std::to_string(opts_.queue_capacity) + ")";
     if (!reject_why.empty()) {
         counters_.rejected.fetch_add(1);
-        metrics.rejected.add();
         pending.promise.set_value(
             rejectResponse(pending.req, std::move(reject_why)));
         return fut;
     }
 
     counters_.admitted.fetch_add(1);
-    metrics.admitted.add();
     queue_.push_back(std::move(pending));
     const uint64_t depth = queue_.size();
     uint64_t high = counters_.max_queue_depth.load();
@@ -234,24 +216,24 @@ CompileService::serveOne(PendingRequest &pending,
         std::max(0.0, resp.compile_ms * 1000.0)));
     // `failed` before `completed`, the reverse of snapshot()'s read
     // order, so failed <= completed in any mid-flight view.
-    if (resp.status == CompileStatus::Failed) {
+    if (resp.status == CompileStatus::Failed)
         counters_.failed.fetch_add(1);
-        metrics.failed.add();
-    }
     // Same ordering argument: plan_hits before completed, so
     // plan_hits <= completed in any mid-flight view.
-    if (resp.plan_path != PlanServePath::None) {
+    if (resp.plan_path != PlanServePath::None)
         counters_.plan_hits.fetch_add(1);
-        metrics.plan_hits.add();
-    }
     counters_.completed.fetch_add(1);
-    metrics.completed.add();
     pending.promise.set_value(std::move(resp));
 }
 
 void
 CompileService::dispatchLoop()
 {
+    // One engine per dispatcher thread: its rounds batch their class
+    // syntheses on the driver's pool and publish into the fleet-wide
+    // cache, so concurrent dispatchers (and devices) dedupe
+    // structurally.
+    SynthEngine engine(driver_.pool());
     for (;;) {
         std::vector<PendingRequest> batch;
         {
@@ -270,15 +252,8 @@ CompileService::dispatchLoop()
             }
             counters_.batches.fetch_add(1);
         }
-        ServeMetrics &metrics = ServeMetrics::instance();
-        metrics.batches.add();
-        metrics.batch_size.record(batch.size());
+        ServeMetrics::instance().batch_size.record(batch.size());
         QBASIS_TRACE_SCOPE("serve.dispatch", "batch", batch.size());
-        // One engine per dispatch round: the round's requests batch
-        // their class syntheses on the shared pool and publish into
-        // the fleet-wide cache, so concurrent rounds (and devices)
-        // dedupe structurally.
-        SynthEngine engine(driver_.pool());
         for (PendingRequest &pending : batch) {
             const SynthClient client{engine, driver_.cache(),
                                      pending.req.device_id,
@@ -311,6 +286,18 @@ CompileService::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
+}
+
+void
+CompileService::readMetrics(MetricsSource::Out &out) const
+{
+    out.counter("serve.submitted", counters_.submitted.load());
+    out.counter("serve.admitted", counters_.admitted.load());
+    out.counter("serve.rejected", counters_.rejected.load());
+    out.counter("serve.completed", counters_.completed.load());
+    out.counter("serve.failed", counters_.failed.load());
+    out.counter("serve.batches", counters_.batches.load());
+    out.counter("serve.plan_hits", counters_.plan_hits.load());
 }
 
 CompileServiceStats

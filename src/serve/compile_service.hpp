@@ -17,8 +17,8 @@
  *
  *  - **Batch coalescing.** Dispatcher threads drain the queue in
  *    FIFO order, up to `max_batch` requests per round, and compile
- *    them through one SynthEngine per round on the driver's shared
- *    pool. Every synthesis of every request lands in the fleet-wide
+ *    them through the dispatcher thread's SynthEngine on the
+ *    driver's shared pool. Every synthesis of every request lands in the fleet-wide
  *    SharedDecompositionCache, so concurrent clients compiling
  *    against byte-identical bases dedupe onto one Weyl-class
  *    synthesis — cross-request coalescing is structural, not
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "obs/metrics.hpp"
 #include "serve/api.hpp"
 
 namespace qbasis {
@@ -69,7 +70,7 @@ struct CompileServiceOptions
     /** Dispatcher threads draining the queue. */
     int dispatchers = 2;
     /** Max requests one dispatcher coalesces per round (they share
-     *  one SynthEngine and, through it, the shared class cache). */
+     *  the dispatcher's SynthEngine and the shared class cache). */
     size_t max_batch = 8;
     /** Serve repeat requests from the fleet's transpile-plan cache
      *  (synth/plan_cache.hpp). Off = every request runs the full
@@ -83,8 +84,8 @@ struct CompileServiceOptions
  * through CompileService::snapshot(), which guarantees a *coherent*
  * mid-flight view: submitted >= admitted + rejected,
  * admitted >= completed >= failed (asserted in tests/test_serve).
- * The same counters are mirrored into the global MetricsRegistry
- * under serve.* names (obs/metrics.hpp).
+ * The MetricsRegistry reads every counter here but max_queue_depth
+ * from the service itself, under serve.* names (obs/metrics.hpp).
  */
 struct CompileServiceStats
 {
@@ -164,9 +165,6 @@ class CompileService
      */
     CompileServiceStats snapshot() const;
 
-    /** Alias of snapshot() (historical name). */
-    CompileServiceStats stats() const { return snapshot(); }
-
     /** The owned fleet (cache persistence, manifests, reports). */
     FleetDriver &driver() { return driver_; }
     const FleetDriver &driver() const { return driver_; }
@@ -182,6 +180,7 @@ class CompileService
     };
 
     void dispatchLoop();
+    void readMetrics(MetricsSource::Out &out) const;
     void serveOne(PendingRequest &pending, const SynthClient &client);
     static CompileResponse rejectResponse(const CompileRequest &req,
                                           std::string why);
@@ -211,6 +210,9 @@ class CompileService
     } counters_;
 
     std::vector<std::thread> dispatchers_;
+    /** Last member: the registry reads counters_ here. */
+    MetricsSource metrics_{
+        [this](MetricsSource::Out &out) { readMetrics(out); }};
 };
 
 } // namespace qbasis

@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "util/bytes.hpp"
 
@@ -245,9 +246,19 @@ encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
                   return a.key < b.key;
               });
 
+    // Size both sections once; each blob still comes from its one
+    // encoder below.
+    size_t payload_size = 0;
+    for (const CacheSnapshotEntry &e : entries)
+        payload_size += cacheEntryEncodedBytes(e.second);
+    size_t plans_size = 0;
+    for (const TranspilePlan &plan : plans)
+        plans_size += planEncodedBytes(plan);
+
     std::vector<uint8_t> index;
     std::vector<uint8_t> payload;
     index.reserve(entries.size() * kIndexEntryBytes);
+    payload.reserve(payload_size);
     for (const CacheSnapshotEntry &e : entries) {
         const DecompositionCache::ClassKey &key = e.first;
         const std::vector<uint8_t> blob = canonicalBytes(e.second);
@@ -261,6 +272,7 @@ encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
     }
 
     std::vector<uint8_t> plan_bytes;
+    plan_bytes.reserve(plans_size);
     for (const TranspilePlan &plan : plans) {
         putU64(plan_bytes, plan.key.structural_hash);
         putU64(plan_bytes, plan.key.options_hash);
@@ -584,14 +596,18 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
     return r;
 }
 
+namespace {
+
+/** Encode the cache's published classes and `plans`, then write. */
 CacheIoResult
-saveCacheSnapshot(const SharedDecompositionCache &cache,
-                  const std::string &path)
+writeCacheSnapshot(const SharedDecompositionCache &cache,
+                   std::vector<TranspilePlan> plans,
+                   const std::string &path)
 {
     std::vector<CacheSnapshotEntry> entries = cache.exportEntries();
     const size_t entry_count = entries.size();
     const std::vector<uint8_t> bytes =
-        encodeCacheSnapshot(std::move(entries));
+        encodeCacheSnapshot(std::move(entries), std::move(plans));
     FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return fail(CacheIoStatus::IoError,
@@ -607,27 +623,20 @@ saveCacheSnapshot(const SharedDecompositionCache &cache,
     return r;
 }
 
+} // namespace
+
+CacheIoResult
+saveCacheSnapshot(const SharedDecompositionCache &cache,
+                  const std::string &path)
+{
+    return writeCacheSnapshot(cache, {}, path);
+}
+
 CacheIoResult
 saveCacheSnapshot(const SharedDecompositionCache &cache,
                   const PlanCache &plans, const std::string &path)
 {
-    std::vector<CacheSnapshotEntry> entries = cache.exportEntries();
-    const size_t entry_count = entries.size();
-    const std::vector<uint8_t> bytes = encodeCacheSnapshot(
-        std::move(entries), plans.exportPlans());
-    FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-        return fail(CacheIoStatus::IoError,
-                    "cannot open " + path + " for writing");
-    const size_t written =
-        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-    const bool closed = std::fclose(f) == 0;
-    if (written != bytes.size() || !closed)
-        return fail(CacheIoStatus::IoError, "short write to " + path);
-    CacheIoResult r;
-    r.entries = entry_count;
-    r.bytes = bytes.size();
-    return r;
+    return writeCacheSnapshot(cache, plans.exportPlans(), path);
 }
 
 bool
@@ -637,6 +646,14 @@ readFileBytes(const std::string &path, std::vector<uint8_t> *out)
     if (f == nullptr)
         return false;
     out->clear();
+    // Size the buffer once from the file's length; the loop below
+    // still reads to EOF, so a file that changes size reads whole.
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        const long length = std::ftell(f);
+        if (length > 0)
+            out->reserve(static_cast<size_t>(length));
+        std::rewind(f);
+    }
     uint8_t chunk[65536];
     size_t n;
     while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)

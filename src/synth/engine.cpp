@@ -25,17 +25,13 @@ const FaultSite kFaultSynthRestart("synth.restart");
 /** The phase-3b serial re-claim fallback after an owner abandoned. */
 const FaultSite kFaultSynthFallback("synth.fallback");
 
-/** Registry mirrors of the engine's atomic counters (aggregated
- *  process-wide across engine instances; per-instance values stay in
- *  SynthEngine::Stats). */
+/** The registry's batch counters; the restart counters are the
+ *  engine's own (SynthEngine::readMetrics). */
 struct SynthMetrics
 {
     Counter &batches;
     Counter &requests;
     Counter &jobs;
-    Counter &restarts_run;
-    Counter &restarts_pruned;
-    Counter &restarts_failed;
 
     static SynthMetrics &
     instance()
@@ -43,10 +39,7 @@ struct SynthMetrics
         MetricsRegistry &reg = MetricsRegistry::instance();
         static SynthMetrics m{reg.counter("synth.batches"),
                               reg.counter("synth.requests"),
-                              reg.counter("synth.jobs"),
-                              reg.counter("synth.restarts_run"),
-                              reg.counter("synth.restarts_pruned"),
-                              reg.counter("synth.restarts_failed")};
+                              reg.counter("synth.jobs")};
         return m;
     }
 };
@@ -155,13 +148,11 @@ BatchState::runRestart(ClassJob &job, int restart)
         if (should_stop()) {
             slot.aborted = true;
             restarts_pruned.fetch_add(1, std::memory_order_relaxed);
-            SynthMetrics::instance().restarts_pruned.add();
             if (job.remaining.fetch_sub(1) == 1)
                 reduceWave(job);
             return;
         }
         restarts_run.fetch_add(1, std::memory_order_relaxed);
-        SynthMetrics::instance().restarts_run.add();
         QBASIS_TRACE_SCOPE("synth.restart", "context",
                            job.key.context, "restart",
                            static_cast<uint64_t>(restart));
@@ -199,7 +190,6 @@ BatchState::runRestart(ClassJob &job, int restart)
         slot.aborted = true;
         slot.error = std::current_exception();
         restarts_failed.fetch_add(1, std::memory_order_relaxed);
-        SynthMetrics::instance().restarts_failed.add();
     }
     if (job.remaining.fetch_sub(1) == 1)
         reduceWave(job);
@@ -395,11 +385,11 @@ SynthEngine::stats() const
 }
 
 void
-SynthEngine::resetStats()
+SynthEngine::readMetrics(MetricsSource::Out &out) const
 {
-    restarts_run_.store(0);
-    restarts_pruned_.store(0);
-    restarts_failed_.store(0);
+    out.counter("synth.restarts_run", restarts_run_.load());
+    out.counter("synth.restarts_pruned", restarts_pruned_.load());
+    out.counter("synth.restarts_failed", restarts_failed_.load());
 }
 
 std::vector<TwoQubitDecomposition>

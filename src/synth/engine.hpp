@@ -40,6 +40,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "synth/cache.hpp"
 #include "synth/shared_cache.hpp"
 #include "util/thread_pool.hpp"
@@ -62,9 +63,9 @@ class SynthEngine
     explicit SynthEngine(int threads = 0);
 
     /**
-     * Create an engine on a borrowed pool (the fleet driver runs one
-     * engine per shard on one process-wide pool). The pool must
-     * outlive the engine.
+     * Create an engine on a borrowed pool (the fleet driver's engine
+     * and each compile-service dispatcher's engine share the
+     * driver's pool). The pool must outlive the engine.
      */
     explicit SynthEngine(ThreadPool &pool);
 
@@ -116,14 +117,18 @@ class SynthEngine
     };
 
     Stats stats() const;
-    void resetStats();
 
   private:
+    void readMetrics(MetricsSource::Out &out) const;
+
     std::unique_ptr<ThreadPool> owned_; ///< Null for borrowed pools.
     ThreadPool *pool_;
     std::atomic<uint64_t> restarts_run_{0};
     std::atomic<uint64_t> restarts_pruned_{0};
     std::atomic<uint64_t> restarts_failed_{0};
+    /** Last member: the registry reads the restart counters here. */
+    MetricsSource metrics_{
+        [this](MetricsSource::Out &out) { readMetrics(out); }};
 };
 
 /**

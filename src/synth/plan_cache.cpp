@@ -15,7 +15,7 @@ PlanCache::lookup(const PlanKey &key) const
 
 bool
 PlanCache::lookupMemo(const PlanKey &key, uint64_t fingerprint,
-                      PlanMemoResult *out)
+                      CompiledCircuitResult *out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = plans_.find(key);
@@ -41,7 +41,7 @@ PlanCache::store(TranspilePlan plan)
 
 void
 PlanCache::memoize(const PlanKey &key, uint64_t fingerprint,
-                   const PlanMemoResult &result)
+                   const CompiledCircuitResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = plans_.find(key);

@@ -42,18 +42,6 @@
 
 namespace qbasis {
 
-/** Memoized compile result of one exact (shape, params) repeat.
- *  Field-for-field the serving layer's CompiledCircuitResult; defined
- *  here so the synth layer stays free of core/ includes. */
-struct PlanMemoResult
-{
-    double fidelity = 0.0;
-    double makespan_ns = 0.0;
-    uint64_t swaps_inserted = 0;
-    uint64_t two_qubit_gates = 0;
-    int depth = 0;
-};
-
 /** Aggregate plan-cache statistics. */
 struct PlanCacheStats
 {
@@ -85,7 +73,7 @@ class PlanCache
      * the memoized fingerprint matches. Counts a memo hit on success.
      */
     bool lookupMemo(const PlanKey &key, uint64_t fingerprint,
-                    PlanMemoResult *out);
+                    CompiledCircuitResult *out);
 
     /** Insert (or replace) the plan for plan.key. Replacing drops the
      *  old entry's memo. Counts one store. */
@@ -97,7 +85,7 @@ class PlanCache
      * e.g. retired concurrently).
      */
     void memoize(const PlanKey &key, uint64_t fingerprint,
-                 const PlanMemoResult &result);
+                 const CompiledCircuitResult &result);
 
     void noteReplayHit();
     void noteMiss();
@@ -136,7 +124,7 @@ class PlanCache
         std::shared_ptr<const TranspilePlan> plan;
         bool has_memo = false;
         uint64_t memo_fingerprint = 0;
-        PlanMemoResult memo;
+        CompiledCircuitResult memo;
     };
 
     mutable std::mutex mutex_;

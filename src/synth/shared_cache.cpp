@@ -21,12 +21,10 @@ hashKey(const DecompositionCache::ClassKey &key)
     return Rng::deriveSeed(h, static_cast<uint64_t>(key.qz));
 }
 
-/** Registry mirrors of the cache's hit/miss atomics plus the
- *  claim-protocol traffic counters. */
+/** The registry's claim-protocol traffic counters; hits and misses
+ *  are the cache's own (SharedDecompositionCache::readMetrics). */
 struct CacheMetrics
 {
-    Counter &hits;
-    Counter &misses;
     Counter &waits;
     Counter &publishes;
     Counter &abandons;
@@ -35,9 +33,7 @@ struct CacheMetrics
     instance()
     {
         MetricsRegistry &reg = MetricsRegistry::instance();
-        static CacheMetrics m{reg.counter("cache.hits"),
-                              reg.counter("cache.misses"),
-                              reg.counter("cache.waits"),
+        static CacheMetrics m{reg.counter("cache.waits"),
                               reg.counter("cache.publishes"),
                               reg.counter("cache.abandons")};
         return m;
@@ -85,7 +81,6 @@ SharedDecompositionCache::acquire(const ClassKey &key, int device,
                                   const TwoQubitDecomposition **out)
 {
     QBASIS_TRACE_SCOPE("cache.claim", "context", key.context);
-    CacheMetrics &metrics = CacheMetrics::instance();
     Stripe &s = stripeOf(key);
     std::lock_guard<std::mutex> lock(s.mutex);
     auto [it, inserted] = s.entries.try_emplace(key);
@@ -94,16 +89,12 @@ SharedDecompositionCache::acquire(const ClassKey &key, int device,
         // One miss for the claim; the remaining batched lookups of
         // this class are hits against the about-to-exist entry.
         misses_.fetch_add(1, std::memory_order_relaxed);
-        metrics.misses.add();
-        if (lookups > 1) {
+        if (lookups > 1)
             hits_.fetch_add(lookups - 1, std::memory_order_relaxed);
-            metrics.hits.add(lookups - 1);
-        }
         return Claim::Owner;
     }
     if (it->second.ready) {
         hits_.fetch_add(lookups, std::memory_order_relaxed);
-        metrics.hits.add(lookups);
         if (out != nullptr)
             *out = &it->second.dec;
         return Claim::Ready;
@@ -148,8 +139,7 @@ SharedDecompositionCache::wait(const ClassKey &key, uint64_t lookups)
     // trace, time spent here is time spent waiting for another
     // client's claim, not this request's own synthesis.
     QBASIS_TRACE_SCOPE("cache.wait", "context", key.context);
-    CacheMetrics &metrics = CacheMetrics::instance();
-    metrics.waits.add();
+    CacheMetrics::instance().waits.add();
     Stripe &s = stripeOf(key);
     std::unique_lock<std::mutex> lock(s.mutex);
     for (;;) {
@@ -158,7 +148,6 @@ SharedDecompositionCache::wait(const ClassKey &key, uint64_t lookups)
             return nullptr; // owner abandoned; caller re-acquires
         if (it->second.ready) {
             hits_.fetch_add(lookups, std::memory_order_relaxed);
-            metrics.hits.add(lookups);
             return &it->second.dec;
         }
         s.cv.wait(lock);
@@ -298,6 +287,13 @@ SharedDecompositionCache::retireExcept(
         }
     }
     return dropped;
+}
+
+void
+SharedDecompositionCache::readMetrics(MetricsSource::Out &out) const
+{
+    out.counter("cache.hits", hits_.load());
+    out.counter("cache.misses", misses_.load());
 }
 
 void

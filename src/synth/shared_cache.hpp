@@ -43,6 +43,7 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "synth/cache.hpp"
 
 namespace qbasis {
@@ -152,7 +153,9 @@ class SharedDecompositionCache
     /** Published classes across all stripes. */
     size_t size() const;
 
-    /** Drop everything. No batch may be in flight. */
+    /** Drop everything and zero hits() and misses(), which the
+     *  registry's cache.hits and cache.misses read. No batch may be
+     *  in flight. */
     void clear();
 
     // -- Persistence + retirement (synth/cache_io, core/fleet) ------
@@ -223,9 +226,14 @@ class SharedDecompositionCache
     Stripe &stripeOf(const ClassKey &key);
     const Stripe &stripeOf(const ClassKey &key) const;
 
+    void readMetrics(MetricsSource::Out &out) const;
+
     std::vector<std::unique_ptr<Stripe>> stripes_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
+    /** Last member: the registry reads hits_ and misses_ here. */
+    MetricsSource metrics_{
+        [this](MetricsSource::Out &out) { readMetrics(out); }};
 };
 
 /**

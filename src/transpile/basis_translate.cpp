@@ -130,6 +130,7 @@ collectSynthRequests(const Circuit &physical, const CouplingMap &cm,
         fatal("edge basis table size %zu != edge count %zu",
               bases.size(), cm.edges().size());
     std::vector<SynthRequest> requests;
+    requests.reserve(physical.countTwoQubit());
     for (const Gate &g : physical.gates()) {
         if (!g.isTwoQubit())
             continue;
@@ -174,6 +175,7 @@ translateFromPublishedClasses(
     // before emitting anything if a class is missing, so a partial
     // replay never escapes.
     std::vector<TwoQubitDecomposition> dressed;
+    dressed.reserve(physical.countTwoQubit());
     for (const Gate &g : physical.gates()) {
         if (!g.isTwoQubit())
             continue;

@@ -35,6 +35,18 @@ struct TranspileResult
     TranspileResult() : physical(1) {}
 };
 
+/** Table II cell: one benchmark compiled against one basis set,
+ *  scheduled and scored. The plan cache's memo tier stores it as
+ *  is. */
+struct CompiledCircuitResult
+{
+    double fidelity = 0.0;   ///< Coherence-limited circuit fidelity.
+    double makespan_ns = 0.0; ///< Scheduled duration.
+    size_t swaps_inserted = 0;
+    size_t two_qubit_gates = 0; ///< Basis applications in the result.
+    int depth = 0;
+};
+
 /**
  * Compile a logical circuit to a device with per-edge basis gates.
  *

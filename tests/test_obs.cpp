@@ -2,13 +2,14 @@
  * @file
  * Observability-layer tests: log-histogram/percentile math, span
  * recording round-trips through the Chrome trace exporter, registry
- * counters tracking the legacy per-instance stats structs, the
+ * counters read from the instances that keep them, the
  * zero-perturbation contract (tracing ON vs OFF keeps every
  * committed digest byte-identical), and request-id correlation from
  * admission through cache publish.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -317,35 +318,187 @@ TEST_F(ObsTest, CorrelationNestsAndRestores)
     EXPECT_EQ(currentTraceCorrelation(), 0u);
 }
 
-// --- MetricsRegistry vs the legacy stats structs --------------------
+// --- MetricsRegistry: counters read from their instances -----------
 
-TEST_F(ObsTest, RegistryCountersMatchLegacyEngineStats)
+/** A class key that needs no synthesis (acquire() only counts). */
+SharedDecompositionCache::ClassKey
+testKey(int64_t qx)
 {
-    MetricsRegistry::instance().reset();
-    SynthEngine engine(2);
-    SharedDecompositionCache cache;
-    std::vector<SynthRequest> reqs;
-    reqs.push_back({0, swapGate(), sqrtIswapGate()});
-    reqs.push_back({1, cnotGate(), sqrtIswapGate()});
-    reqs.push_back({0, swapGate(), sqrtIswapGate()}); // cache hit
-    const auto decs = engine.synthesizeBatch(reqs, cache,
-                                             cheapSynth());
-    ASSERT_EQ(decs.size(), 3u);
-
-    const SynthEngine::Stats legacy = engine.stats();
-    const MetricsSnapshot snap = metricsSnapshot();
-    EXPECT_GT(legacy.restarts_run, 0u);
-    EXPECT_EQ(snap.counterValue("synth.restarts_run"),
-              legacy.restarts_run);
-    EXPECT_EQ(snap.counterValue("synth.restarts_pruned"),
-              legacy.restarts_pruned);
-    EXPECT_EQ(snap.counterValue("synth.restarts_failed"),
-              legacy.restarts_failed);
-    EXPECT_EQ(snap.counterValue("synth.batches"), 1u);
-    EXPECT_EQ(snap.counterValue("synth.requests"), 3u);
+    return {0x5eedu, qx, 0, 0};
 }
 
-TEST_F(ObsTest, RegistryCountersMatchLegacyServiceStats)
+/** Depth-1 target on its own basis: one cheap wave per batch, so the
+ *  restart counters move without a depth-oracle search. */
+std::vector<SynthRequest>
+oneLayerRequest()
+{
+    return {{0, sqrtIswapGate(), sqrtIswapGate()}};
+}
+
+SynthOptions
+oneLayerSynth()
+{
+    SynthOptions s = cheapSynth();
+    s.use_depth_prediction = false;
+    return s;
+}
+
+TEST(MetricsSource, TwoLiveCachesSumInTheSnapshot)
+{
+    MetricsRegistry::instance().reset();
+    SharedDecompositionCache a;
+    SharedDecompositionCache b;
+    EXPECT_EQ(a.acquire(testKey(1), 0, 3, nullptr),
+              SharedDecompositionCache::Claim::Owner);
+    EXPECT_EQ(b.acquire(testKey(1), 1, 1, nullptr),
+              SharedDecompositionCache::Claim::Owner);
+    EXPECT_EQ(b.acquire(testKey(2), 1, 2, nullptr),
+              SharedDecompositionCache::Claim::Owner);
+
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_EQ(a.hits() + b.hits(), 3u);
+    EXPECT_EQ(a.misses() + b.misses(), 3u);
+    EXPECT_EQ(snap.counterValue("cache.hits"), a.hits() + b.hits());
+    EXPECT_EQ(snap.counterValue("cache.misses"),
+              a.misses() + b.misses());
+}
+
+TEST(MetricsSource, DestroyedEngineStaysCounted)
+{
+    MetricsRegistry::instance().reset();
+    SharedDecompositionCache cache;
+    SynthEngine::Stats last;
+    {
+        SynthEngine engine(1);
+        ASSERT_EQ(engine
+                      .synthesizeBatch(oneLayerRequest(), cache,
+                                       oneLayerSynth())
+                      .size(),
+                  1u);
+        last = engine.stats();
+        EXPECT_EQ(metricsSnapshot().counterValue("synth.restarts_run"),
+                  last.restarts_run);
+    }
+    ASSERT_GT(last.restarts_run, 0u);
+
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_EQ(snap.counterValue("synth.restarts_run"), last.restarts_run);
+    EXPECT_EQ(snap.counterValue("synth.restarts_pruned"),
+              last.restarts_pruned);
+    EXPECT_EQ(snap.counterValue("synth.restarts_failed"),
+              last.restarts_failed);
+    EXPECT_EQ(snap.counterValue("synth.batches"), 1u);
+    EXPECT_EQ(snap.counterValue("synth.requests"), 1u);
+}
+
+TEST(MetricsSource, ClearedCacheReadsItsNewCount)
+{
+    MetricsRegistry::instance().reset();
+    SharedDecompositionCache cache;
+    cache.acquire(testKey(1), 0, 4, nullptr);
+    EXPECT_EQ(metricsSnapshot().counterValue("cache.hits"), 3u);
+
+    cache.clear();
+    cache.acquire(testKey(2), 0, 2, nullptr);
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(snap.counterValue("cache.hits"), cache.hits());
+    EXPECT_EQ(snap.counterValue("cache.misses"), cache.misses());
+}
+
+TEST(MetricsSource, ResetLeavesLiveInstancesAlone)
+{
+    SharedDecompositionCache cache;
+    cache.acquire(testKey(1), 0, 3, nullptr);
+    cache.publish(testKey(1), TwoQubitDecomposition{});
+    EXPECT_GE(metricsSnapshot().counterValue("cache.publishes"), 1u);
+
+    MetricsRegistry::instance().reset();
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_EQ(snap.counterValue("cache.hits"), 2u);
+    EXPECT_EQ(snap.counterValue("cache.misses"), 1u);
+    // Registry-owned counters do zero.
+    EXPECT_EQ(snap.counterValue("cache.publishes"), 0u);
+}
+
+TEST(MetricsSource, ConcurrentLifetimesSumToTheLastReads)
+{
+    MetricsRegistry::instance().reset();
+    constexpr int kWorkers = 3;
+    constexpr int kRounds = 8;
+    ThreadPool pool(2);
+
+    struct LastReads
+    {
+        uint64_t hits = 0, misses = 0;
+        uint64_t run = 0, pruned = 0, failed = 0;
+    };
+    std::vector<LastReads> last(kWorkers);
+
+    // Every snapshot sums live reads and folded ones, and a dying
+    // source folds its last read under the same lock, so the totals
+    // a concurrent reader sees never go down.
+    std::atomic<bool> done{false};
+    bool monotone = true;
+    int snapshots = 0;
+    std::thread reader([&] {
+        uint64_t hits = 0, run = 0;
+        while (!done.load()) {
+            const MetricsSnapshot snap = metricsSnapshot();
+            const uint64_t h = snap.counterValue("cache.hits");
+            const uint64_t r = snap.counterValue("synth.restarts_run");
+            monotone = monotone && h >= hits && r >= run;
+            hits = h;
+            run = r;
+            ++snapshots;
+        }
+    });
+
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+            for (int round = 0; round < kRounds; ++round) {
+                SharedDecompositionCache cache(2);
+                SynthEngine engine(pool);
+                engine.synthesizeBatch(oneLayerRequest(), cache,
+                                       oneLayerSynth());
+                cache.acquire(testKey(round), w, 3, nullptr);
+                LastReads &l = last[static_cast<size_t>(w)];
+                l.hits += cache.hits();
+                l.misses += cache.misses();
+                const SynthEngine::Stats st = engine.stats();
+                l.run += st.restarts_run;
+                l.pruned += st.restarts_pruned;
+                l.failed += st.restarts_failed;
+            }
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+    done.store(true);
+    reader.join();
+
+    LastReads sum;
+    for (const LastReads &l : last) {
+        sum.hits += l.hits;
+        sum.misses += l.misses;
+        sum.run += l.run;
+        sum.pruned += l.pruned;
+        sum.failed += l.failed;
+    }
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_TRUE(monotone);
+    EXPECT_GT(snapshots, 0);
+    EXPECT_EQ(sum.hits, static_cast<uint64_t>(kWorkers * kRounds * 2));
+    EXPECT_EQ(snap.counterValue("cache.hits"), sum.hits);
+    EXPECT_EQ(snap.counterValue("cache.misses"), sum.misses);
+    EXPECT_GT(sum.run, 0u);
+    EXPECT_EQ(snap.counterValue("synth.restarts_run"), sum.run);
+    EXPECT_EQ(snap.counterValue("synth.restarts_pruned"), sum.pruned);
+    EXPECT_EQ(snap.counterValue("synth.restarts_failed"), sum.failed);
+}
+
+TEST_F(ObsTest, RegistryReadsServiceCountersAndExportsEveryMetric)
 {
     MetricsRegistry::instance().reset();
     CompileService service(tinyServiceOptions());
@@ -355,36 +508,29 @@ TEST_F(ObsTest, RegistryCountersMatchLegacyServiceStats)
         ASSERT_EQ(resp.status, CompileStatus::Ok) << resp.error;
     }
 
-    const CompileServiceStats legacy = service.snapshot();
+    const CompileServiceStats stats = service.snapshot();
     const MetricsSnapshot snap = metricsSnapshot();
-    EXPECT_EQ(legacy.submitted, 8u);
-    EXPECT_EQ(snap.counterValue("serve.submitted"), legacy.submitted);
-    EXPECT_EQ(snap.counterValue("serve.admitted"), legacy.admitted);
-    EXPECT_EQ(snap.counterValue("serve.rejected"), legacy.rejected);
-    EXPECT_EQ(snap.counterValue("serve.completed"), legacy.completed);
-    EXPECT_EQ(snap.counterValue("serve.failed"), legacy.failed);
-    EXPECT_EQ(snap.counterValue("serve.batches"), legacy.batches);
-
-    // Shared-cache mirrors track the cache's own counters.
-    const SharedDecompositionCache::Stats cache =
-        service.driver().cache().stats();
-    EXPECT_EQ(snap.counterValue("cache.hits"), cache.hits);
-    EXPECT_EQ(snap.counterValue("cache.misses"), cache.misses);
+    EXPECT_EQ(stats.submitted, 8u);
+    EXPECT_EQ(snap.counterValue("serve.submitted"), stats.submitted);
+    EXPECT_EQ(snap.counterValue("serve.completed"), stats.completed);
 
     // Latency histograms saw every served request.
     bool found_compile_hist = false;
     for (const auto &hv : snap.histograms) {
         if (hv.name == "serve.compile_us") {
             found_compile_hist = true;
-            EXPECT_EQ(hv.hist.count(), legacy.completed);
+            EXPECT_EQ(hv.hist.count(), stats.completed);
         }
     }
     EXPECT_TRUE(found_compile_hist);
 
-    // The exporters render every registered metric.
+    // The exporters render every metric, the live driver's failure
+    // counters included at 0.
     const std::string text = snap.text();
     EXPECT_NE(text.find("serve.submitted"), std::string::npos);
     EXPECT_NE(text.find("serve.compile_us"), std::string::npos);
+    EXPECT_NE(text.find("fleet.device_failures"), std::string::npos);
+    EXPECT_NE(text.find("fleet.cache_quarantines"), std::string::npos);
     const std::string json = snap.json();
     EXPECT_NE(json.find("\"serve.submitted\":8"), std::string::npos);
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),

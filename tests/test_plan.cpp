@@ -312,8 +312,8 @@ TEST_F(PlanTest, AllPlanPathsProduceBitIdenticalDigests)
     EXPECT_GE(ps.memo_hits, 3u);
     EXPECT_GE(ps.replay_hits, 1u);
     EXPECT_GE(ps.stores, 4u); // 3 cold + the rzz re-capture
-    EXPECT_EQ(on.stats().plan_hits, 4u);
-    EXPECT_EQ(off.stats().plan_hits, 0u);
+    EXPECT_EQ(on.snapshot().plan_hits, 4u);
+    EXPECT_EQ(off.snapshot().plan_hits, 0u);
     EXPECT_EQ(off.driver().planCache().stats().stores, 0u);
 
     on.stop();

@@ -164,7 +164,7 @@ TEST_F(ServeTest, InterleavedStreamsAreBitIdenticalPerRequest)
         }
     }
 
-    const CompileServiceStats stats = service.stats();
+    const CompileServiceStats stats = service.snapshot();
     EXPECT_EQ(stats.rejected, 0u);
     EXPECT_EQ(stats.completed, stats.admitted);
     service.stop();
@@ -273,7 +273,7 @@ TEST_F(ServeTest, SaturationRejectsWithStatusAndNeverHangs)
     }
     EXPECT_GE(ok, 1u);      // the head of the burst is served
     EXPECT_GE(rejected, 1u); // the tail is shed, not queued
-    const CompileServiceStats stats = service.stats();
+    const CompileServiceStats stats = service.snapshot();
     EXPECT_EQ(stats.rejected, rejected);
     EXPECT_EQ(stats.admitted, ok);
     service.stop();
