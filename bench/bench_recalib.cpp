@@ -49,7 +49,13 @@
  *              "overlap_ratio": double,  // fraction of the serving
  *                                        // window with recalibration
  *                                        // in flight (sync: 0)
- *              "presynth_owned": int, "restarts_pruned": int },
+ *              "presynth_owned": int,
+ *              "restarts_pruned": int }, // depends on thread timing
+ *                                        // (restarts skipped once a
+ *                                        // smaller index of their
+ *                                        // wave won), not on the
+ *                                        // workload: runs with equal
+ *                                        // digests read 7 to 26
  *   "speedup": double,            // sync.wall / async.wall
  *   "determinism": { "shards_sync": 1, "shards_async": int,
  *                    "results_match": bool }

@@ -237,7 +237,7 @@ runCompile(const GridDevice &device,
                 resp.snapshot_wait_ms = wait_ms;
                 resp.plan_path = PlanServePath::Replay;
                 scoreCompiled(resp, device, *snap.set, req, compiled);
-                plans->noteReplayHit();
+                plans->noteReplayHit(key);
                 plans->memoize(key, fingerprint, resp.result);
                 resp.compile_ms =
                     std::chrono::duration<double, std::milli>(

@@ -24,6 +24,7 @@ PlanCache::lookupMemo(const PlanKey &key, uint64_t fingerprint,
         return false;
     *out = it->second.memo;
     ++memo_hits_;
+    promote(it->second);
     return true;
 }
 
@@ -33,10 +34,20 @@ PlanCache::store(TranspilePlan plan)
     auto shared =
         std::make_shared<const TranspilePlan>(std::move(plan));
     std::lock_guard<std::mutex> lock(mutex_);
-    Entry &e = plans_[shared->key];
+    const auto [it, inserted] = plans_.try_emplace(shared->key);
+    Entry &e = it->second;
     e.plan = std::move(shared);
     e.has_memo = false;
     ++stores_;
+    if (inserted || e.probation != 0) {
+        probation_.erase(e.probation);
+        e.probation = stores_;
+        probation_.emplace(e.probation, &it->first);
+    }
+    if (probation_.size() > kProbationPlans) {
+        erase(plans_.find(*probation_.begin()->second));
+        ++evicted_;
+    }
 }
 
 void
@@ -53,10 +64,13 @@ PlanCache::memoize(const PlanKey &key, uint64_t fingerprint,
 }
 
 void
-PlanCache::noteReplayHit()
+PlanCache::noteReplayHit(const PlanKey &key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++replay_hits_;
+    const auto it = plans_.find(key);
+    if (it != plans_.end())
+        promote(it->second);
 }
 
 void
@@ -88,7 +102,7 @@ PlanCache::retire(const std::vector<DeviceEpoch> &live)
         if (alive) {
             ++it;
         } else {
-            it = plans_.erase(it);
+            it = erase(it);
             ++dropped;
         }
     }
@@ -108,6 +122,7 @@ PlanCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     plans_.clear();
+    probation_.clear();
 }
 
 PlanCacheStats
@@ -119,6 +134,7 @@ PlanCache::stats() const
     st.replay_hits = replay_hits_;
     st.misses = misses_;
     st.stores = stores_;
+    st.evicted = evicted_;
     st.retired = retired_;
     st.loaded = loaded_;
     st.plans = plans_.size();
@@ -149,6 +165,33 @@ PlanCache::insertLoaded(TranspilePlan plan)
     it->second.plan = std::move(shared);
     ++loaded_;
     return true;
+}
+
+void
+PlanCache::promote(Entry &entry)
+{
+    probation_.erase(entry.probation);
+    entry.probation = 0;
+}
+
+PlanCache::PlanMap::iterator
+PlanCache::erase(PlanMap::iterator it)
+{
+    probation_.erase(it->second.probation);
+    return plans_.erase(it);
+}
+
+void
+PlanCache::readMetrics(MetricsSource::Out &out) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.counter("plan.stores", stores_);
+    out.counter("plan.evicted", evicted_);
+    out.counter("plan.retired", retired_);
+    out.counter("plan.loaded", loaded_);
+    out.counter("plan.memo_hits", memo_hits_);
+    out.counter("plan.replay_hits", replay_hits_);
+    out.counter("plan.misses", misses_);
 }
 
 } // namespace qbasis

@@ -28,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "serve/compile_service.hpp"
 #include "synth/engine.hpp"
+#include "synth/plan_cache.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -404,6 +405,31 @@ TEST(MetricsSource, ClearedCacheReadsItsNewCount)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(snap.counterValue("cache.hits"), cache.hits());
     EXPECT_EQ(snap.counterValue("cache.misses"), cache.misses());
+}
+
+TEST(MetricsSource, PlanEvictionsStayCountedAfterTheCache)
+{
+    MetricsRegistry::instance().reset();
+    constexpr uint64_t kOneShots = 100;
+    PlanCacheStats last;
+    {
+        PlanCache plans;
+        for (uint64_t i = 0; i < kOneShots; ++i) {
+            TranspilePlan p;
+            p.key.structural_hash = i;
+            p.key.epochs = {{0, 1}};
+            plans.store(std::move(p));
+        }
+        last = plans.stats();
+        EXPECT_EQ(last.evicted, kOneShots - PlanCache::kProbationPlans);
+        const MetricsSnapshot snap = metricsSnapshot();
+        EXPECT_EQ(snap.counterValue("plan.evicted"), last.evicted);
+        EXPECT_EQ(snap.counterValue("plan.stores"), kOneShots);
+    }
+
+    const MetricsSnapshot snap = metricsSnapshot();
+    EXPECT_EQ(snap.counterValue("plan.evicted"), last.evicted);
+    EXPECT_EQ(snap.counterValue("plan.stores"), kOneShots);
 }
 
 TEST(MetricsSource, ResetLeavesLiveInstancesAlone)

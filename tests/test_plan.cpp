@@ -5,13 +5,18 @@
  * compileResponseDigest across plan-miss / memo / replay / fallback
  * serve paths, the epoch-sweep invalidation property (a recalibration
  * evicts exactly the plans whose epoch vector died, and a swept plan
- * is never served), and snapshot round-trips of the plans section
- * (byte-stable encoding, CRC rejection, version rejection).
+ * is never served), the probation queue (one-shot plans are evicted
+ * beyond PlanCache::kProbationPlans, a served hit or a snapshot load
+ * keeps a plan, and an evicted shape recompiles as with the plan tier
+ * off), and snapshot round-trips of the plans section (byte-stable
+ * encoding, CRC rejection, version rejection).
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -447,6 +452,284 @@ TEST_F(PlanTest, RecalibrationEvictsOnlyTheBumpedDevicesPlans)
 
     on.stop();
     off.stop();
+}
+
+// --- Probation: plans earn their residency --------------------------
+
+class PlanCacheProbation : public PlanTest
+{
+};
+
+/** A one-shot plan on device 1 at epoch 1, unique per `i`. */
+TranspilePlan
+oneShotPlan(uint64_t i)
+{
+    return syntheticPlan(100000 + i, {{1, 1}});
+}
+
+TEST_F(PlanCacheProbation, OneShotStoresKeepOnlyTheProbationWindow)
+{
+    PlanCache pc;
+    const TranspilePlan memo_head = syntheticPlan(1, {{0, 1}});
+    const TranspilePlan replay_head = syntheticPlan(2, {{0, 1}});
+    pc.store(memo_head);
+    pc.memoize(memo_head.key, 11, CompiledCircuitResult{});
+    pc.store(replay_head);
+
+    constexpr uint64_t kOneShots = 640;
+    for (uint64_t i = 0; i < kOneShots; ++i) {
+        pc.store(oneShotPlan(i));
+        // Each head's first served hit lands among the one-shots.
+        if (i == 10) {
+            CompiledCircuitResult out;
+            ASSERT_TRUE(pc.lookupMemo(memo_head.key, 11, &out));
+        }
+        if (i == 20)
+            pc.noteReplayHit(replay_head.key);
+    }
+
+    const PlanCacheStats st = pc.stats();
+    EXPECT_EQ(pc.size(), PlanCache::kProbationPlans + 2);
+    EXPECT_EQ(st.plans, pc.size());
+    EXPECT_EQ(st.stores, kOneShots + 2);
+    EXPECT_EQ(st.evicted, st.stores - pc.size());
+    EXPECT_NE(pc.lookup(memo_head.key), nullptr);
+    EXPECT_NE(pc.lookup(replay_head.key), nullptr);
+    // The survivors are the newest one-shots, in store order.
+    for (uint64_t i = 0; i < kOneShots; ++i) {
+        const bool held = pc.lookup(oneShotPlan(i).key) != nullptr;
+        EXPECT_EQ(held, i >= kOneShots - PlanCache::kProbationPlans)
+            << "one-shot " << i;
+    }
+}
+
+TEST_F(PlanCacheProbation, HitPlansSurviveAThousandOneShotsAndStillMemo)
+{
+    CompileService on(tinyServiceOptions(true));
+    on.start({quadSpec(31)});
+    PlanCache &pc = on.driver().planCache();
+
+    const auto serve = [&](uint64_t id, const char *name,
+                           const Circuit &c) {
+        const CompileResponse r =
+            on.compileSync(CompileRequest(id, 0, name, c));
+        EXPECT_EQ(r.status, CompileStatus::Ok) << r.error;
+        return r.plan_path;
+    };
+    // One memo hit for qft3, one replay hit for the ansatz.
+    EXPECT_EQ(serve(1, "qft3", qftCircuit(3)), PlanServePath::None);
+    EXPECT_EQ(serve(2, "qft3", qftCircuit(3)), PlanServePath::Memo);
+    EXPECT_EQ(serve(3, "ansatz", ansatzCircuit(3, 0.7)),
+              PlanServePath::None);
+    EXPECT_EQ(serve(4, "ansatz", ansatzCircuit(3, 1.9)),
+              PlanServePath::Replay);
+
+    for (uint64_t i = 0; i < 1000; ++i)
+        pc.store(oneShotPlan(i));
+    EXPECT_EQ(pc.stats().evicted, 1000 - PlanCache::kProbationPlans);
+    EXPECT_EQ(pc.size(), PlanCache::kProbationPlans + 2);
+
+    EXPECT_EQ(serve(5, "qft3", qftCircuit(3)), PlanServePath::Memo);
+    EXPECT_EQ(serve(6, "ansatz", ansatzCircuit(3, 1.9)),
+              PlanServePath::Memo);
+    on.stop();
+}
+
+TEST_F(PlanCacheProbation, EvictedShapeRecompilesLikePlanOff)
+{
+    CompileService off(tinyServiceOptions(false));
+    CompileService on(tinyServiceOptions(true));
+    off.start({quadSpec(31)});
+    on.start({quadSpec(31)});
+    PlanCache &pc = on.driver().planCache();
+
+    const CompileRequest first(1, 0, "ansatz", ansatzCircuit(3, 0.7));
+    ASSERT_EQ(on.compileSync(first).status, CompileStatus::Ok);
+    ASSERT_EQ(pc.size(), 1u);
+    // Stored but never hit: 64 newer one-shots push it out.
+    for (uint64_t i = 0; i < PlanCache::kProbationPlans; ++i)
+        pc.store(oneShotPlan(i));
+    EXPECT_EQ(pc.stats().evicted, 1u);
+    EXPECT_EQ(pc.size(), PlanCache::kProbationPlans);
+
+    const CompileRequest again(2, 0, "ansatz", ansatzCircuit(3, 0.7));
+    const CompileResponse r_on = on.compileSync(again);
+    const CompileResponse r_off = off.compileSync(again);
+    ASSERT_EQ(r_on.status, CompileStatus::Ok) << r_on.error;
+    ASSERT_EQ(r_off.status, CompileStatus::Ok) << r_off.error;
+    EXPECT_EQ(r_on.plan_path, PlanServePath::None);
+    EXPECT_EQ(compileResponseDigest(r_on), compileResponseDigest(r_off));
+    EXPECT_EQ(canonicalBytes(r_on), canonicalBytes(r_off));
+
+    // The miss stored the shape again, so its next repeat memos.
+    EXPECT_EQ(on.compileSync(again).plan_path, PlanServePath::Memo);
+    on.stop();
+    off.stop();
+}
+
+TEST_F(PlanCacheProbation, LoadedPlansAreNeverEvicted)
+{
+    PlanCache pc;
+    std::vector<TranspilePlan> loaded;
+    for (uint64_t i = 0; i < 10; ++i) {
+        loaded.push_back(syntheticPlan(500 + i, {{0, 1}}));
+        ASSERT_TRUE(pc.insertLoaded(loaded.back()));
+    }
+    for (uint64_t i = 0; i < 640; ++i)
+        pc.store(oneShotPlan(i));
+
+    EXPECT_EQ(pc.size(), PlanCache::kProbationPlans + loaded.size());
+    EXPECT_EQ(pc.stats().evicted, 640 - PlanCache::kProbationPlans);
+    EXPECT_EQ(pc.stats().loaded, loaded.size());
+    for (const TranspilePlan &p : loaded)
+        EXPECT_NE(pc.lookup(p.key), nullptr);
+}
+
+TEST_F(PlanCacheProbation, ErasedThenRestoredKeyKeepsItsNewPlace)
+{
+    // Retirement and clear() both erase the key; its second store
+    // must queue behind plans stored before it, not at its first
+    // store's place.
+    const TranspilePlan key_plan = syntheticPlan(7, {{0, 1}});
+    for (const bool by_retire : {true, false}) {
+        SCOPED_TRACE(by_retire ? "retire" : "clear");
+        PlanCache pc;
+        pc.store(key_plan);
+        if (by_retire)
+            ASSERT_EQ(pc.retire({{0, 2}, {1, 1}}), 1u);
+        else
+            pc.clear();
+        ASSERT_EQ(pc.size(), 0u);
+
+        constexpr uint64_t kOlder = 10;
+        for (uint64_t i = 0; i < kOlder; ++i)
+            pc.store(oneShotPlan(i));
+        pc.store(key_plan);
+        uint64_t next = kOlder;
+        while (pc.size() < PlanCache::kProbationPlans)
+            pc.store(oneShotPlan(next++));
+        // Each further store evicts one of the older plans first.
+        for (uint64_t i = 0; i < kOlder; ++i) {
+            pc.store(oneShotPlan(next++));
+            EXPECT_NE(pc.lookup(key_plan.key), nullptr)
+                << "evicted after " << i + 1 << " of " << kOlder;
+        }
+        EXPECT_EQ(pc.stats().evicted, kOlder);
+        pc.store(oneShotPlan(next++));
+        EXPECT_EQ(pc.lookup(key_plan.key), nullptr);
+        EXPECT_EQ(pc.stats().evicted, kOlder + 1);
+    }
+}
+
+TEST_F(PlanCacheProbation, ConcurrentStoreHitRetire)
+{
+    // Two storers stream one-shot plans, alternately on device 1,
+    // whose epoch a retirer bumps and sweeps, and on device 2, which
+    // stays live (so eviction must happen however the threads
+    // interleave), while two hitters each serve their own head
+    // shapes on device 0 the way runCompile does: memo hit, else
+    // store and memoize. Plans are only ever created by a store into
+    // an absent key, so every one of them ends up held, evicted or
+    // retired.
+    PlanCache pc;
+    constexpr int kHitters = 2;
+    constexpr uint64_t kHeadsPerHitter = 4;
+    constexpr uint64_t kStoresPerStorer = 3000;
+    constexpr uint64_t kFingerprint = 5;
+    const auto headPlan = [](int hitter, uint64_t h) {
+        return syntheticPlan(
+            static_cast<uint64_t>(hitter) * kHeadsPerHitter + h,
+            {{0, 1}});
+    };
+    for (int t = 0; t < kHitters; ++t) {
+        for (uint64_t h = 0; h < kHeadsPerHitter; ++h) {
+            pc.store(headPlan(t, h));
+            pc.memoize(headPlan(t, h).key, kFingerprint,
+                       CompiledCircuitResult{});
+        }
+    }
+
+    std::atomic<bool> go{false};
+    const auto awaitGo = [&] {
+        while (!go.load())
+            std::this_thread::yield();
+    };
+    std::atomic<uint64_t> epoch{1};
+    std::atomic<int> storing{2};
+    std::atomic<uint64_t> head_restores{0};
+    std::atomic<bool> bounded{true};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            awaitGo();
+            for (uint64_t i = 0; i < kStoresPerStorer; ++i)
+                pc.store(syntheticPlan(
+                    100000 + static_cast<uint64_t>(t) * kStoresPerStorer
+                        + i,
+                    {i % 2 == 0 ? DeviceEpoch{1, epoch.load()}
+                                : DeviceEpoch{2, 1}}));
+            storing.fetch_sub(1);
+        });
+    }
+    for (int t = 0; t < kHitters; ++t) {
+        threads.emplace_back([&, t] {
+            awaitGo();
+            while (storing.load() > 0) {
+                for (uint64_t h = 0; h < kHeadsPerHitter; ++h) {
+                    const TranspilePlan head = headPlan(t, h);
+                    CompiledCircuitResult out;
+                    if (!pc.lookupMemo(head.key, kFingerprint, &out)) {
+                        pc.store(head);
+                        pc.memoize(head.key, kFingerprint, out);
+                        head_restores.fetch_add(1);
+                    }
+                }
+                // Only heads are ever hit, so at most every head plus
+                // the probation window is held.
+                if (pc.size() > kHitters * kHeadsPerHitter
+                                    + PlanCache::kProbationPlans)
+                    bounded.store(false);
+            }
+        });
+    }
+    threads.emplace_back([&] {
+        awaitGo();
+        while (storing.load() > 0) {
+            const uint64_t e = epoch.fetch_add(1) + 1;
+            pc.retire({{0, 1}, {1, e}, {2, 1}});
+            std::this_thread::yield();
+        }
+    });
+    go.store(true);
+    for (std::thread &t : threads)
+        t.join();
+
+    const PlanCacheStats st = pc.stats();
+    const uint64_t created = kHitters * kHeadsPerHitter
+                             + head_restores.load()
+                             + 2 * kStoresPerStorer;
+    EXPECT_TRUE(bounded.load());
+    EXPECT_EQ(st.stores, created);
+    EXPECT_EQ(st.plans + st.evicted + st.retired, created);
+    EXPECT_GT(st.evicted, 0u);
+
+    // Serve every head once more, then stream more one-shots than
+    // the window: the heads have all been hit, so they all stay.
+    for (int t = 0; t < kHitters; ++t) {
+        for (uint64_t h = 0; h < kHeadsPerHitter; ++h) {
+            const TranspilePlan head = headPlan(t, h);
+            CompiledCircuitResult out;
+            if (!pc.lookupMemo(head.key, kFingerprint, &out)) {
+                pc.store(head);
+                pc.noteReplayHit(head.key);
+            }
+        }
+    }
+    for (uint64_t i = 0; i < 2 * PlanCache::kProbationPlans; ++i)
+        pc.store(oneShotPlan(i));
+    for (int t = 0; t < kHitters; ++t)
+        for (uint64_t h = 0; h < kHeadsPerHitter; ++h)
+            EXPECT_NE(pc.lookup(headPlan(t, h).key), nullptr);
 }
 
 // --- Snapshot persistence of the plans section ----------------------
