@@ -25,12 +25,18 @@
  *    services -- plan cache off, then on. Every per-request digest
  *    must match bit-for-bit (plan-hit and plan-miss paths are
  *    indistinguishable in the response), the memo and replay tiers
- *    must both fire, and the plan-on p50 must beat the plan-off p50
- *    by >= 10x (the committed floor lives in bench/baselines.json as
- *    serve.min_zipf_p50_speedup). --smoke serves the off/on pair 3
- *    times on fresh services and takes each request's fastest
- *    latency before the p50s: its 60-request plan-on p50 is tens of
- *    microseconds, and one slow stretch of a loaded host could halve
+ *    must both fire, and the plan-on p50 compile time must beat the
+ *    plan-off p50 by >= 10x (the committed floor lives in
+ *    bench/baselines.json as serve.min_zipf_compile_p50_speedup).
+ *    The gate reads compile time (CompileResponse::compile_ms), not
+ *    queue + compile: a sequential stream's queue time is the
+ *    dispatcher's wake-up, a few microseconds set by the host's
+ *    scheduler, which is most of a memo hit's latency and none of
+ *    what the plan tier saves. The queue + compile p50s and their
+ *    ratio are reported beside it. --smoke serves the off/on pair 3
+ *    times on fresh services and takes each request's fastest pass
+ *    before the p50s: its 60-request plan-on p50 is about a
+ *    microsecond, and one slow stretch of a loaded host could halve
  *    a single pass's speedup.
  *
  * Usage: bench_serve [--quick|--smoke] [--threads N] [--faults [seed]]
@@ -70,7 +76,9 @@
  *                   "digest_changed": bool },
  *   "zipf": { "requests": int, "shapes": int, "exponent": double,
  *             "p50_off_ms": double, "p50_on_ms": double,
- *             "zipf_p50_speedup": double, "digests_match": bool,
+ *             "zipf_p50_speedup": double, "compile_p50_off_ms": double,
+ *             "compile_p50_on_ms": double,
+ *             "compile_p50_speedup": double, "digests_match": bool,
  *             "memo_hits": int, "replay_hits": int,
  *             "plan_misses": int, "plans_loaded": int,
  *             "stream_digest": "decimal-u64" },
@@ -483,9 +491,12 @@ struct ZipfResult
     int repeats = 0; ///< Off/on passes; latencies are best-of.
     int shapes = 0;
     double exponent = 1.1;
-    double p50_off_ms = 0.0;
+    double p50_off_ms = 0.0; ///< Queue + compile.
     double p50_on_ms = 0.0;
     double speedup = 0.0;
+    double compile_p50_off_ms = 0.0; ///< Compile only (the gate).
+    double compile_p50_on_ms = 0.0;
+    double compile_speedup = 0.0;
     bool all_ok = false;
     bool digests_match = false;
     uint64_t memo_hits = 0;
@@ -599,12 +610,13 @@ zipfRequestMix(int devices, int count, double exponent, uint64_t seed)
 /**
  * Serve the same Zipf stream through two identically-specced services
  * -- plan cache off, then on -- and compare per-request digests plus
- * p50 latency. Sequential compileSync keeps the latency measurement
- * free of queueing: the speedup is the plan tier's, not a batching
- * artifact. The off/on pair runs `repeats` times on fresh services,
- * so every pass takes the same miss/memo/replay path per request;
- * each request's latency is its fastest pass, and every pass must
- * reproduce the first one's digests.
+ * p50 latency. Sequential compileSync keeps batching out of the
+ * measurement, and the gated speedup reads compile time only, so it
+ * is the plan tier's and not the dispatcher's wake-up. The off/on
+ * pair runs `repeats` times on fresh services, so every pass takes
+ * the same miss/memo/replay path per request; each request's
+ * latency is its fastest pass, and every pass must reproduce the
+ * first one's digests.
  */
 ZipfResult
 runZipf(const BenchConfig &cfg, int zipf_requests, int repeats,
@@ -621,15 +633,19 @@ runZipf(const BenchConfig &cfg, int zipf_requests, int repeats,
 
     std::vector<double> lat_off(reqs.size(), HUGE_VAL);
     std::vector<double> lat_on(reqs.size(), HUGE_VAL);
+    std::vector<double> compile_off(reqs.size(), HUGE_VAL);
+    std::vector<double> compile_on(reqs.size(), HUGE_VAL);
     std::vector<uint64_t> first_digests;
     const auto serveAll = [&](CompileService &svc,
-                              std::vector<double> &best) {
+                              std::vector<double> &best,
+                              std::vector<double> &best_compile) {
         std::vector<uint64_t> digests;
         for (size_t i = 0; i < reqs.size(); ++i) {
             const CompileResponse resp = svc.compileSync(reqs[i]);
             if (resp.status != CompileStatus::Ok)
                 z.all_ok = false;
             best[i] = std::min(best[i], resp.queue_ms + resp.compile_ms);
+            best_compile[i] = std::min(best_compile[i], resp.compile_ms);
             digests.push_back(compileResponseDigest(resp));
         }
         if (first_digests.empty())
@@ -644,7 +660,7 @@ runZipf(const BenchConfig &cfg, int zipf_requests, int repeats,
             opts.plan_cache = false;
             CompileService svc(opts);
             svc.start(benchFleet(cfg.devices));
-            serveAll(svc, lat_off);
+            serveAll(svc, lat_off, compile_off);
             svc.stop();
         }
         CompileServiceOptions opts = benchServiceOptions(cfg);
@@ -658,7 +674,7 @@ runZipf(const BenchConfig &cfg, int zipf_requests, int repeats,
             svc.driver().loadCache(plan_load);
             z.plans_loaded = svc.driver().planCache().stats().loaded;
         }
-        serveAll(svc, lat_on);
+        serveAll(svc, lat_on, compile_on);
         const PlanCacheStats ps = svc.driver().planCache().stats();
         z.memo_hits = ps.memo_hits;
         z.replay_hits = ps.replay_hits;
@@ -672,11 +688,16 @@ runZipf(const BenchConfig &cfg, int zipf_requests, int repeats,
     for (const uint64_t d : first_digests)
         fnv.mix(d);
     z.stream_digest = fnv.h;
-    std::sort(lat_off.begin(), lat_off.end());
-    std::sort(lat_on.begin(), lat_on.end());
+    for (std::vector<double> *v :
+         {&lat_off, &lat_on, &compile_off, &compile_on})
+        std::sort(v->begin(), v->end());
     z.p50_off_ms = percentileSorted(lat_off, 0.50);
     z.p50_on_ms = percentileSorted(lat_on, 0.50);
     z.speedup = z.p50_off_ms / std::max(z.p50_on_ms, 1e-6);
+    z.compile_p50_off_ms = percentileSorted(compile_off, 0.50);
+    z.compile_p50_on_ms = percentileSorted(compile_on, 0.50);
+    z.compile_speedup =
+        z.compile_p50_off_ms / std::max(z.compile_p50_on_ms, 1e-6);
     return z;
 }
 
@@ -834,6 +855,9 @@ writeJson(const char *path, bool quick, bool smoke,
         "    \"p50_off_ms\": %.4f,\n"
         "    \"p50_on_ms\": %.4f,\n"
         "    \"zipf_p50_speedup\": %.2f,\n"
+        "    \"compile_p50_off_ms\": %.4f,\n"
+        "    \"compile_p50_on_ms\": %.4f,\n"
+        "    \"compile_p50_speedup\": %.2f,\n"
         "    \"digests_match\": %s,\n"
         "    \"memo_hits\": %llu,\n"
         "    \"replay_hits\": %llu,\n"
@@ -855,7 +879,8 @@ writeJson(const char *path, bool quick, bool smoke,
         swap.served_during_swap ? "true" : "false",
         swap.digest_changed ? "true" : "false", zipf.requests,
         zipf.shapes, zipf.exponent, zipf.p50_off_ms, zipf.p50_on_ms,
-        zipf.speedup, zipf.digests_match ? "true" : "false",
+        zipf.speedup, zipf.compile_p50_off_ms, zipf.compile_p50_on_ms,
+        zipf.compile_speedup, zipf.digests_match ? "true" : "false",
         static_cast<unsigned long long>(zipf.memo_hits),
         static_cast<unsigned long long>(zipf.replay_hits),
         static_cast<unsigned long long>(zipf.plan_misses),
@@ -995,11 +1020,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(swap.new_epoch),
                 swap.served_during_swap ? "yes" : "NO",
                 swap.digest_changed ? "yes" : "NO");
-    std::printf("zipf p50 off/on: %.3f / %.4f ms (%.0fx, best of %d), "
+    std::printf("zipf p50 off/on (best of %d): compile %.3f / %.4f ms "
+                "(%.0fx), queue + compile %.3f / %.4f ms (%.0fx), "
                 "digests: %s, memo/replay/miss: %llu/%llu/%llu, "
                 "loaded %llu\n",
+                zipf.repeats, zipf.compile_p50_off_ms,
+                zipf.compile_p50_on_ms, zipf.compile_speedup,
                 zipf.p50_off_ms, zipf.p50_on_ms, zipf.speedup,
-                zipf.repeats,
                 zipf.digests_match ? "bit-identical" : "MISMATCH",
                 static_cast<unsigned long long>(zipf.memo_hits),
                 static_cast<unsigned long long>(zipf.replay_hits),
@@ -1026,8 +1053,10 @@ main(int argc, char **argv)
               && adm.served >= 1;
     // The Zipf sub-suite gates through the exit code too: plan-hit
     // and plan-miss responses bit-identical, both tiers exercised,
-    // and the p50 speedup at or above the committed 10x floor.
-    if (!(zipf.all_ok && zipf.digests_match && zipf.speedup >= 10.0
+    // and the p50 compile-time speedup at or above the committed 10x
+    // floor.
+    if (!(zipf.all_ok && zipf.digests_match
+          && zipf.compile_speedup >= 10.0
           && zipf.memo_hits >= 1 && zipf.replay_hits >= 1
           && zipf.snapshot_saved
           && (plan_load == nullptr || zipf.plans_loaded >= 1))) {

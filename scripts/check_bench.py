@@ -25,8 +25,8 @@ bench/baselines.json:
     epoch-swap digest change, reject-with-status admission under
     saturation, and open-loop throughput/p99 sanity bounds,
   * plan cache: the Zipf sub-suite's plan-on vs plan-off digest
-    bit-identity, the p50 speedup floor, and both tiers (memo and
-    replay) actually serving,
+    bit-identity, the p50 compile-time speedup floor, and both tiers
+    (memo and replay) actually serving,
   * fleet scale: 1-vs-N-shard bit-determinism on a 100+ qubit
     heavy-hex lattice with per-edge heterogeneous bases, cross-edge
     shared-cache dedupe and plan-memo floors at the top curve point,
@@ -366,11 +366,11 @@ def check_serve(bench, base, gate):
             "plan-on vs plan-off",
             zipf.get("digests_match"),
         )
-    floor = floors.get("min_zipf_p50_speedup")
+    floor = floors.get("min_zipf_compile_p50_speedup")
     if floor is not None:
         gate.floor(
-            "serve.zipf.p50_speedup",
-            zipf.get("zipf_p50_speedup", 0.0),
+            "serve.zipf.compile_p50_speedup",
+            zipf.get("compile_p50_speedup", 0.0),
             floor,
         )
     floor = floors.get("min_zipf_memo_hits")

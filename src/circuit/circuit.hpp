@@ -122,6 +122,40 @@ class Circuit
     std::vector<Gate> gates_;
 };
 
+/**
+ * Receiver of a gate stream. The streamed transpile passes (route
+ * emission, 1Q merging, basis translation) hand their output gate by
+ * gate to the next pass through this interface, so no intermediate
+ * circuit is built between them.
+ */
+class GateSink
+{
+  public:
+    virtual ~GateSink() = default;
+
+    /** Take the next gate. */
+    virtual void gate(const Gate &g) = 0;
+
+    /** Take the next gate: a Unitary1Q labeled "u" applying `u`. */
+    virtual void unitary1q(int q, const Mat2 &u) = 0;
+};
+
+/** The sink that appends each gate to a circuit. */
+class CircuitSink final : public GateSink
+{
+  public:
+    explicit CircuitSink(Circuit &out) : out_(out) {}
+
+    void gate(const Gate &g) override { out_.append(g); }
+    void unitary1q(int q, const Mat2 &u) override
+    {
+        out_.unitary1q(q, u, "u");
+    }
+
+  private:
+    Circuit &out_;
+};
+
 } // namespace qbasis
 
 #endif // QBASIS_CIRCUIT_CIRCUIT_HPP

@@ -102,13 +102,13 @@ scoreCompiled(CompileResponse &resp, const GridDevice &device,
     resp.status = CompileStatus::Ok;
 }
 
-/** Full-pipeline compile, optionally capturing the routed circuit so
- *  the caller can store a transpile plan. */
+/** Full-pipeline compile, optionally capturing the transpile plan
+ *  (all but its key) so the caller can store it. */
 CompileResponse
 runCompileCaptured(const GridDevice &device,
                    const CalibratedBasisSet &set,
                    const SynthClient &client, const CompileRequest &req,
-                   RoutedCircuit *captured_routing)
+                   TranspilePlan *captured_plan)
 {
     // Root correlation for direct callers (the service's serveOne
     // sets the same id one frame up; re-setting is idempotent).
@@ -122,7 +122,7 @@ runCompileCaptured(const GridDevice &device,
         const CouplingMap &cm = device.coupling();
         const TranspileResult compiled = transpileCircuit(
             req.circuit, cm, set.bases, client, req.options.transpile,
-            captured_routing);
+            captured_plan);
         scoreCompiled(resp, device, set, req, compiled);
     } catch (const std::exception &e) {
         // One bad request must not take a serving daemon down with
@@ -255,16 +255,15 @@ runCompile(const GridDevice &device,
     // Tier 3: full pipeline, then capture the plan for the next
     // repeat of this shape.
     plans->noteMiss();
-    RoutedCircuit routed;
+    TranspilePlan plan;
     CompileResponse resp =
-        runCompileCaptured(device, *snap.set, client, req, &routed);
+        runCompileCaptured(device, *snap.set, client, req, &plan);
     resp.basis_epoch = snap.version;
     resp.snapshot_wait_ms = wait_ms;
     if (resp.status == CompileStatus::Ok) {
         try {
-            plans->store(captureTranspilePlan(
-                key, routed, device.coupling(), snap.set->bases,
-                req.options.transpile.synth));
+            plan.key = key;
+            plans->store(std::move(plan));
             plans->memoize(key, fingerprint, resp.result);
         } catch (const std::exception &) {
             // A capture failure must never fail a served request.

@@ -132,13 +132,16 @@ CompileService::submit(CompileRequest req)
     pending.enqueued = std::chrono::steady_clock::now();
     std::future<CompileResponse> fut = pending.promise.get_future();
 
-    const uint64_t fingerprint =
-        compileRequestFingerprint(pending.req);
+    // The fault key hashes the whole request, so it is computed only
+    // while a fault plan is armed (faultPoint is a no-op otherwise).
     std::string reject_why;
-    try {
-        faultPoint(kFaultServeAdmit, fingerprint);
-    } catch (const FaultInjected &e) {
-        reject_why = e.what();
+    if (faultsEnabled()) {
+        try {
+            faultPoint(kFaultServeAdmit,
+                       compileRequestFingerprint(pending.req));
+        } catch (const FaultInjected &e) {
+            reject_why = e.what();
+        }
     }
 
     // `submitted` is incremented before the admit/reject outcome and
@@ -147,27 +150,32 @@ CompileService::submit(CompileRequest req)
     // coherent.
     counters_.submitted.fetch_add(1);
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (reject_why.empty() && !accepting_)
-        reject_why = "service not accepting requests";
-    if (reject_why.empty() && queue_.size() >= opts_.queue_capacity)
-        reject_why = "admission queue full (capacity "
-                     + std::to_string(opts_.queue_capacity) + ")";
-    if (!reject_why.empty()) {
-        counters_.rejected.fetch_add(1);
-        pending.promise.set_value(
-            rejectResponse(pending.req, std::move(reject_why)));
-        return fut;
-    }
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (reject_why.empty() && !accepting_)
+            reject_why = "service not accepting requests";
+        if (reject_why.empty()
+            && queue_.size() >= opts_.queue_capacity)
+            reject_why = "admission queue full (capacity "
+                         + std::to_string(opts_.queue_capacity) + ")";
+        if (!reject_why.empty()) {
+            counters_.rejected.fetch_add(1);
+            pending.promise.set_value(
+                rejectResponse(pending.req, std::move(reject_why)));
+            return fut;
+        }
 
-    counters_.admitted.fetch_add(1);
-    queue_.push_back(std::move(pending));
-    const uint64_t depth = queue_.size();
-    uint64_t high = counters_.max_queue_depth.load();
-    while (depth > high
-           && !counters_.max_queue_depth.compare_exchange_weak(
-               high, depth)) {
+        counters_.admitted.fetch_add(1);
+        queue_.push_back(std::move(pending));
+        const uint64_t depth = queue_.size();
+        uint64_t high = counters_.max_queue_depth.load();
+        while (depth > high
+               && !counters_.max_queue_depth.compare_exchange_weak(
+                   high, depth)) {
+        }
     }
+    // Notify after unlocking, so the woken dispatcher does not block
+    // on the mutex this thread still holds.
     cv_.notify_one();
     return fut;
 }

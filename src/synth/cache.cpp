@@ -114,11 +114,21 @@ DecompositionCache::dressClassDecomposition(
     const TwoQubitDecomposition &cls, const CanonicalKak &kak,
     const Mat4 &target)
 {
+    TwoQubitDecomposition d;
+    dressClassDecomposition(cls, kak, target, d);
+    return d;
+}
+
+void
+DecompositionCache::dressClassDecomposition(
+    const TwoQubitDecomposition &cls, const CanonicalKak &kak,
+    const Mat4 &target, TwoQubitDecomposition &d)
+{
     // target = phase * (a1 (x) a0) * CAN(c) * (b1 (x) b0) and cls
     // reconstructs CAN(c), so grafting b* onto the innermost local
     // layer and a* onto the outermost gives a decomposition of the
     // target (for zero-layer classes both graft onto the same local).
-    TwoQubitDecomposition d = cls;
+    d = cls;
     d.locals.front().q1 = d.locals.front().q1 * kak.b1;
     d.locals.front().q0 = d.locals.front().q0 * kak.b0;
     d.locals.back().q1 = kak.a1 * d.locals.back().q1;
@@ -136,7 +146,6 @@ DecompositionCache::dressClassDecomposition(
     const double mag = std::abs(overlap);
     d.phase = mag > 1e-300 ? overlap / mag : Complex(1.0);
     d.infidelity = traceInfidelity(v, target);
-    return d;
 }
 
 TwoQubitDecomposition

@@ -121,6 +121,13 @@ class DecompositionCache
         const TwoQubitDecomposition &cls, const CanonicalKak &kak,
         const Mat4 &target);
 
+    /** The same dressing into `out`, reusing its storage (a
+     *  translation dresses gate after gate into one scratch). */
+    static void dressClassDecomposition(const TwoQubitDecomposition &cls,
+                                        const CanonicalKak &kak,
+                                        const Mat4 &target,
+                                        TwoQubitDecomposition &out);
+
     /** Number of cache hits so far. */
     uint64_t hits() const { return hits_; }
 

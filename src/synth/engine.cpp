@@ -398,7 +398,6 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
                              const SynthOptions &opts, int device_id,
                              TaskPriority priority)
 {
-    using ClassKey = DecompositionCache::ClassKey;
     const size_t n = requests.size();
     std::vector<TwoQubitDecomposition> results(n);
     if (n == 0)
@@ -406,13 +405,62 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     QBASIS_TRACE_SCOPE("synth.batch", "requests", n, "device",
                        static_cast<uint64_t>(
                            static_cast<uint32_t>(device_id)));
+    std::vector<CanonicalKak> kaks;
+    std::vector<DecompositionCache::ClassKey> keys;
+    const ClassMap resolved = resolveBatch(
+        n, [&](size_t i) -> const Mat4 & { return requests[i].target; },
+        [&](size_t i) -> const Mat4 & { return requests[i].basis; },
+        cache, opts, device_id, priority, kaks, keys);
+
+    // Phase 4: dress every request from its class decomposition
+    // (read-only over `resolved`; pointers are stable until clear()).
+    pool_->parallelFor(n, [&](size_t i) {
+        results[i] = DecompositionCache::dressClassDecomposition(
+            *resolved.at(keys[i]), kaks[i], requests[i].target);
+    });
+    return results;
+}
+
+ResolvedClasses
+SynthEngine::resolveClasses(const SynthBatchView &batch,
+                            SharedDecompositionCache &cache,
+                            const SynthOptions &opts, int device_id,
+                            TaskPriority priority)
+{
+    const size_t n = batch.size;
+    ResolvedClasses out;
+    if (n == 0)
+        return out;
+    QBASIS_TRACE_SCOPE("synth.batch", "requests", n, "device",
+                       static_cast<uint64_t>(
+                           static_cast<uint32_t>(device_id)));
+    const ClassMap resolved =
+        resolveBatch(n, batch.target, batch.basis, cache, opts,
+                     device_id, priority, out.kaks, out.keys);
+    out.classes.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        out.classes[i] = resolved.at(out.keys[i]);
+    return out;
+}
+
+template <class Target, class Basis>
+SynthEngine::ClassMap
+SynthEngine::resolveBatch(size_t n, const Target &target,
+                          const Basis &basis,
+                          SharedDecompositionCache &cache,
+                          const SynthOptions &opts, int device_id,
+                          TaskPriority priority,
+                          std::vector<CanonicalKak> &kaks,
+                          std::vector<DecompositionCache::ClassKey> &keys)
+{
+    using ClassKey = DecompositionCache::ClassKey;
     SynthMetrics::instance().batches.add();
     SynthMetrics::instance().requests.add(n);
 
     // Phase 1: canonical KAK of every target.
-    std::vector<CanonicalKak> kaks(n);
+    kaks.resize(n);
     pool_->parallelFor(n, [&](size_t i) {
-        kaks[i] = canonicalKakDecompose(requests[i].target);
+        kaks[i] = canonicalKakDecompose(target(i));
     });
 
     // Phase 2: collapse the batch onto unique classes in
@@ -421,20 +469,20 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     // become this client's jobs, and classes a concurrent client is
     // already synthesizing are awaited in phase 3b instead of being
     // synthesized twice.
-    std::vector<ClassKey> keys(n);
+    keys.resize(n);
     std::vector<ClassKey> order;
     std::map<ClassKey, uint64_t> lookups;
     std::map<ClassKey, Mat4> basis_of;
     for (size_t i = 0; i < n; ++i) {
-        keys[i] = DecompositionCache::classKey(kaks[i].coords,
-                                               requests[i].basis, opts);
+        const Mat4 &b = basis(i);
+        keys[i] = DecompositionCache::classKey(kaks[i].coords, b, opts);
         if (lookups[keys[i]]++ == 0) {
             order.push_back(keys[i]);
-            basis_of.emplace(keys[i], requests[i].basis);
+            basis_of.emplace(keys[i], b);
         }
     }
 
-    std::map<ClassKey, const TwoQubitDecomposition *> resolved;
+    ClassMap resolved;
     std::vector<ClassKey> pending;
     std::vector<std::unique_ptr<ClassJob>> jobs;
     std::vector<ClaimGuard> guards; ///< Parallel to `jobs`.
@@ -505,14 +553,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
         }
         resolved[key] = dec;
     }
-
-    // Phase 4: dress every request from its class decomposition
-    // (read-only over `resolved`; pointers are stable until clear()).
-    pool_->parallelFor(n, [&](size_t i) {
-        results[i] = DecompositionCache::dressClassDecomposition(
-            *resolved.at(keys[i]), kaks[i], requests[i].target);
-    });
-    return results;
+    return resolved;
 }
 
 } // namespace qbasis

@@ -37,6 +37,8 @@
  */
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -53,6 +55,33 @@ struct SynthRequest
     int edge_id = -1; ///< Originating device edge (diagnostics only).
     Mat4 target;      ///< Gate to decompose.
     Mat4 basis;       ///< Edge basis gate to decompose into.
+};
+
+/**
+ * A batch's requests read by index rather than from an array: the
+ * target and basis of request i. `target` is called from pool
+ * threads and must be safe to call concurrently.
+ */
+struct SynthBatchView
+{
+    size_t size = 0;
+    std::function<Mat4(size_t)> target;
+    std::function<const Mat4 &(size_t)> basis;
+};
+
+/**
+ * Phases 1-3 of a synthesis batch: each request's canonical KAK,
+ * Weyl-class key and published class decomposition, in request
+ * order. Request i's decomposition is
+ * DecompositionCache::dressClassDecomposition(*classes[i], kaks[i],
+ * target i); the class pointers stay valid until the cache is
+ * cleared.
+ */
+struct ResolvedClasses
+{
+    std::vector<CanonicalKak> kaks;
+    std::vector<DecompositionCache::ClassKey> keys;
+    std::vector<const TwoQubitDecomposition *> classes;
 };
 
 /** Thread-pooled batch synthesizer. */
@@ -95,6 +124,20 @@ class SynthEngine
                     const SynthOptions &opts, int device_id = 0,
                     TaskPriority priority = TaskPriority::Normal);
 
+    /**
+     * synthesizeBatch without its last phase: resolve every request's
+     * Weyl class (KAK, class key, cache acquire, synthesis of the
+     * classes this batch owns, waits on the others) and leave the
+     * per-request dressing to the caller. The cache counters and
+     * every published class are the same as synthesizeBatch's, which
+     * is this plus a parallel dressing pass.
+     */
+    ResolvedClasses
+    resolveClasses(const SynthBatchView &batch,
+                   SharedDecompositionCache &cache,
+                   const SynthOptions &opts, int device_id = 0,
+                   TaskPriority priority = TaskPriority::Normal);
+
     /** Worker threads in the pool. */
     int threadCount() const { return pool_->size(); }
 
@@ -119,6 +162,25 @@ class SynthEngine
     Stats stats() const;
 
   private:
+    using ClassMap = std::map<DecompositionCache::ClassKey,
+                              const TwoQubitDecomposition *>;
+
+    /**
+     * Phases 1-3 over `n` requests read through `target(i)` (called
+     * from pool threads) and `basis(i)`: fill each request's KAK and
+     * class key, and return every distinct class's decomposition.
+     * synthesizeBatch instantiates it over its request array and
+     * resolveClasses over a SynthBatchView.
+     */
+    template <class Target, class Basis>
+    ClassMap resolveBatch(size_t n, const Target &target,
+                          const Basis &basis,
+                          SharedDecompositionCache &cache,
+                          const SynthOptions &opts, int device_id,
+                          TaskPriority priority,
+                          std::vector<CanonicalKak> &kaks,
+                          std::vector<DecompositionCache::ClassKey> &keys);
+
     void readMetrics(MetricsSource::Out &out) const;
 
     std::unique_ptr<ThreadPool> owned_; ///< Null for borrowed pools.
@@ -155,6 +217,14 @@ struct SynthClient
     {
         return engine.synthesizeBatch(requests, cache, opts,
                                       device_id, priority);
+    }
+
+    ResolvedClasses
+    resolveClasses(const SynthBatchView &batch,
+                   const SynthOptions &opts) const
+    {
+        return engine.resolveClasses(batch, cache, opts, device_id,
+                                     priority);
     }
 };
 

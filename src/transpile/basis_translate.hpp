@@ -19,6 +19,7 @@
 #include "synth/cache.hpp"
 #include "synth/engine.hpp"
 #include "circuit/coupling.hpp"
+#include "transpile/routing.hpp"
 
 namespace qbasis {
 
@@ -81,6 +82,48 @@ std::optional<Circuit> translateFromPublishedClasses(
     const Circuit &physical, const CouplingMap &cm,
     const std::vector<EdgeBasis> &bases,
     const SynthOptions &synth_opts,
+    const std::function<const TwoQubitDecomposition *(
+        const DecompositionCache::ClassKey &)> &peek,
+    BasisTranslationStats *stats = nullptr);
+
+/**
+ * The streamed translation of a routing program: bit for bit
+ *
+ *   mergeSingleQubitRuns(translateToEdgeBases(
+ *       mergeSingleQubitRuns(emitRouteOps(logical, num_physical, ops)),
+ *       cm, bases, client, synth_opts, stats))
+ *
+ * without building any of those circuits. It first resolves the
+ * Weyl class of every routed 2Q gate through `client` (the engine's
+ * batch phases 1-3), then streams the routed gates through a 1Q
+ * merger, dresses each 2Q gate from its class as it arrives, and
+ * merges the translation into the returned circuit, which is sized
+ * once. When `class_keys` is non-null it receives each routed 2Q
+ * gate's class key, in order (what a transpile plan records).
+ */
+Circuit translateRouteOps(
+    const Circuit &logical, const std::vector<RouteOp> &ops,
+    int num_physical, const CouplingMap &cm,
+    const std::vector<EdgeBasis> &bases, const SynthClient &client,
+    const SynthOptions &synth_opts, BasisTranslationStats *stats,
+    std::vector<DecompositionCache::ClassKey> *class_keys);
+
+/**
+ * The plan-replay form of translateRouteOps: classes come only from
+ * `peek`, as in translateFromPublishedClasses, and the output equals
+ *
+ *   mergeSingleQubitRuns(*translateFromPublishedClasses(
+ *       mergeSingleQubitRuns(emitRouteOps(logical, num_physical, ops)),
+ *       cm, bases, synth_opts, peek, stats))
+ *
+ * Every class is resolved before the first gate is emitted, so a
+ * class that is not published returns std::nullopt with nothing
+ * built. `ops` must fit `logical` and the register.
+ */
+std::optional<Circuit> translateRouteOpsFromPublishedClasses(
+    const Circuit &logical, const std::vector<RouteOp> &ops,
+    int num_physical, const CouplingMap &cm,
+    const std::vector<EdgeBasis> &bases, const SynthOptions &synth_opts,
     const std::function<const TwoQubitDecomposition *(
         const DecompositionCache::ClassKey &)> &peek,
     BasisTranslationStats *stats = nullptr);

@@ -16,25 +16,10 @@ trivialLayout(int num_logical)
     return layout;
 }
 
-namespace {
-
-Circuit
-reversedCircuit(const Circuit &c)
-{
-    Circuit r(c.numQubits());
-    r.reserve(c.size());
-    for (auto it = c.gates().rbegin(); it != c.gates().rend(); ++it)
-        r.append(*it);
-    return r;
-}
-
-} // namespace
-
 std::vector<int>
 sabreLayout(const Circuit &logical, const CouplingMap &cm,
             int iterations, const SabreOptions &opts)
 {
-    const Circuit reversed = reversedCircuit(logical);
     const int nl = logical.numQubits();
 
     std::vector<int> best_layout = trivialLayout(nl);
@@ -43,7 +28,10 @@ sabreLayout(const Circuit &logical, const CouplingMap &cm,
     // Several starting placements (trivial + random), each refined
     // by forward/backward reverse-traversal passes; keep the initial
     // layout whose forward routing inserts the fewest SWAPs. This
-    // mirrors Qiskit's multi-seed SABRE layout.
+    // mirrors Qiskit's multi-seed SABRE layout. A pass reads only
+    // its SWAP count and final layout, so it routes without
+    // recording a program, and the backward pass walks `logical`
+    // back to front instead of routing a reversed copy.
     Rng seed_rng(opts.seed ^ 0x1a707ull);
     const int trials = 3;
     for (int trial = 0; trial < trials; ++trial) {
@@ -63,19 +51,21 @@ sabreLayout(const Circuit &logical, const CouplingMap &cm,
         for (int iter = 0; iter < iterations; ++iter) {
             SabreOptions fwd_opts = opts;
             fwd_opts.seed = opts.seed + 16 * trial + 2 * iter;
-            const RoutedCircuit fwd =
-                sabreRoute(logical, cm, layout, fwd_opts);
-            if (fwd.swaps_inserted < best_swaps) {
-                best_swaps = fwd.swaps_inserted;
+            std::vector<int> routed = layout;
+            const size_t swaps = sabreRouteCore(logical, false, cm,
+                                                routed, fwd_opts,
+                                                nullptr);
+            if (swaps < best_swaps) {
+                best_swaps = swaps;
                 best_layout = layout;
             }
             // Reverse pass starts from where the forward pass
             // ended; its final layout is a refined placement.
             SabreOptions bwd_opts = opts;
             bwd_opts.seed = opts.seed + 16 * trial + 2 * iter + 1;
-            const RoutedCircuit bwd =
-                sabreRoute(reversed, cm, fwd.final_layout, bwd_opts);
-            layout = bwd.final_layout;
+            sabreRouteCore(logical, true, cm, routed, bwd_opts,
+                           nullptr);
+            layout = std::move(routed);
         }
     }
     return best_layout;

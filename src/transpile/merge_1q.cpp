@@ -35,37 +35,60 @@ mergedSizeBound(const Circuit &c)
 
 } // namespace
 
+SingleQubitMerger::SingleQubitMerger(int num_qubits, GateSink &out,
+                                     double identity_tol)
+    : out_(out), identity_tol_(identity_tol),
+      pending_(num_qubits, Mat2::identity()), has_pending_(num_qubits, 0)
+{
+}
+
+void
+SingleQubitMerger::gate(const Gate &g)
+{
+    if (!g.isTwoQubit()) {
+        unitary1q(g.qubits[0], g.matrix2());
+        return;
+    }
+    flush(g.qubits[0]);
+    flush(g.qubits[1]);
+    out_.gate(g);
+}
+
+void
+SingleQubitMerger::unitary1q(int q, const Mat2 &u)
+{
+    pending_[q] = u * pending_[q];
+    has_pending_[q] = 1;
+}
+
+void
+SingleQubitMerger::flush(int q)
+{
+    if (!has_pending_[q])
+        return;
+    if (!isIdentityUpToPhase(pending_[q], identity_tol_))
+        out_.unitary1q(q, pending_[q]);
+    pending_[q] = Mat2::identity();
+    has_pending_[q] = 0;
+}
+
+void
+SingleQubitMerger::finish()
+{
+    for (int q = 0; q < static_cast<int>(pending_.size()); ++q)
+        flush(q);
+}
+
 Circuit
 mergeSingleQubitRuns(const Circuit &c, double identity_tol)
 {
-    const int n = c.numQubits();
-    Circuit out(n);
+    Circuit out(c.numQubits());
     out.reserve(mergedSizeBound(c));
-    std::vector<Mat2> pending(n, Mat2::identity());
-    std::vector<bool> has_pending(n, false);
-
-    auto flush = [&](int q) {
-        if (!has_pending[q])
-            return;
-        if (!isIdentityUpToPhase(pending[q], identity_tol))
-            out.unitary1q(q, pending[q], "u");
-        pending[q] = Mat2::identity();
-        has_pending[q] = false;
-    };
-
-    for (const Gate &g : c.gates()) {
-        if (!g.isTwoQubit()) {
-            const int q = g.qubits[0];
-            pending[q] = g.matrix2() * pending[q];
-            has_pending[q] = true;
-        } else {
-            flush(g.qubits[0]);
-            flush(g.qubits[1]);
-            out.append(g);
-        }
-    }
-    for (int q = 0; q < n; ++q)
-        flush(q);
+    CircuitSink sink(out);
+    SingleQubitMerger merger(c.numQubits(), sink, identity_tol);
+    for (const Gate &g : c.gates())
+        merger.gate(g);
+    merger.finish();
     return out;
 }
 

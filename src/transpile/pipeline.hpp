@@ -15,6 +15,8 @@
 
 namespace qbasis {
 
+struct TranspilePlan;
+
 /** Options for transpileCircuit(). */
 struct TranspileOptions
 {
@@ -56,21 +58,26 @@ struct CompiledCircuitResult
  * fixed synth seed whatever engine, pool size or device id the
  * client carries, as long as it sees the same basis matrices.
  *
+ * The pipeline streams: layout routes without emitting, the final
+ * route yields only its program, and translation (see
+ * translateRouteOps) merges, dresses and merges again gate by gate,
+ * so the returned circuit is the only one built.
+ *
  * @param logical  input circuit on logical qubits.
  * @param cm       device coupling graph.
  * @param bases    per-edge basis gates (indexed by edge id).
  * @param client   synthesis engine + shared cache to submit to.
- * @param captured_routing  when non-null, receives a copy of the
- *        routed circuit (with its source map) so the caller can
- *        capture a transpile plan (see transpile/plan.hpp).
+ * @param captured_plan  when non-null, receives the replayable plan
+ *        of this run (see transpile/plan.hpp): the routing program,
+ *        layouts and the class key of each routed 2Q gate. Its key
+ *        is left for the caller to set.
  */
 TranspileResult transpileCircuit(const Circuit &logical,
                                  const CouplingMap &cm,
                                  const std::vector<EdgeBasis> &bases,
                                  const SynthClient &client,
                                  const TranspileOptions &opts = {},
-                                 RoutedCircuit *captured_routing =
-                                     nullptr);
+                                 TranspilePlan *captured_plan = nullptr);
 
 } // namespace qbasis
 

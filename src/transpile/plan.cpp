@@ -3,30 +3,9 @@
 #include <utility>
 
 #include "transpile/basis_translate.hpp"
-#include "transpile/merge_1q.hpp"
 #include "util/fnv.hpp"
-#include "util/logging.hpp"
-#include "weyl/gates.hpp"
 
 namespace qbasis {
-
-namespace {
-
-/** Mirror of basis_translate's target orientation: lo-qubit-first. */
-Mat4
-orientedPlanTarget(const Gate &g, const CouplingMap &cm, int eid)
-{
-    const auto [lo, hi] = cm.edges()[static_cast<size_t>(eid)];
-    (void)hi;
-    Mat4 target = g.matrix4();
-    if (g.qubits[0] != lo) {
-        const Mat4 s = swapGate();
-        target = s * target * s;
-    }
-    return target;
-}
-
-} // namespace
 
 uint64_t
 structuralCircuitHash(const Circuit &c)
@@ -86,40 +65,6 @@ transpilePlanOptionsHash(const TranspileOptions &opts)
         static_cast<int64_t>(opts.layout_iterations)));
     f.mix(DecompositionCache::hashOptions(opts.synth));
     return f.h;
-}
-
-TranspilePlan
-captureTranspilePlan(PlanKey key, const RoutedCircuit &routed,
-                     const CouplingMap &cm,
-                     const std::vector<EdgeBasis> &bases,
-                     const SynthOptions &synth_opts)
-{
-    TranspilePlan plan;
-    plan.key = std::move(key);
-    plan.num_physical = routed.circuit.numQubits();
-    plan.initial_layout = routed.initial_layout;
-    plan.final_layout = routed.final_layout;
-    plan.swaps_inserted = routed.swaps_inserted;
-    plan.ops = routed.ops;
-
-    // Class keys of the routed 2Q gates, in circuit order. 1Q merging
-    // never touches 2Q gates, so this matches the translated
-    // circuit's 2Q sequence exactly.
-    for (const Gate &g : routed.circuit.gates()) {
-        if (!g.isTwoQubit())
-            continue;
-        const int eid = cm.edgeId(g.qubits[0], g.qubits[1]);
-        if (eid < 0)
-            panic("plan capture: routed 2Q gate on uncoupled pair "
-                  "(%d, %d)",
-                  g.qubits[0], g.qubits[1]);
-        const Mat4 target = orientedPlanTarget(g, cm, eid);
-        const CanonicalKak kak = canonicalKakDecompose(target);
-        plan.class_keys.push_back(DecompositionCache::classKey(
-            kak.coords, bases[static_cast<size_t>(eid)].gate,
-            synth_opts));
-    }
-    return plan;
 }
 
 bool
@@ -182,18 +127,19 @@ replayTranspilePlan(const TranspilePlan &plan, const Circuit &logical,
         if (peek(key) == nullptr)
             return false;
 
-    // Rebuild the routed circuit with the live gate parameters, then
-    // run the *same* merge + translate + merge sequence as the full
-    // pipeline so the output is bit-identical to a fresh transpile.
-    const Circuit merged = mergeSingleQubitRuns(
-        emitRouteOps(logical, plan.num_physical, plan.ops));
+    // Stream the routing program with the live gate parameters
+    // through the *same* merge + translate + merge passes as the full
+    // pipeline, so the output is bit-identical to a fresh transpile.
     BasisTranslationStats stats;
-    std::optional<Circuit> translated = translateFromPublishedClasses(
-        merged, cm, bases, synth_opts, peek, &stats);
-    if (!translated)
+    std::optional<Circuit> physical =
+        translateRouteOpsFromPublishedClasses(logical, plan.ops,
+                                              plan.num_physical, cm,
+                                              bases, synth_opts, peek,
+                                              &stats);
+    if (!physical)
         return false;
 
-    out->physical = mergeSingleQubitRuns(*translated);
+    out->physical = std::move(*physical);
     out->initial_layout = plan.initial_layout;
     out->final_layout = plan.final_layout;
     out->swaps_inserted = plan.swaps_inserted;

@@ -86,7 +86,10 @@ struct PlanKey
     }
 };
 
-/** The replayable residue of one transpile. */
+/** The replayable residue of one transpile. transpileCircuit fills
+ *  every field but `key` when asked to capture (its `captured_plan`
+ *  argument), from the routing program and class keys it computed
+ *  anyway. */
 struct TranspilePlan
 {
     PlanKey key;
@@ -122,25 +125,17 @@ uint64_t circuitParamFingerprint(const Circuit &c);
  *  circuit (SABRE tunables, layout iterations, synthesis options). */
 uint64_t transpilePlanOptionsHash(const TranspileOptions &opts);
 
-/**
- * Capture the plan of a just-routed circuit. `routed` must carry its
- * source map (RoutedCircuit::sources); class keys are derived from
- * the routed 2Q gates against the given bases.
- */
-TranspilePlan captureTranspilePlan(
-    PlanKey key, const RoutedCircuit &routed, const CouplingMap &cm,
-    const std::vector<EdgeBasis> &bases,
-    const SynthOptions &synth_opts);
-
 /** Published-class lookup used during replay (no synthesis, no cache
  *  mutation; pointer validity per SharedDecompositionCache rules). */
 using PlanClassLookup = std::function<const TwoQubitDecomposition *(
     const DecompositionCache::ClassKey &)>;
 
 /**
- * Replay `plan` on a live logical circuit: rebuild the routed
- * circuit with the request's parameters, re-merge 1Q runs, and
- * translate against published classes only.
+ * Replay `plan` on a live logical circuit: stream its routing
+ * program with the request's parameters through the same merge,
+ * translate and merge passes as transpileCircuit
+ * (translateRouteOpsFromPublishedClasses), against published classes
+ * only.
  *
  * Returns false -- leaving `*out` untouched -- if the plan does not
  * fit the circuit (defends against structural-hash collisions and

@@ -10,17 +10,25 @@ namespace qbasis {
 
 namespace {
 
-/** Dependency DAG over gate indices, per-qubit chains. */
+/**
+ * Dependency DAG over the gates in walk order (back to front when
+ * `reversed`), by per-qubit chains. A gate has at most one successor
+ * per qubit, so each holds two slots (-1 when empty), filled in the
+ * order the successors appear.
+ */
 struct GateDag
 {
-    explicit GateDag(const Circuit &c)
-        : num_preds(c.size(), 0), successors(c.size())
+    GateDag(const Circuit &c, bool reversed)
+        : num_preds(c.size(), 0), successors(2 * c.size(), -1)
     {
         std::vector<int> last(c.numQubits(), -1);
-        for (size_t i = 0; i < c.gates().size(); ++i) {
-            for (int q : c.gates()[i].qubits) {
+        const size_t n = c.size();
+        for (size_t i = 0; i < n; ++i) {
+            const Gate &g = c.gates()[reversed ? n - 1 - i : i];
+            for (int q : g.qubits) {
                 if (last[q] >= 0) {
-                    successors[last[q]].push_back(i);
+                    int *slot = &successors[2 * last[q]];
+                    slot[*slot < 0 ? 0 : 1] = static_cast<int>(i);
                     ++num_preds[i];
                 }
                 last[q] = static_cast<int>(i);
@@ -29,26 +37,26 @@ struct GateDag
     }
 
     std::vector<int> num_preds;
-    std::vector<std::vector<size_t>> successors;
+    std::vector<int> successors;
 };
 
 } // namespace
 
-RoutedCircuit
-sabreRoute(const Circuit &logical, const CouplingMap &cm,
-           std::vector<int> initial_layout, const SabreOptions &opts)
+size_t
+sabreRouteCore(const Circuit &logical, bool reversed,
+               const CouplingMap &cm, std::vector<int> &layout,
+               const SabreOptions &opts, std::vector<RouteOp> *ops)
 {
     const int nl = logical.numQubits();
     const int np = cm.numQubits();
     if (nl > np)
         fatal("circuit has %d qubits but device only %d", nl, np);
-    if (initial_layout.size() != static_cast<size_t>(nl))
+    if (layout.size() != static_cast<size_t>(nl))
         fatal("initial layout size %zu != logical qubits %d",
-              initial_layout.size(), nl);
+              layout.size(), nl);
 
     // layout[l] = physical wire of logical qubit l;
     // inverse[p] = logical qubit on physical wire p (-1 if none).
-    std::vector<int> layout = std::move(initial_layout);
     std::vector<int> inverse(np, -1);
     for (int l = 0; l < nl; ++l) {
         const int p = layout[l];
@@ -57,44 +65,51 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         inverse[p] = l;
     }
 
-    RoutedCircuit out;
-    out.circuit = Circuit(np);
-    out.initial_layout = layout;
+    const size_t total = logical.size();
+    // Gate gi of the walk.
+    auto gate = [&](size_t gi) -> const Gate & {
+        return logical.gates()[reversed ? total - 1 - gi : gi];
+    };
 
-    GateDag dag(logical);
+    GateDag dag(logical, reversed);
     std::vector<size_t> front;
-    for (size_t i = 0; i < logical.size(); ++i)
+    for (size_t i = 0; i < total; ++i)
         if (dag.num_preds[i] == 0)
             front.push_back(i);
 
     std::vector<double> decay(np, 1.0);
     Rng rng(opts.seed);
     int swaps_since_reset = 0;
+    size_t swaps = 0;
 
     auto executable = [&](size_t gi) {
-        const Gate &g = logical.gates()[gi];
+        const Gate &g = gate(gi);
         if (!g.isTwoQubit())
             return true;
         return cm.connected(layout[g.qubits[0]], layout[g.qubits[1]]);
     };
 
-    // Record the routing program; the circuit is built from it once
-    // the swap count, and so its size, is known.
+    // An op's source indexes `logical`, not the walk.
     auto emit = [&](size_t gi) {
-        const Gate &g = logical.gates()[gi];
-        out.ops.push_back({static_cast<int>(gi), layout[g.qubits[0]],
-                           g.isTwoQubit() ? layout[g.qubits[1]] : -1});
+        if (ops == nullptr)
+            return;
+        const Gate &g = gate(gi);
+        ops->push_back({static_cast<int>(reversed ? total - 1 - gi : gi),
+                        layout[g.qubits[0]],
+                        g.isTwoQubit() ? layout[g.qubits[1]] : -1});
     };
 
     auto advance = [&](size_t gi, std::vector<size_t> &next_front) {
-        for (size_t s : dag.successors[gi]) {
+        for (int k = 0; k < 2; ++k) {
+            const int s = dag.successors[2 * gi + k];
+            if (s < 0)
+                break;
             if (--dag.num_preds[s] == 0)
-                next_front.push_back(s);
+                next_front.push_back(static_cast<size_t>(s));
         }
     };
 
     size_t executed = 0;
-    const size_t total = logical.size();
     size_t stall_guard = 0;
     const size_t stall_limit = 10 * total + 1000;
 
@@ -133,7 +148,7 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         // Candidate swaps touch a physical qubit of a blocked gate.
         std::vector<int> candidate_edges;
         for (size_t gi : front) {
-            const Gate &g = logical.gates()[gi];
+            const Gate &g = gate(gi);
             if (!g.isTwoQubit())
                 continue;
             for (int lq : g.qubits) {
@@ -150,24 +165,23 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
             panic("sabreRoute: blocked without swap candidates");
 
         // Extended set: successors of the front (lookahead).
+        const size_t extended_size =
+            static_cast<size_t>(opts.extended_set_size);
         std::vector<size_t> extended;
         {
-            std::vector<size_t> frontier = front;
-            std::vector<int> preds_copy; // shallow lookahead walk
             size_t cursor = 0;
             std::vector<size_t> walk = front;
             while (cursor < walk.size()
-                   && extended.size()
-                          < static_cast<size_t>(
-                              opts.extended_set_size)) {
+                   && extended.size() < extended_size) {
                 const size_t gi = walk[cursor++];
-                for (size_t s : dag.successors[gi]) {
-                    if (logical.gates()[s].isTwoQubit())
-                        extended.push_back(s);
-                    walk.push_back(s);
-                    if (extended.size()
-                        >= static_cast<size_t>(
-                            opts.extended_set_size))
+                for (int k = 0; k < 2; ++k) {
+                    const int s = dag.successors[2 * gi + k];
+                    if (s < 0)
+                        break;
+                    if (gate(static_cast<size_t>(s)).isTwoQubit())
+                        extended.push_back(static_cast<size_t>(s));
+                    walk.push_back(static_cast<size_t>(s));
+                    if (extended.size() >= extended_size)
                         break;
                 }
             }
@@ -184,7 +198,7 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
             double basic = 0.0;
             int front_2q = 0;
             for (size_t gi : front) {
-                const Gate &g = logical.gates()[gi];
+                const Gate &g = gate(gi);
                 if (!g.isTwoQubit())
                     continue;
                 basic += cm.distance(layout[g.qubits[0]],
@@ -196,7 +210,7 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
             double ext = 0.0;
             if (!extended.empty()) {
                 for (size_t gi : extended) {
-                    const Gate &g = logical.gates()[gi];
+                    const Gate &g = gate(gi);
                     ext += cm.distance(layout[g.qubits[0]],
                                        layout[g.qubits[1]]);
                 }
@@ -230,8 +244,9 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
         }
 
         const auto [pa, pb] = cm.edges()[best_edge];
-        out.ops.push_back({-1, pa, pb});
-        ++out.swaps_inserted;
+        if (ops != nullptr)
+            ops->push_back({-1, pa, pb});
+        ++swaps;
         std::swap(inverse[pa], inverse[pb]);
         if (inverse[pa] >= 0)
             layout[inverse[pa]] = pa;
@@ -244,10 +259,48 @@ sabreRoute(const Circuit &logical, const CouplingMap &cm,
             swaps_since_reset = 0;
         }
     }
+    return swaps;
+}
 
-    out.circuit = emitRouteOps(logical, np, out.ops);
-    out.final_layout = layout;
+SabreRouting
+sabreRouting(const Circuit &logical, const CouplingMap &cm,
+             std::vector<int> initial_layout, const SabreOptions &opts)
+{
+    SabreRouting out;
+    out.initial_layout = initial_layout;
+    out.swaps_inserted = sabreRouteCore(logical, false, cm,
+                                        initial_layout, opts, &out.ops);
+    out.final_layout = std::move(initial_layout);
     return out;
+}
+
+RoutedCircuit
+sabreRoute(const Circuit &logical, const CouplingMap &cm,
+           std::vector<int> initial_layout, const SabreOptions &opts)
+{
+    RoutedCircuit out;
+    static_cast<SabreRouting &>(out) =
+        sabreRouting(logical, cm, std::move(initial_layout), opts);
+    out.circuit = emitRouteOps(logical, cm.numQubits(), out.ops);
+    return out;
+}
+
+Gate
+routedGate(const Circuit &logical, const RouteOp &op)
+{
+    if (op.source < 0)
+        return makeGate2(GateKind::Swap, op.q0, op.q1);
+    Gate g = logical.gates()[static_cast<size_t>(op.source)];
+    g.qubits = op.q1 >= 0 ? GateQubits{op.q0, op.q1} : GateQubits{op.q0};
+    return g;
+}
+
+void
+streamRouteOps(const Circuit &logical, const std::vector<RouteOp> &ops,
+               GateSink &sink)
+{
+    for (const RouteOp &op : ops)
+        sink.gate(routedGate(logical, op));
 }
 
 Circuit
@@ -256,16 +309,8 @@ emitRouteOps(const Circuit &logical, int num_physical,
 {
     Circuit out(num_physical);
     out.reserve(ops.size());
-    for (const RouteOp &op : ops) {
-        if (op.source < 0) {
-            out.swap(op.q0, op.q1);
-            continue;
-        }
-        Gate g = logical.gates()[static_cast<size_t>(op.source)];
-        g.qubits = op.q1 >= 0 ? GateQubits{op.q0, op.q1}
-                              : GateQubits{op.q0};
-        out.append(std::move(g));
-    }
+    CircuitSink sink(out);
+    streamRouteOps(logical, ops, sink);
     return out;
 }
 

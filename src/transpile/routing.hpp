@@ -43,20 +43,41 @@ struct RouteOp
     }
 };
 
-/** Result of routing a logical circuit onto a device. */
-struct RoutedCircuit
+/**
+ * A routing program with the layouts it starts and ends in: all a
+ * SABRE route decides, without the routed circuit.
+ */
+struct SabreRouting
 {
-    Circuit circuit;              ///< Physical circuit (with SWAPs).
     std::vector<int> initial_layout; ///< logical -> physical.
     std::vector<int> final_layout;   ///< logical -> physical at end.
     size_t swaps_inserted = 0;    ///< Number of SWAP gates added.
-    /// The routing program, one op per gate of `circuit`. Lets a
-    /// transpile plan replay it on a structurally identical circuit
-    /// with different parameters.
+    /// The routing program, one op per routed gate. Lets a transpile
+    /// plan replay it on a structurally identical circuit with
+    /// different parameters.
     std::vector<RouteOp> ops;
+};
+
+/** Result of routing a logical circuit onto a device. */
+struct RoutedCircuit : SabreRouting
+{
+    Circuit circuit;              ///< Physical circuit (with SWAPs).
 
     RoutedCircuit() : circuit(1) {}
 };
+
+/**
+ * The gate routing op `op` emits from `logical`: the source gate on
+ * the op's physical qubits, or a SWAP. The op must fit `logical`.
+ */
+Gate routedGate(const Circuit &logical, const RouteOp &op);
+
+/**
+ * Feed the gates the routing program `ops` emits from `logical` to
+ * `sink`, in program order, without building the routed circuit.
+ */
+void streamRouteOps(const Circuit &logical,
+                    const std::vector<RouteOp> &ops, GateSink &sink);
 
 /**
  * The circuit on `num_physical` qubits that the routing program
@@ -69,6 +90,15 @@ Circuit emitRouteOps(const Circuit &logical, int num_physical,
 
 /**
  * Route `logical` onto the device described by `cm`, starting from
+ * the given layout (logical -> physical): the routing program only.
+ * sabreRoute is this plus emitRouteOps.
+ */
+SabreRouting sabreRouting(const Circuit &logical, const CouplingMap &cm,
+                          std::vector<int> initial_layout,
+                          const SabreOptions &opts = {});
+
+/**
+ * Route `logical` onto the device described by `cm`, starting from
  * the given layout (logical -> physical).
  *
  * All emitted gates act on physical qubit indices; every 2Q gate in
@@ -77,6 +107,19 @@ Circuit emitRouteOps(const Circuit &logical, int num_physical,
 RoutedCircuit sabreRoute(const Circuit &logical, const CouplingMap &cm,
                          std::vector<int> initial_layout,
                          const SabreOptions &opts = {});
+
+/**
+ * The SABRE core every route and layout pass runs: route `logical`
+ * (walked back to front when `reversed`) from `layout`, which it
+ * leaves at the final layout, and return the SWAP count. The program
+ * is appended to `*ops` when `ops` is non-null, its sources indexing
+ * `logical` in either direction; layout passes pass null and
+ * allocate nothing per gate beyond the dependency DAG.
+ */
+size_t sabreRouteCore(const Circuit &logical, bool reversed,
+                      const CouplingMap &cm, std::vector<int> &layout,
+                      const SabreOptions &opts,
+                      std::vector<RouteOp> *ops);
 
 } // namespace qbasis
 

@@ -25,9 +25,10 @@
 #include "apps/qft.hpp"
 #include "core/fleet.hpp"
 #include "serve/compile_service.hpp"
-#include "synth/textbook.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
+
+#include "textbook.hpp"
 
 namespace qbasis {
 namespace {

@@ -16,10 +16,10 @@
 #include "circuit/statevector.hpp"
 #include "core/experiment.hpp"
 #include "noise/coherence.hpp"
-#include "synth/textbook.hpp"
 #include "weyl/gates.hpp"
 
 #include "circuit_unitary.hpp"
+#include "textbook.hpp"
 
 namespace qbasis {
 namespace {

@@ -21,13 +21,13 @@
 #include "synth/cache.hpp"
 #include "synth/engine.hpp"
 #include "synth/numerical.hpp"
-#include "synth/textbook.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "weyl/cartan.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/kak.hpp"
 
+#include "textbook.hpp"
 #include "u3_reference.hpp"
 
 namespace qbasis {

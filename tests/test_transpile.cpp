@@ -17,8 +17,11 @@
 #include "circuit/schedule.hpp"
 #include "circuit/statevector.hpp"
 #include "linalg/random.hpp"
+#include "linalg/su2.hpp"
 #include "transpile/merge_1q.hpp"
 #include "transpile/pipeline.hpp"
+#include "transpile/plan.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "weyl/gates.hpp"
 
@@ -91,6 +94,42 @@ TEST(Routing, InsertsSwapsForDistantPairs)
             EXPECT_TRUE(cm.connected(g.qubits[0], g.qubits[1]));
         }
     }
+}
+
+TEST(Routing, ReversedCoreProgramIndexesTheLogicalCircuit)
+{
+    // A chain of dependent gates: the reversed walk must visit them
+    // last to first, and its program must name them by their index
+    // in `logical`, so emitting it replays the circuit backwards.
+    const CouplingMap cm = CouplingMap::line(5);
+    Circuit c(5);
+    c.cx(0, 4);
+    c.rz(4, 0.25);
+    c.cx(4, 2);
+    c.cz(2, 1);
+    std::vector<int> layout = trivialLayout(5);
+    std::vector<RouteOp> ops;
+    const size_t swaps =
+        sabreRouteCore(c, true, cm, layout, SabreOptions{}, &ops);
+    std::vector<int> sources;
+    for (const RouteOp &op : ops)
+        if (op.source >= 0)
+            sources.push_back(op.source);
+    EXPECT_EQ(sources, (std::vector<int>{3, 2, 1, 0}));
+    EXPECT_EQ(ops.size(), c.size() + swaps);
+
+    const Circuit emitted = emitRouteOps(c, 5, ops);
+    size_t k = c.size();
+    for (const Gate &g : emitted.gates()) {
+        if (g.kind == GateKind::Swap)
+            continue;
+        ASSERT_GT(k, 0u);
+        EXPECT_EQ(g.kind, c.gates()[--k].kind);
+        if (g.isTwoQubit()) {
+            EXPECT_TRUE(cm.connected(g.qubits[0], g.qubits[1]));
+        }
+    }
+    EXPECT_EQ(k, 0u);
 }
 
 TEST(Routing, PreservesSemantics)
@@ -538,6 +577,482 @@ TEST(Pipeline, PassesSizeTheirOutputOnce)
     const Circuit translated = translateToEdgeBases(
         merged, cm, bases, synth.client, SynthOptions{});
     EXPECT_EQ(translated.gates().capacity(), translated.size());
+
+    // The streamed pipeline sizes the one circuit it builds the same
+    // way: exactly, when no 1Q run merges to the identity.
+    const Circuit physical = mergeSingleQubitRuns(translated);
+    EXPECT_EQ(physical.gates().capacity(), physical.size());
+    const TranspileResult streamed =
+        transpileCircuit(logical, cm, bases, synth.client);
+    ASSERT_EQ(streamed.physical.size(), physical.size());
+    EXPECT_EQ(streamed.physical.gates().capacity(),
+              streamed.physical.size());
+}
+
+// ---------------------------------------------------------------------
+// The streamed pipeline against the two-step public passes
+// ---------------------------------------------------------------------
+
+/** Gate for gate: kind, qubits, angles, name and matrix bits. */
+void
+expectSameGates(const Circuit &a, const Circuit &b)
+{
+    ASSERT_EQ(a.numQubits(), b.numQubits());
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        const Gate &ga = a.gates()[i];
+        const Gate &gb = b.gates()[i];
+        ASSERT_EQ(ga.kind, gb.kind) << "gate " << i;
+        ASSERT_EQ(ga.qubits, gb.qubits) << "gate " << i;
+        ASSERT_EQ(ga.params.size(), gb.params.size()) << "gate " << i;
+        for (size_t k = 0; k < ga.params.size(); ++k)
+            ASSERT_EQ(std::memcmp(&ga.params[k], &gb.params[k],
+                                  sizeof(double)),
+                      0)
+                << "gate " << i;
+        ASSERT_EQ(ga.name(), gb.name()) << "gate " << i;
+        if (ga.isTwoQubit()) {
+            const Mat4 ma = ga.matrix4(), mb = gb.matrix4();
+            ASSERT_EQ(std::memcmp(ma.data(), mb.data(), sizeof(ma)), 0)
+                << "gate " << i;
+        } else {
+            const Mat2 ma = ga.matrix2(), mb = gb.matrix2();
+            ASSERT_EQ(std::memcmp(ma.data(), mb.data(), sizeof(ma)), 0)
+                << "gate " << i;
+        }
+    }
+}
+
+void
+expectSameStats(const BasisTranslationStats &a,
+                const BasisTranslationStats &b)
+{
+    EXPECT_EQ(a.translated_2q, b.translated_2q);
+    EXPECT_EQ(a.total_layers, b.total_layers);
+    EXPECT_EQ(std::memcmp(&a.max_infidelity, &b.max_infidelity,
+                          sizeof(double)),
+              0);
+}
+
+/** The pipeline as the two-step public passes spell it. Sets
+ *  `*first_merge_dropped` when merging the routed circuit dropped an
+ *  identity run (it reserves one gate per run, so its capacity then
+ *  exceeds its size). */
+TranspileResult
+twoStepTranspile(const Circuit &logical, const CouplingMap &cm,
+                 const std::vector<EdgeBasis> &bases,
+                 const SynthClient &client, bool *first_merge_dropped,
+                 const TranspileOptions &opts = {})
+{
+    const RoutedCircuit routed = sabreRoute(
+        logical, cm,
+        sabreLayout(logical, cm, opts.layout_iterations, opts.sabre),
+        opts.sabre);
+    const Circuit merged = mergeSingleQubitRuns(routed.circuit);
+    *first_merge_dropped = merged.gates().capacity() != merged.size();
+    TranspileResult r;
+    r.physical = mergeSingleQubitRuns(translateToEdgeBases(
+        merged, cm, bases, client, opts.synth, &r.translation));
+    r.initial_layout = routed.initial_layout;
+    r.final_layout = routed.final_layout;
+    r.swaps_inserted = routed.swaps_inserted;
+    return r;
+}
+
+/** Streamed and two-step compiles of `logical`, each on a cold cache
+ *  of its own, agree gate for gate, in their stats, layouts and
+ *  cache counters. Returns the streamed result. */
+TranspileResult
+expectStreamedMatchesTwoStep(const Circuit &logical,
+                             const CouplingMap &cm,
+                             const std::vector<EdgeBasis> &bases)
+{
+    LocalSynth streamed_synth, two_step_synth;
+    const TranspileResult streamed =
+        transpileCircuit(logical, cm, bases, streamed_synth.client);
+    bool dropped = false;
+    const TranspileResult two_step = twoStepTranspile(
+        logical, cm, bases, two_step_synth.client, &dropped);
+    expectSameGates(streamed.physical, two_step.physical);
+    // The streamed output is reserved once, at the final merge's bound
+    // over the unmerged routed stream: what the two-step final merge
+    // reserves, unless the first merge dropped a run.
+    if (dropped)
+        EXPECT_GE(streamed.physical.gates().capacity(),
+                  two_step.physical.gates().capacity());
+    else
+        EXPECT_EQ(streamed.physical.gates().capacity(),
+                  two_step.physical.gates().capacity());
+    expectSameStats(streamed.translation, two_step.translation);
+    EXPECT_EQ(streamed.initial_layout, two_step.initial_layout);
+    EXPECT_EQ(streamed.final_layout, two_step.final_layout);
+    EXPECT_EQ(streamed.swaps_inserted, two_step.swaps_inserted);
+    EXPECT_EQ(streamed_synth.cache.hits(), two_step_synth.cache.hits());
+    EXPECT_EQ(streamed_synth.cache.misses(),
+              two_step_synth.cache.misses());
+    return streamed;
+}
+
+/**
+ * A seeded circuit on `n` qubits drawn from a small class set (so
+ * synthesis stays quick): rotations, X pairs that cancel, and CX,
+ * CZ, CPhase(pi/2), RZZ(0.35), SWAP and CPhase(0) -- a zero-layer
+ * class -- in both orientations.
+ */
+Circuit
+randomStreamCircuit(int n, int gates, uint64_t seed)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    for (int k = 0; k < gates; ++k) {
+        const int a = static_cast<int>(rng.uniformInt(n));
+        int b = static_cast<int>(rng.uniformInt(n));
+        while (b == a)
+            b = static_cast<int>(rng.uniformInt(n));
+        switch (rng.uniformInt(10)) {
+          case 0: c.rz(a, rng.uniform(0, kTwoPi)); break;
+          case 1: c.rx(a, rng.uniform(0, kTwoPi)); break;
+          case 2: c.x(a); c.x(a); break;
+          case 3: c.cx(a, b); break;
+          case 4: c.cz(a, b); break;
+          case 5: c.cphase(a, b, kPi / 2); break;
+          case 6: c.rzz(a, b, 0.35); break;
+          case 7: c.swap(a, b); break;
+          case 8: c.cphase(a, b, 0.0); break;
+          default: c.h(a); break;
+        }
+    }
+    return c;
+}
+
+TEST(StreamedPipeline, MatchesTwoStepOnTranspileCircuits)
+{
+    {
+        const CouplingMap cm = CouplingMap::grid(2, 3);
+        expectStreamedMatchesTwoStep(
+            qftCircuit(5), cm,
+            uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw"));
+    }
+    {
+        const CouplingMap cm = CouplingMap::line(3);
+        auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "e0");
+        bases[1].gate = canonicalGate(0.45, 0.23, 0.07);
+        bases[1].label = "e1";
+        Circuit c(3);
+        c.h(0);
+        c.cx(0, 1);
+        c.u3(2, 0.3, 0.2, 0.1);
+        c.cphase(1, 2, 0.77);
+        c.rzz(2, 1, 0.4);
+        c.cx(2, 1);
+        c.swap(0, 1);
+        expectStreamedMatchesTwoStep(c, cm, bases);
+    }
+}
+
+TEST(StreamedPipeline, MatchesTwoStepOnRandomGridAndHeavyHexCircuits)
+{
+    const std::vector<CouplingMap> devices = {CouplingMap::grid(3, 4),
+                                              CouplingMap::heavyHex(2, 2)};
+    uint64_t seed = 0x57e4ull;
+    for (const CouplingMap &cm : devices) {
+        auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+        for (size_t e = 1; e < bases.size(); e += 3) {
+            bases[e].gate = canonicalGate(0.45, 0.23, 0.07);
+            bases[e].label = "ns";
+        }
+        for (int trial = 0; trial < 3; ++trial) {
+            SCOPED_TRACE(trial);
+            const int n = cm.numQubits() - trial;
+            const TranspileResult r = expectStreamedMatchesTwoStep(
+                randomStreamCircuit(n, 60, seed++), cm, bases);
+            EXPECT_GT(r.swaps_inserted, 0u);
+        }
+    }
+}
+
+TEST(StreamedPipeline, DropsIdentityRunsLikeTheTwoStepPasses)
+{
+    const CouplingMap cm = CouplingMap::line(2);
+    const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+
+    // The first merge drops X X and RZ(a) RZ(-a) around a CX.
+    Circuit c(2);
+    c.x(0);
+    c.x(0);
+    c.rz(1, 0.3);
+    c.rz(1, -0.3);
+    c.cx(0, 1);
+    EXPECT_EQ(mergeSingleQubitRuns(c).size(), 1u);
+    expectStreamedMatchesTwoStep(c, cm, bases);
+
+    // The final merge drops the product of the inverse locals and
+    // the K_0 of a local (zero-layer) 2Q gate: nothing is left.
+    const Mat2 a = u3(0.4, 1.1, -0.7), b = u3(2.2, -0.3, 0.9);
+    Circuit local(2);
+    local.unitary1q(0, a.dagger());
+    local.unitary1q(1, b.dagger());
+    local.unitary2q(0, 1, Mat4::kron(a, b));
+    const TranspileResult r =
+        expectStreamedMatchesTwoStep(local, cm, bases);
+    EXPECT_EQ(r.physical.size(), 0u);
+    EXPECT_EQ(r.translation.translated_2q, 1u);
+    EXPECT_EQ(r.translation.total_layers, 0u);
+}
+
+TEST(StreamedPipeline, ZeroLayerClassesAndStats)
+{
+    const CouplingMap cm = CouplingMap::line(3);
+    const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+    Circuit c(3);
+    c.h(0);
+    c.cphase(0, 1, 0.0); // identity class: zero layers
+    c.cx(1, 2);          // two layers
+    c.rzz(1, 0, 0.0);    // zero layers, reversed orientation
+    c.swap(1, 2);        // three layers
+    const TranspileResult r = expectStreamedMatchesTwoStep(c, cm, bases);
+    EXPECT_EQ(r.translation.translated_2q, 4u + r.swaps_inserted);
+    EXPECT_EQ(r.translation.total_layers, 5u + 3u * r.swaps_inserted);
+    EXPECT_LT(r.translation.max_infidelity, 1e-8);
+}
+
+TEST(StreamedPipeline, EdgeUsedInBothOrientations)
+{
+    const CouplingMap cm = CouplingMap::line(2);
+    const auto bases =
+        uniformBases(cm, canonicalGate(0.45, 0.23, 0.07), 12.0, "ns");
+    Circuit c(2);
+    c.cx(0, 1);
+    c.ry(0, 0.3);
+    c.cx(1, 0);
+    c.cphase(1, 0, 0.77);
+    c.cphase(0, 1, 0.77);
+    const TranspileResult r = expectStreamedMatchesTwoStep(c, cm, bases);
+    // Both orientations share the edge's one basis block.
+    const Unitary2QData *block = nullptr;
+    for (const Gate &g : r.physical.gates()) {
+        if (!g.isTwoQubit())
+            continue;
+        if (block == nullptr)
+            block = g.custom4.get();
+        EXPECT_EQ(g.custom4.get(), block);
+    }
+    EXPECT_NE(block, nullptr);
+}
+
+TEST(StreamedPipeline, CaptureRecordsTheRoutingProgramAndClassKeys)
+{
+    const CouplingMap cm = CouplingMap::grid(2, 3);
+    const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+    const Circuit logical = randomStreamCircuit(6, 40, 0xca97ull);
+    LocalSynth synth;
+    TranspilePlan plan;
+    const TranspileResult r = transpileCircuit(
+        logical, cm, bases, synth.client, TranspileOptions{}, &plan);
+
+    const TranspileOptions opts;
+    const RoutedCircuit routed = sabreRoute(
+        logical, cm, sabreLayout(logical, cm, opts.layout_iterations));
+    EXPECT_EQ(plan.num_physical, cm.numQubits());
+    EXPECT_EQ(plan.ops, routed.ops);
+    EXPECT_EQ(plan.initial_layout, routed.initial_layout);
+    EXPECT_EQ(plan.final_layout, routed.final_layout);
+    EXPECT_EQ(plan.swaps_inserted, routed.swaps_inserted);
+    EXPECT_EQ(plan.initial_layout, r.initial_layout);
+    // The class key of every routed 2Q gate, in circuit order.
+    const std::vector<SynthRequest> requests =
+        collectSynthRequests(routed.circuit, cm, bases);
+    ASSERT_EQ(plan.class_keys.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const DecompositionCache::ClassKey key =
+            DecompositionCache::classKey(
+                canonicalKakDecompose(requests[i].target).coords,
+                requests[i].basis, opts.synth);
+        EXPECT_FALSE(key < plan.class_keys[i] || plan.class_keys[i] < key)
+            << i;
+    }
+}
+
+/** The circuit of `shape` with every rotation angle shifted, so a
+ *  replay re-dresses new 1Q parameters on the same 2Q classes. */
+Circuit
+shiftedAngles(const Circuit &shape, double shift)
+{
+    Circuit c(shape.numQubits());
+    for (Gate g : shape.gates()) {
+        if (!g.isTwoQubit())
+            for (double &p : g.params)
+                p += shift;
+        c.append(std::move(g));
+    }
+    return c;
+}
+
+TEST(StreamedPipeline, ReplayMatchesTwoStepPublishedTranslation)
+{
+    const std::vector<CouplingMap> devices = {CouplingMap::grid(3, 4),
+                                              CouplingMap::heavyHex(2, 2)};
+    uint64_t seed = 0x4e91ull;
+    for (const CouplingMap &cm : devices) {
+        const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+        const Circuit shape = randomStreamCircuit(cm.numQubits(), 60, seed++);
+        LocalSynth synth;
+        TranspilePlan plan;
+        transpileCircuit(shape, cm, bases, synth.client, TranspileOptions{},
+                         &plan);
+        const PlanClassLookup peek =
+            [&](const DecompositionCache::ClassKey &k) {
+                return synth.cache.peekPublished(k);
+            };
+
+        const Circuit live = shiftedAngles(shape, 0.25);
+        TranspileResult replayed;
+        ASSERT_TRUE(replayTranspilePlan(plan, live, cm, bases,
+                                        SynthOptions{}, peek, &replayed));
+        BasisTranslationStats stats;
+        const std::optional<Circuit> published =
+            translateFromPublishedClasses(
+                mergeSingleQubitRuns(
+                    emitRouteOps(live, plan.num_physical, plan.ops)),
+                cm, bases, SynthOptions{}, peek, &stats);
+        ASSERT_TRUE(published.has_value());
+        expectSameGates(replayed.physical,
+                        mergeSingleQubitRuns(*published));
+        expectSameStats(replayed.translation, stats);
+
+        // A fresh compile of the live circuit is the same circuit.
+        const TranspileResult fresh =
+            transpileCircuit(live, cm, bases, synth.client);
+        expectSameGates(replayed.physical, fresh.physical);
+    }
+}
+
+TEST(StreamedPipeline, ReplayMeetingAnUnpublishedClassEmitsNothing)
+{
+    const CouplingMap cm = CouplingMap::line(3);
+    const auto bases = uniformBases(cm, sqrtIswapGate(), 83.0, "sqisw");
+    Circuit shape(3);
+    shape.cphase(0, 1, 0.77);
+    shape.rz(1, 0.2);
+    shape.cphase(1, 2, 0.77);
+    shape.rz(2, 0.4);
+    shape.cphase(0, 1, 0.77);
+    LocalSynth synth;
+    TranspilePlan plan;
+    transpileCircuit(shape, cm, bases, synth.client, TranspileOptions{},
+                     &plan);
+    const PlanClassLookup peek =
+        [&](const DecompositionCache::ClassKey &k) {
+            return synth.cache.peekPublished(k);
+        };
+    // Every class key the plan recorded is published...
+    for (const DecompositionCache::ClassKey &k : plan.class_keys)
+        ASSERT_NE(peek(k), nullptr);
+
+    // ...but the live circuit's middle CPhase falls in a new class.
+    Circuit live(3);
+    live.cphase(0, 1, 0.77);
+    live.rz(1, 0.2);
+    live.cphase(1, 2, 1.23);
+    live.rz(2, 0.4);
+    live.cphase(0, 1, 0.77);
+    const size_t published = synth.cache.size();
+
+    TranspileResult out;
+    out.physical = Circuit(3);
+    out.physical.h(2);
+    out.swaps_inserted = 12345;
+    EXPECT_FALSE(replayTranspilePlan(plan, live, cm, bases, SynthOptions{},
+                                     peek, &out));
+    ASSERT_EQ(out.physical.size(), 1u);
+    EXPECT_EQ(out.physical.gates()[0].kind, GateKind::H);
+    EXPECT_EQ(out.swaps_inserted, 12345u);
+    EXPECT_FALSE(translateRouteOpsFromPublishedClasses(
+                     live, plan.ops, plan.num_physical, cm, bases,
+                     SynthOptions{}, peek)
+                     .has_value());
+    EXPECT_EQ(synth.cache.size(), published);
+}
+
+/** FNV-64 of a layout vector. */
+uint64_t
+layoutHash(const std::vector<int> &v)
+{
+    Fnv64 f;
+    for (const int x : v)
+        f.mix(static_cast<uint64_t>(static_cast<int64_t>(x)));
+    return f.h;
+}
+
+uint64_t
+opsHash(const std::vector<RouteOp> &ops)
+{
+    Fnv64 f;
+    for (const RouteOp &op : ops) {
+        f.mix(static_cast<uint64_t>(static_cast<int64_t>(op.source)));
+        f.mix(static_cast<uint64_t>(static_cast<int64_t>(op.q0)));
+        f.mix(static_cast<uint64_t>(static_cast<int64_t>(op.q1)));
+    }
+    return f.h;
+}
+
+Circuit
+randomPairCircuit(const CouplingMap &cm, int two_qubit_gates, uint64_t seed)
+{
+    Rng rng(seed);
+    const int n = cm.numQubits();
+    Circuit c(n);
+    for (int k = 0; k < two_qubit_gates; ++k) {
+        const int a = static_cast<int>(rng.uniformInt(n));
+        int b = static_cast<int>(rng.uniformInt(n));
+        while (b == a)
+            b = static_cast<int>(rng.uniformInt(n));
+        c.rz(a, rng.uniform(0.0, 6.0));
+        if (rng.uniformInt(3) == 0)
+            c.cz(a, b);
+        else
+            c.cx(a, b);
+    }
+    return c;
+}
+
+TEST(StreamedPipeline, SabreLayoutsAndProgramsAreUnchanged)
+{
+    // Recorded from the implementation whose layout passes built a
+    // reversed circuit copy and emitted every routed circuit.
+    struct Golden
+    {
+        Circuit logical;
+        CouplingMap cm;
+        int iterations;
+        uint64_t layout, ops, final_layout;
+        size_t swaps;
+    };
+    const CouplingMap hh = CouplingMap::heavyHex(4, 9);
+    const CouplingMap grid = CouplingMap::grid(5, 5);
+    const std::vector<Golden> goldens = {
+        {qftCircuit(12), CouplingMap::grid(3, 4), 3,
+         0x2ecf4cf32dc32f43ull, 0xd6a974492653db54ull,
+         0x8d8b1e743adfc1c3ull, 47},
+        {randomPairCircuit(hh, 300, 0x1a40ull), hh, 3,
+         0x3a5828820a028190ull, 0x456e7b77d46ac7eeull,
+         0xf3323bceda640a30ull, 1424},
+        {randomPairCircuit(grid, 200, 0x77ull), grid, 2,
+         0x0699afa93df680dbull, 0xa20dd4c5a7070b99ull,
+         0x036ac28a50288efbull, 274},
+    };
+    for (const Golden &g : goldens) {
+        const std::vector<int> layout =
+            sabreLayout(g.logical, g.cm, g.iterations);
+        EXPECT_EQ(layoutHash(layout), g.layout);
+        const RoutedCircuit routed = sabreRoute(g.logical, g.cm, layout);
+        EXPECT_EQ(opsHash(routed.ops), g.ops);
+        EXPECT_EQ(layoutHash(routed.final_layout), g.final_layout);
+        EXPECT_EQ(routed.swaps_inserted, g.swaps);
+        EXPECT_EQ(routed.circuit.size(), routed.ops.size());
+    }
+    EXPECT_EQ(sabreLayout(qftCircuit(12), CouplingMap::grid(3, 4), 3),
+              (std::vector<int>{8, 4, 9, 0, 1, 10, 2, 11, 3, 5, 7, 6}));
 }
 
 TEST(Pipeline, ScheduleOfTranspiledCircuit)

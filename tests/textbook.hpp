@@ -1,11 +1,21 @@
-#include "synth/textbook.hpp"
+#ifndef QBASIS_TESTS_TEXTBOOK_HPP
+#define QBASIS_TESTS_TEXTBOOK_HPP
+
+/**
+ * @file
+ * Exact textbook decompositions the synthesis tests compare against:
+ * the 3-CNOT SWAP of the paper's Fig. 3(c) and the CZ-to-CNOT local
+ * conversion.
+ */
 
 #include "linalg/su2.hpp"
+#include "synth/decomposition.hpp"
 #include "weyl/gates.hpp"
 
 namespace qbasis {
 
-TwoQubitDecomposition
+/** SWAP = CNOT (H(x)H) CNOT (H(x)H) CNOT, exactly (Fig. 3(c)). */
+inline TwoQubitDecomposition
 swapFromThreeCnots()
 {
     // SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) and
@@ -22,7 +32,8 @@ swapFromThreeCnots()
     return d;
 }
 
-TwoQubitDecomposition
+/** CNOT = (I(x)H) CZ (I(x)H), exactly. */
+inline TwoQubitDecomposition
 cnotFromCz()
 {
     TwoQubitDecomposition d;
@@ -36,3 +47,5 @@ cnotFromCz()
 }
 
 } // namespace qbasis
+
+#endif // QBASIS_TESTS_TEXTBOOK_HPP
