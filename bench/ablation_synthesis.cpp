@@ -10,8 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include "synth/numerical.hpp"
 #include "weyl/gates.hpp"
+
+#include "serial_synth.hpp"
 
 using namespace qbasis;
 

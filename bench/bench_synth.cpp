@@ -59,6 +59,8 @@
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
 
+#include "serial_synth.hpp"
+
 using namespace qbasis;
 
 namespace {

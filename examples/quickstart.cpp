@@ -19,7 +19,7 @@
 #include "core/criteria.hpp"
 #include "core/selector.hpp"
 #include "monodromy/depth.hpp"
-#include "synth/numerical.hpp"
+#include "synth/engine.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
 
@@ -69,10 +69,15 @@ main()
                 predictSwapDepth(selected->coords),
                 predictCnotDepth(selected->gate));
 
-    const TwoQubitDecomposition swap_dec =
-        synthesizeGate(swapGate(), selected->gate, opts);
-    const TwoQubitDecomposition cnot_dec =
-        synthesizeGate(cnotGate(), selected->gate, opts);
+    SynthEngine engine;
+    SharedDecompositionCache cache;
+    const SynthClient client{engine, cache};
+    const std::vector<TwoQubitDecomposition> decs =
+        client.synthesizeBatch({{0, swapGate(), selected->gate},
+                                {0, cnotGate(), selected->gate}},
+                               opts);
+    const TwoQubitDecomposition &swap_dec = decs[0];
+    const TwoQubitDecomposition &cnot_dec = decs[1];
 
     // 4. Durations: n layers of the basis gate + (n+1) 1Q layers.
     const double t1q = 20.0;

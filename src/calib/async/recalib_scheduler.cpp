@@ -50,10 +50,11 @@ struct RecalibScheduler::Task
     EdgeCalibration cal;
 };
 
-RecalibScheduler::RecalibScheduler(ThreadPool &pool,
+RecalibScheduler::RecalibScheduler(SynthEngine &engine,
                                    SharedDecompositionCache &cache,
                                    RecalibSchedulerOptions opts)
-    : pool_(pool), cache_(cache), opts_(std::move(opts)),
+    : engine_(engine), pool_(engine.pool()), cache_(cache),
+      opts_(std::move(opts)),
       epoch_(std::chrono::steady_clock::now())
 {
 }
@@ -198,10 +199,12 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
 
     // Warm the SWAP and CNOT classes of the new basis through the
     // shared cache's claim/publish protocol so the first compile
-    // against the new basis pays no synthesis. Never wait(): this
-    // runs on a pool worker, and a Pending class is already being
-    // synthesized by its claim owner.
+    // against the new basis pays no synthesis. The owned classes go
+    // to the engine, which runs their waves on the Background lane
+    // with this worker joining in. Never wait(): a Pending class is
+    // already being synthesized by its claim owner.
     const Mat4 targets[] = {swapGate(), cnotGate()};
+    std::vector<OwnedClass> owned;
     for (const Mat4 &target : targets) {
         const CanonicalKak kak = canonicalKakDecompose(target);
         const DecompositionCache::ClassKey key =
@@ -209,19 +212,11 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
                                          opts_.synth);
         const TwoQubitDecomposition *dec = nullptr;
         switch (cache_.acquire(key, task->job.device_id, 1, &dec)) {
-        case SharedDecompositionCache::Claim::Owner: {
+        case SharedDecompositionCache::Claim::Owner:
             // The guard abandons the claim if synthesis throws, so a
             // waiter re-claims instead of blocking forever.
-            ClaimGuard guard(&cache_, key);
-            cache_.publish(key,
-                           synthesizeGate(
-                               DecompositionCache::classGate(key),
-                               cal.gate.gate, opts_.synth));
-            guard.release();
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.presynth_owned;
+            owned.push_back({ClaimGuard(&cache_, key), cal.gate.gate});
             break;
-        }
         case SharedDecompositionCache::Claim::Ready: {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.presynth_ready;
@@ -233,6 +228,13 @@ RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
             break;
         }
         }
+    }
+    const size_t n_owned = owned.size();
+    engine_.synthesizeOwned(std::move(owned), cache_, opts_.synth,
+                            TaskPriority::Background);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stats_.presynth_owned += n_owned;
     }
 
     // Atomic swap: readers see the new edges[e]/bases[e] pair

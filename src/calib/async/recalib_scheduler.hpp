@@ -16,11 +16,13 @@
  *      frequency, then integrate the Cartan trajectory once,
  *      streaming samples into the selector until one satisfies the
  *      criterion, doubling the window when none does;
- *   2. *resynthesize + publish* -- warm the SWAP/CNOT Weyl classes
+ *   2. *resynthesize + publish* -- claim the SWAP/CNOT Weyl classes
  *      of the *new* basis through SharedDecompositionCache's
- *      claim/publish protocol (never wait(): pool workers must not
- *      block, and a Pending class is already being synthesized by
- *      its claim owner), then atomically swap the edge's
+ *      claim/publish protocol and synthesize the owned ones through
+ *      the fleet's SynthEngine (SynthEngine::synthesizeOwned, its
+ *      waves forked from this pool task on the Background lane;
+ *      never wait(): a Pending class is already being synthesized
+ *      by its claim owner), then atomically swap the edge's
  *      EdgeCalibration into the device's VersionedBasisSet.
  *
  * Tasks for the same (device, edge) run in FIFO order -- cycle c+1
@@ -57,6 +59,7 @@
 
 #include "core/recalib.hpp"
 #include "obs/metrics.hpp"
+#include "synth/engine.hpp"
 
 namespace qbasis {
 
@@ -128,12 +131,14 @@ struct RecalibSchedulerOptions
     RecalibPolicy policy;           ///< Retry/quarantine behavior.
 };
 
-/** Per-edge async recalibration pipeline on a borrowed pool. */
+/** Per-edge async recalibration pipeline on a borrowed engine's
+ *  pool. */
 class RecalibScheduler
 {
   public:
-    /** Pool and cache must outlive the scheduler. */
-    RecalibScheduler(ThreadPool &pool, SharedDecompositionCache &cache,
+    /** Engine (with its pool) and cache must outlive the scheduler. */
+    RecalibScheduler(SynthEngine &engine,
+                     SharedDecompositionCache &cache,
                      RecalibSchedulerOptions opts = {});
 
     /** Drains before destruction (swallows nothing: terminate-safe
@@ -226,7 +231,8 @@ class RecalibScheduler
      *  registry while it holds mutex_. */
     void readMetrics(MetricsSource::Out &out) const;
 
-    ThreadPool &pool_;
+    SynthEngine &engine_;
+    ThreadPool &pool_; ///< engine_'s pool.
     SharedDecompositionCache &cache_;
     RecalibSchedulerOptions opts_;
     std::chrono::steady_clock::time_point epoch_;

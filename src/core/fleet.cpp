@@ -416,7 +416,7 @@ FleetDriver::scheduler()
         opts.calib = opts_.calib;
         opts.synth = opts_.synth; // shared cache lines with compile
         opts.policy = opts_.recalib;
-        recalib_ = std::make_unique<RecalibScheduler>(pool_, cache_,
+        recalib_ = std::make_unique<RecalibScheduler>(engine_, cache_,
                                                       opts);
     }
     return *recalib_;

@@ -437,6 +437,8 @@ class FleetDriver
      * format). Call after drainRecalibration() -- and, to keep files
      * from growing unboundedly, after retireCache() -- so the
      * snapshot holds exactly the settled, live-referenced state.
+     * The classes are written in place, so no retireCache() or cache
+     * clear may run beside it.
      */
     CacheIoResult saveCache(const std::string &path);
 

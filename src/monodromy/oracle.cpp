@@ -15,8 +15,15 @@ namespace qbasis {
 
 namespace {
 
-/** ZYZ Euler rotation rz(a) ry(b) rz(c) (always det +1) and its
- *  derivatives with respect to the three angles. */
+/** ZYZ Euler rotation rz(a) ry(b) rz(c) (always det +1), built as
+ *  (rz(a) ry(b)) rz(c) as zyzWithDerivs builds it. */
+Mat2
+zyz(double a, double b, double c)
+{
+    return (rz(a) * ry(b)) * rz(c);
+}
+
+/** zyz() and its derivatives with respect to the three angles. */
 void
 zyzWithDerivs(double a, double b, double c, Mat2 &w, Mat2 da[3])
 {
@@ -52,18 +59,63 @@ traceWithKron(const Mat4 &g, const Mat2 &x1, const Mat2 &x0)
  *   M(w) = (Q^dag B1) W1 (B2) W2 ... (Bn Q),
  * all fixed factors special so the product stays in SU(4).
  * valueAndGrad's intermediates live in scratch vectors sized by
- * makeChain(), so an evaluation allocates nothing.
+ * makeChain(), so an evaluation allocates nothing. value() runs the
+ * same forward pass without the locals' derivatives, so the two
+ * return the same bits.
  */
 struct Chain
 {
     std::vector<Mat4> factors; ///< n+1 fixed factors between locals.
     MakhlinInvariants target;
-    // Scratch: locals, their derivatives, and prefix/suffix products.
+    // Scratch: locals, their derivatives, prefix/suffix products, and
+    // the forward pass's invariant terms the gradient rereads.
     std::vector<Mat2> w1, w0;
     std::vector<std::array<Mat2, 3>> d1, d0;
     std::vector<Mat4> wk, prefix, suffix;
+    Mat4 mtm;        ///< M^T M.
+    Complex tr;      ///< Tr(M^T M).
+    Complex dg1_t;   ///< G1(M) - G1(target).
+    double dg2_t{};  ///< G2(M) - G2(target).
 
     size_t middles() const { return factors.size() - 1; }
+
+    /** Invariant distance of the sandwich at `p`. */
+    double
+    value(const std::vector<double> &p)
+    {
+        for (size_t j = 0; j < middles(); ++j) {
+            w1[j] = zyz(p[6 * j], p[6 * j + 1], p[6 * j + 2]);
+            w0[j] = zyz(p[6 * j + 3], p[6 * j + 4], p[6 * j + 5]);
+        }
+        return forward();
+    }
+
+    /** From the locals w1, w0: the local Kronecker products, the
+     *  prefix products A_j = F0 W1 F1 ... W_j F_j (so M = A_n), the
+     *  invariants of M, and the objective. */
+    double
+    forward()
+    {
+        const size_t nw = middles();
+        for (size_t j = 0; j < nw; ++j)
+            wk[j] = Mat4::kron(w1[j], w0[j]);
+        prefix[0] = factors[0];
+        for (size_t j = 0; j < nw; ++j)
+            prefix[j + 1] = prefix[j] * wk[j] * factors[j + 1];
+        const Mat4 &m = prefix[nw];
+
+        mtm = m.transpose() * m;
+        tr = mtm.trace();
+        Complex tr2{};
+        for (int i = 0; i < 4; ++i)
+            for (int j = 0; j < 4; ++j)
+                tr2 += mtm(i, j) * mtm(j, i);
+        const Complex g1 = tr * tr / 16.0;
+        const Complex g2c = (tr * tr - tr2) / 4.0;
+        dg1_t = g1 - target.g1;
+        dg2_t = g2c.real() - target.g2;
+        return std::norm(dg1_t) + dg2_t * dg2_t;
+    }
 
     double
     valueAndGrad(const std::vector<double> &p,
@@ -80,13 +132,8 @@ struct Chain
             zyzWithDerivs(p[6 * j + 3], p[6 * j + 4], p[6 * j + 5],
                           w0[j], da);
             d0[j] = {da[0], da[1], da[2]};
-            wk[j] = Mat4::kron(w1[j], w0[j]);
         }
-
-        // Prefix products A_j = F0 W1 F1 ... W_j F_j.
-        prefix[0] = factors[0];
-        for (size_t j = 0; j < nw; ++j)
-            prefix[j + 1] = prefix[j] * wk[j] * factors[j + 1];
+        const double f = forward();
         const Mat4 &m = prefix[nw];
 
         // Suffix products R_j = F_j W_{j+1} F_{j+1} ... F_n
@@ -94,19 +141,6 @@ struct Chain
         suffix[nw] = factors[nw];
         for (size_t j = nw; j-- > 1;)
             suffix[j] = factors[j] * wk[j] * suffix[j + 1];
-
-        // Invariants of M.
-        const Mat4 mtm = m.transpose() * m;
-        const Complex tr = mtm.trace();
-        Complex tr2{};
-        for (int i = 0; i < 4; ++i)
-            for (int j = 0; j < 4; ++j)
-                tr2 += mtm(i, j) * mtm(j, i);
-        const Complex g1 = tr * tr / 16.0;
-        const Complex g2c = (tr * tr - tr2) / 4.0;
-        const Complex dg1_t = g1 - target.g1;
-        const double dg2_t = g2c.real() - target.g2;
-        const double f = std::norm(dg1_t) + dg2_t * dg2_t;
 
         // Gradient: dtr = 2 Tr(M^T dM); dtr2 = 4 Tr(mtm M^T dM);
         // dM = A_{j-1} dW_j R_{j+1-ish}. Precompute the two
@@ -181,6 +215,9 @@ layeredResidual(const Mat4 &target, const std::vector<Mat4> &layers,
                                    std::vector<double> &g) {
         return chain.valueAndGrad(x, g);
     };
+    const auto value_obj = [&chain](const std::vector<double> &x) {
+        return chain.value(x);
+    };
 
     MultistartOptions ms;
     ms.max_restarts = opts.restarts;
@@ -205,7 +242,7 @@ layeredResidual(const Mat4 &target, const std::vector<Mat4> &layers,
         },
         [&](std::vector<double> x0) {
             OptResult r = adamMinimize(grad_obj, std::move(x0), adam);
-            OptResult p = lbfgsMinimize(grad_obj, r.x, lbfgs);
+            OptResult p = lbfgsMinimize(grad_obj, value_obj, r.x, lbfgs);
             p.iterations += r.iterations;
             return p.fval < r.fval ? p : r;
         },

@@ -21,8 +21,8 @@ dot(const std::vector<double> &a, const std::vector<double> &b)
 } // namespace
 
 OptResult
-lbfgsMinimize(const GradObjective &f, std::vector<double> x0,
-              const LbfgsOptions &opts)
+lbfgsMinimize(const GradObjective &f, const ValueObjective &value,
+              std::vector<double> x0, const LbfgsOptions &opts)
 {
     const size_t n = x0.size();
     if (n == 0)
@@ -86,7 +86,8 @@ lbfgsMinimize(const GradObjective &f, std::vector<double> x0,
             dir_deriv = -gnorm * gnorm;
         }
 
-        // Armijo backtracking.
+        // Armijo backtracking on values alone; the gradient is taken
+        // at the accepted point (its value is f_new, bit for bit).
         double step = 1.0;
         std::vector<double> x_new(n), g_new(n, 0.0);
         double f_new = fx;
@@ -94,7 +95,7 @@ lbfgsMinimize(const GradObjective &f, std::vector<double> x0,
         for (int bt = 0; bt < opts.max_backtracks; ++bt) {
             for (size_t k = 0; k < n; ++k)
                 x_new[k] = x[k] + step * d[k];
-            f_new = f(x_new, g_new);
+            f_new = value(x_new);
             if (f_new <= fx + opts.c1 * step * dir_deriv) {
                 accepted = true;
                 break;
@@ -103,6 +104,7 @@ lbfgsMinimize(const GradObjective &f, std::vector<double> x0,
         }
         if (!accepted)
             break; // Line search failed; fx is (numerically) optimal.
+        f(x_new, g_new);
 
         // Curvature pair update.
         std::vector<double> s(n), y(n);

@@ -9,6 +9,10 @@
  * fixed-step bounce floor sits near lr^2 while L-BFGS converges
  * superlinearly to machine precision on the smooth trace-fidelity
  * objective.
+ *
+ * Most line-search trial points are rejected, so trial points are
+ * evaluated for their value only and the gradient is taken once at
+ * the start and once per accepted step.
  */
 
 #include "opt/adam.hpp"
@@ -33,8 +37,17 @@ struct LbfgsOptions
     std::function<bool()> should_stop;
 };
 
-/** Minimize a gradient objective with L-BFGS. */
-OptResult lbfgsMinimize(const GradObjective &f, std::vector<double> x0,
+/**
+ * Objective value only: must return exactly the value `f` of the
+ * same objective returns at that point, bit for bit.
+ */
+using ValueObjective = std::function<double(const std::vector<double> &)>;
+
+/** Minimize with L-BFGS, evaluating line-search trial points through
+ *  `value` and the gradient through `f` at accepted points only. */
+OptResult lbfgsMinimize(const GradObjective &f,
+                        const ValueObjective &value,
+                        std::vector<double> x0,
                         const LbfgsOptions &opts = {});
 
 } // namespace qbasis

@@ -72,13 +72,31 @@ DecompositionCache::hashOptions(const SynthOptions &opts)
 }
 
 uint64_t
-DecompositionCache::contextHash(const Mat4 &basis,
-                                const SynthOptions &opts)
+DecompositionCache::contextHash(uint64_t basis_hash,
+                                uint64_t options_hash)
 {
     // Combine the two content hashes asymmetrically so swapping
     // basis and options cannot collide.
-    return hashGate(basis) * 0x9e3779b97f4a7c15ull
-           + hashOptions(opts);
+    return basis_hash * 0x9e3779b97f4a7c15ull + options_hash;
+}
+
+uint64_t
+DecompositionCache::contextHash(const Mat4 &basis,
+                                const SynthOptions &opts)
+{
+    return contextHash(hashGate(basis), hashOptions(opts));
+}
+
+DecompositionCache::ClassKey
+DecompositionCache::classKey(const CartanCoords &canonical,
+                             uint64_t context)
+{
+    ClassKey key;
+    key.context = context;
+    key.qx = std::llround(canonical.tx / kCoordQuantum);
+    key.qy = std::llround(canonical.ty / kCoordQuantum);
+    key.qz = std::llround(canonical.tz / kCoordQuantum);
+    return key;
 }
 
 DecompositionCache::ClassKey
@@ -86,12 +104,7 @@ DecompositionCache::classKey(const CartanCoords &canonical,
                              const Mat4 &basis,
                              const SynthOptions &opts)
 {
-    ClassKey key;
-    key.context = contextHash(basis, opts);
-    key.qx = std::llround(canonical.tx / kCoordQuantum);
-    key.qy = std::llround(canonical.ty / kCoordQuantum);
-    key.qz = std::llround(canonical.tz / kCoordQuantum);
-    return key;
+    return classKey(canonical, contextHash(basis, opts));
 }
 
 Mat4
@@ -100,13 +113,6 @@ DecompositionCache::classGate(const ClassKey &key)
     return canonicalGate(static_cast<double>(key.qx) * kCoordQuantum,
                          static_cast<double>(key.qy) * kCoordQuantum,
                          static_cast<double>(key.qz) * kCoordQuantum);
-}
-
-const TwoQubitDecomposition *
-DecompositionCache::peekClass(const ClassKey &key) const
-{
-    const auto it = cache_.find(key);
-    return it == cache_.end() ? nullptr : &it->second;
 }
 
 TwoQubitDecomposition
@@ -148,30 +154,35 @@ DecompositionCache::dressClassDecomposition(
     d.infidelity = traceInfidelity(v, target);
 }
 
-TwoQubitDecomposition
-DecompositionCache::getOrSynthesize(int edge_id, const Mat4 &target,
-                                    const Mat4 &basis,
-                                    const SynthOptions &opts)
+BatchClassKeys::BatchClassKeys(const SynthOptions &opts)
+    : options_hash_(DecompositionCache::hashOptions(opts))
 {
-    (void)edge_id; // subsumed by the basis hash in the class key
-    const CanonicalKak kak = canonicalKakDecompose(target);
-    const ClassKey key = classKey(kak.coords, basis, opts);
-    if (const TwoQubitDecomposition *cls = peekClass(key)) {
-        ++hits_;
-        return dressClassDecomposition(*cls, kak, target);
-    }
-    ++misses_;
-    const TwoQubitDecomposition &cls = cache_[key] =
-        synthesizeGate(classGate(key), basis, opts);
-    return dressClassDecomposition(cls, kak, target);
 }
 
-void
-DecompositionCache::clear()
+uint64_t
+BatchClassKeys::context(const Mat4 &basis)
 {
-    cache_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    // Word-wise FNV-1a over the raw bits: a cheap lookup hash, not
+    // the quantized hashGate the key carries.
+    uint64_t bits = 1469598103934665603ull;
+    const auto *words = reinterpret_cast<const unsigned char *>(basis.data());
+    for (size_t i = 0; i < sizeof(Complex) * 16; i += 8) {
+        uint64_t w;
+        std::memcpy(&w, words + i, sizeof(w));
+        bits = (bits ^ w) * 1099511628211ull;
+    }
+    const auto [it, inserted] = seen_.try_emplace(bits);
+    if (inserted) {
+        it->second.basis = basis;
+        it->second.context = DecompositionCache::contextHash(
+            DecompositionCache::hashGate(basis), options_hash_);
+        return it->second.context;
+    }
+    if (std::memcmp(it->second.basis.data(), basis.data(),
+                    sizeof(Complex) * 16) == 0)
+        return it->second.context;
+    return DecompositionCache::contextHash(
+        DecompositionCache::hashGate(basis), options_hash_);
 }
 
 } // namespace qbasis

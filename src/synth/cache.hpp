@@ -4,8 +4,7 @@
 /**
  * @file
  * Weyl-class decomposition cache (paper Section VII): the class key
- * and re-dressing helpers every cache shares, plus the serial
- * reference cache the parallel engine is checked against.
+ * and re-dressing helpers every cache shares.
  *
  * Synthesis cost depends on the target gate only through its
  * canonical Cartan (Weyl-chamber) coordinates: if T and T' are
@@ -27,7 +26,7 @@
  */
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 
 #include "synth/numerical.hpp"
 #include "weyl/kak.hpp"
@@ -35,12 +34,11 @@
 namespace qbasis {
 
 /**
- * Serial cache of Weyl-class -> decomposition of the canonical gate.
- * Compilation synthesizes through SynthClient into a
- * SharedDecompositionCache; this class supplies that cache's key and
- * re-dressing helpers (the static members) and, through
- * getOrSynthesize, the one-request-at-a-time reference the tests
- * compare the engine against.
+ * Key and re-dressing helpers of the Weyl-class cache. Compilation
+ * synthesizes through SynthClient into a SharedDecompositionCache,
+ * which stores one decomposition of the canonical gate per class;
+ * this class names the class and re-dresses its decomposition per
+ * target. It has only static members.
  */
 class DecompositionCache
 {
@@ -84,22 +82,6 @@ class DecompositionCache
      */
     static constexpr double kCoordQuantum = 1e-8;
 
-    /**
-     * Return the decomposition of `target` into `basis`, synthesizing
-     * the target's Weyl class on first use and re-dressing the class
-     * decomposition with the target's own local factors.
-     *
-     * `edge_id` no longer participates in the key (the basis hash
-     * subsumes it); it is kept for call-site compatibility and
-     * diagnostics.
-     */
-    TwoQubitDecomposition getOrSynthesize(int edge_id,
-                                          const Mat4 &target,
-                                          const Mat4 &basis,
-                                          const SynthOptions &opts = {});
-
-    // -- Class-level interface (shared by every cache) --------------
-
     /** Key of the class with the given canonical coordinates. */
     static ClassKey classKey(const CartanCoords &canonical,
                              const Mat4 &basis,
@@ -107,10 +89,6 @@ class DecompositionCache
 
     /** The canonical gate CAN(c) at the key's quantized coords. */
     static Mat4 classGate(const ClassKey &key);
-
-    /** Look up a class without touching the hit/miss counters.
-     *  Pointers stay valid until clear(). */
-    const TwoQubitDecomposition *peekClass(const ClassKey &key) const;
 
     /**
      * Re-dress a class decomposition for a concrete target:
@@ -127,18 +105,6 @@ class DecompositionCache
                                         const CanonicalKak &kak,
                                         const Mat4 &target,
                                         TwoQubitDecomposition &out);
-
-    /** Number of cache hits so far. */
-    uint64_t hits() const { return hits_; }
-
-    /** Number of synthesis calls (misses) so far. */
-    uint64_t misses() const { return misses_; }
-
-    /** Number of stored class decompositions. */
-    size_t size() const { return cache_.size(); }
-
-    /** Drop all entries (start of a new calibration cycle). */
-    void clear();
 
     /**
      * Content hash of a gate matrix (entries quantized to 1e-9);
@@ -158,10 +124,49 @@ class DecompositionCache
     static uint64_t contextHash(const Mat4 &basis,
                                 const SynthOptions &opts);
 
+    /** contextHash from the basis's hashGate and the options'
+     *  hashOptions. */
+    static uint64_t contextHash(uint64_t basis_hash,
+                                uint64_t options_hash);
+
+    /** Key of the class with the given canonical coordinates in the
+     *  given context (contextHash). */
+    static ClassKey classKey(const CartanCoords &canonical,
+                             uint64_t context);
+};
+
+/**
+ * One batch's class keys with each distinct basis hashed once: the
+ * options hash is taken at construction, each basis's context hash on
+ * its first use, and every later gate on a bitwise-equal basis reuses
+ * it. Keys equal DecompositionCache::classKey's.
+ */
+class BatchClassKeys
+{
+  public:
+    explicit BatchClassKeys(const SynthOptions &opts);
+
+    /** DecompositionCache::classKey(canonical, basis, opts). */
+    DecompositionCache::ClassKey
+    classKey(const CartanCoords &canonical, const Mat4 &basis)
+    {
+        return DecompositionCache::classKey(canonical, context(basis));
+    }
+
   private:
-    std::map<ClassKey, TwoQubitDecomposition> cache_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
+    /** DecompositionCache::contextHash(basis, opts). */
+    uint64_t context(const Mat4 &basis);
+
+    struct Seen
+    {
+        Mat4 basis;
+        uint64_t context;
+    };
+
+    uint64_t options_hash_;
+    /** Seen bases by a hash of their bits; a bit hash shared by two
+     *  different bases keeps the first and hashes the other anew. */
+    std::unordered_map<uint64_t, Seen> seen_;
 };
 
 } // namespace qbasis

@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <utility>
 
 #include "util/bytes.hpp"
@@ -169,22 +170,198 @@ cacheEntryEncodedBytes(const TwoQubitDecomposition &dec)
            + dec.basis.size() * 256;
 }
 
+namespace {
+
+/** One decomposition's canonical bytes, appended to `out`. */
+void
+putDecomposition(std::vector<uint8_t> &out, const TwoQubitDecomposition &dec)
+{
+    putU32(out, static_cast<uint32_t>(dec.locals.size()));
+    putU32(out, static_cast<uint32_t>(dec.basis.size()));
+    putF64(out, dec.phase.real());
+    putF64(out, dec.phase.imag());
+    putF64(out, dec.infidelity);
+    for (const LocalPair &lp : dec.locals) {
+        putMat2(out, lp.q1);
+        putMat2(out, lp.q0);
+    }
+    for (const Mat4 &b : dec.basis)
+        putMat4(out, b);
+}
+
+/** One plan record of the plans section, appended to `out`. */
+void
+putPlan(std::vector<uint8_t> &out, const TranspilePlan &plan)
+{
+    putU64(out, plan.key.structural_hash);
+    putU64(out, plan.key.options_hash);
+    putU32(out, static_cast<uint32_t>(plan.key.epochs.size()));
+    putU32(out, static_cast<uint32_t>(plan.ops.size()));
+    putU32(out, static_cast<uint32_t>(plan.class_keys.size()));
+    putU32(out, static_cast<uint32_t>(plan.num_physical));
+    putU32(out, static_cast<uint32_t>(plan.initial_layout.size()));
+    putU32(out, static_cast<uint32_t>(plan.final_layout.size()));
+    putU64(out, plan.swaps_inserted);
+    for (const DeviceEpoch &de : plan.key.epochs) {
+        putI64(out, de.device_id);
+        putU64(out, de.epoch);
+    }
+    for (const int p : plan.initial_layout)
+        putI64(out, p);
+    for (const int p : plan.final_layout)
+        putI64(out, p);
+    for (const RouteOp &op : plan.ops) {
+        putI64(out, op.source);
+        putI64(out, op.q0);
+        putI64(out, op.q1);
+    }
+    for (const DecompositionCache::ClassKey &key : plan.class_keys) {
+        putU64(out, key.context);
+        putI64(out, key.qx);
+        putI64(out, key.qy);
+        putI64(out, key.qz);
+    }
+}
+
+/** Reflected CRC-32 register update over `size` bytes (the register
+ *  starts at 0xFFFFFFFF and the checksum is its final complement). */
+uint32_t
+crc32Update(uint32_t crc, const uint8_t *data, size_t size)
+{
+    // Table built on first use; thread-safe via static-local
+    // initialization.
+    static const auto table = [] {
+        std::array<uint32_t, 256> t{};
+        for (uint32_t i = 0; i < 256; ++i) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    for (size_t i = 0; i < size; ++i)
+        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    return crc;
+}
+
+/** Where the snapshot encoder appends its bytes, in file order. */
+using SnapshotAppend = std::function<void(const uint8_t *, size_t)>;
+
+/** One section on its way out: each record is put into a scratch
+ *  buffer and appended, and the section's size and CRC-32 run as the
+ *  records pass. */
+class SectionWriter
+{
+  public:
+    explicit SectionWriter(const SnapshotAppend &append) : append_(append)
+    {
+    }
+
+    /** The buffer the current record is put into. */
+    std::vector<uint8_t> &record() { return record_; }
+
+    /** Append the current record to the section. */
+    void
+    endRecord()
+    {
+        crc_ = crc32Update(crc_, record_.data(), record_.size());
+        size_ += record_.size();
+        append_(record_.data(), record_.size());
+        record_.clear();
+    }
+
+    uint64_t size() const { return size_; }
+    uint32_t crc() const { return crc_ ^ 0xFFFFFFFFu; }
+
+  private:
+    const SnapshotAppend &append_;
+    std::vector<uint8_t> record_;
+    uint32_t crc_ = 0xFFFFFFFFu;
+    uint64_t size_ = 0;
+};
+
+/** A class as the encoder reads it, in place. */
+using EntryView = std::pair<const DecompositionCache::ClassKey *,
+                            const TwoQubitDecomposition *>;
+
+/**
+ * The one snapshot encoder: sorts `entries` and `plans` by key, which
+ * makes the bytes a pure function of the sets, appends a zeroed
+ * header placeholder, then the index, payload and plans sections,
+ * and returns the header (their offsets, sizes and CRCs) for the
+ * caller to write over the placeholder.
+ */
+std::vector<uint8_t>
+encodeSnapshot(std::vector<EntryView> entries,
+               std::vector<TranspilePlan> plans,
+               const SnapshotAppend &append)
+{
+    std::sort(entries.begin(), entries.end(),
+              [](const EntryView &a, const EntryView &b) {
+                  return *a.first < *b.first;
+              });
+    std::sort(plans.begin(), plans.end(),
+              [](const TranspilePlan &a, const TranspilePlan &b) {
+                  return a.key < b.key;
+              });
+    append(std::vector<uint8_t>(kHeaderBytes, 0).data(), kHeaderBytes);
+
+    SectionWriter index(append);
+    uint64_t offset = 0;
+    for (const EntryView &e : entries) {
+        const uint64_t blob = cacheEntryEncodedBytes(*e.second);
+        putU64(index.record(), e.first->context);
+        putI64(index.record(), e.first->qx);
+        putI64(index.record(), e.first->qy);
+        putI64(index.record(), e.first->qz);
+        putU64(index.record(), offset);
+        putU64(index.record(), blob);
+        index.endRecord();
+        offset += blob;
+    }
+    SectionWriter payload(append);
+    for (const EntryView &e : entries) {
+        putDecomposition(payload.record(), *e.second);
+        payload.endRecord();
+    }
+    SectionWriter plan_bytes(append);
+    for (const TranspilePlan &plan : plans) {
+        putPlan(plan_bytes.record(), plan);
+        plan_bytes.endRecord();
+    }
+
+    std::vector<uint8_t> header;
+    header.reserve(kHeaderBytes);
+    header.insert(header.end(), kMagic, kMagic + 8);
+    putU32(header, kCacheFormatVersion);
+    putU32(header, static_cast<uint32_t>(kHeaderBytes));
+    putF64(header, DecompositionCache::kCoordQuantum);
+    putF64(header, DecompositionCache::kGateHashQuantum);
+    putU64(header, static_cast<uint64_t>(entries.size()));
+    putU64(header, static_cast<uint64_t>(plans.size()));
+    // Section table: index, payload, plans -- back to back after the
+    // header, each with its own CRC.
+    uint64_t section_off = kHeaderBytes;
+    for (const SectionWriter *section : {&index, &payload, &plan_bytes}) {
+        putU64(header, section_off);
+        putU64(header, section->size());
+        putU32(header, section->crc());
+        putU32(header, 0); // pad
+        section_off += section->size();
+    }
+    putU32(header, cacheCrc32(header.data(), header.size()));
+    return header;
+}
+
+} // namespace
+
 std::vector<uint8_t>
 canonicalBytes(const TwoQubitDecomposition &dec)
 {
     std::vector<uint8_t> payload;
     payload.reserve(cacheEntryEncodedBytes(dec));
-    putU32(payload, static_cast<uint32_t>(dec.locals.size()));
-    putU32(payload, static_cast<uint32_t>(dec.basis.size()));
-    putF64(payload, dec.phase.real());
-    putF64(payload, dec.phase.imag());
-    putF64(payload, dec.infidelity);
-    for (const LocalPair &lp : dec.locals) {
-        putMat2(payload, lp.q1);
-        putMat2(payload, lp.q0);
-    }
-    for (const Mat4 &b : dec.basis)
-        putMat4(payload, b);
+    putDecomposition(payload, dec);
     return payload;
 }
 
@@ -197,22 +374,7 @@ cacheSnapshotEncodedBytes(size_t entries, size_t payload_bytes)
 uint32_t
 cacheCrc32(const uint8_t *data, size_t size)
 {
-    // Standard reflected CRC-32 (IEEE 802.3), table built on first
-    // use; thread-safe via static-local initialization.
-    static const auto table = [] {
-        std::array<uint32_t, 256> t{};
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    uint32_t crc = 0xFFFFFFFFu;
-    for (size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
+    return crc32Update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
 
 size_t
@@ -235,111 +397,26 @@ std::vector<uint8_t>
 encodeCacheSnapshot(std::vector<CacheSnapshotEntry> entries,
                     std::vector<TranspilePlan> plans)
 {
-    // Unique byte encoding per entry set: sort by key so snapshot ->
-    // restore -> snapshot is the identity on bytes.
-    std::sort(entries.begin(), entries.end(),
-              [](const CacheSnapshotEntry &a, const CacheSnapshotEntry &b) {
-                  return a.first < b.first;
-              });
-    std::sort(plans.begin(), plans.end(),
-              [](const TranspilePlan &a, const TranspilePlan &b) {
-                  return a.key < b.key;
-              });
-
-    // Size both sections once; each blob still comes from its one
-    // encoder below.
+    std::vector<EntryView> views;
+    views.reserve(entries.size());
     size_t payload_size = 0;
-    for (const CacheSnapshotEntry &e : entries)
+    for (const CacheSnapshotEntry &e : entries) {
+        views.emplace_back(&e.first, &e.second);
         payload_size += cacheEntryEncodedBytes(e.second);
+    }
     size_t plans_size = 0;
     for (const TranspilePlan &plan : plans)
         plans_size += planEncodedBytes(plan);
 
-    std::vector<uint8_t> index;
-    std::vector<uint8_t> payload;
-    index.reserve(entries.size() * kIndexEntryBytes);
-    payload.reserve(payload_size);
-    for (const CacheSnapshotEntry &e : entries) {
-        const DecompositionCache::ClassKey &key = e.first;
-        const std::vector<uint8_t> blob = canonicalBytes(e.second);
-        putU64(index, key.context);
-        putI64(index, key.qx);
-        putI64(index, key.qy);
-        putI64(index, key.qz);
-        putU64(index, static_cast<uint64_t>(payload.size()));
-        putU64(index, static_cast<uint64_t>(blob.size()));
-        payload.insert(payload.end(), blob.begin(), blob.end());
-    }
-
-    std::vector<uint8_t> plan_bytes;
-    plan_bytes.reserve(plans_size);
-    for (const TranspilePlan &plan : plans) {
-        putU64(plan_bytes, plan.key.structural_hash);
-        putU64(plan_bytes, plan.key.options_hash);
-        putU32(plan_bytes,
-               static_cast<uint32_t>(plan.key.epochs.size()));
-        putU32(plan_bytes, static_cast<uint32_t>(plan.ops.size()));
-        putU32(plan_bytes,
-               static_cast<uint32_t>(plan.class_keys.size()));
-        putU32(plan_bytes, static_cast<uint32_t>(plan.num_physical));
-        putU32(plan_bytes,
-               static_cast<uint32_t>(plan.initial_layout.size()));
-        putU32(plan_bytes,
-               static_cast<uint32_t>(plan.final_layout.size()));
-        putU64(plan_bytes, plan.swaps_inserted);
-        for (const DeviceEpoch &de : plan.key.epochs) {
-            putI64(plan_bytes, de.device_id);
-            putU64(plan_bytes, de.epoch);
-        }
-        for (const int p : plan.initial_layout)
-            putI64(plan_bytes, p);
-        for (const int p : plan.final_layout)
-            putI64(plan_bytes, p);
-        for (const RouteOp &op : plan.ops) {
-            putI64(plan_bytes, op.source);
-            putI64(plan_bytes, op.q0);
-            putI64(plan_bytes, op.q1);
-        }
-        for (const DecompositionCache::ClassKey &key : plan.class_keys) {
-            putU64(plan_bytes, key.context);
-            putI64(plan_bytes, key.qx);
-            putI64(plan_bytes, key.qy);
-            putI64(plan_bytes, key.qz);
-        }
-    }
-
     std::vector<uint8_t> buf;
-    buf.reserve(kHeaderBytes + index.size() + payload.size()
-                + plan_bytes.size());
-    buf.insert(buf.end(), kMagic, kMagic + 8);
-    putU32(buf, kCacheFormatVersion);
-    putU32(buf, static_cast<uint32_t>(kHeaderBytes));
-    putF64(buf, DecompositionCache::kCoordQuantum);
-    putF64(buf, DecompositionCache::kGateHashQuantum);
-    putU64(buf, static_cast<uint64_t>(entries.size()));
-    putU64(buf, static_cast<uint64_t>(plans.size()));
-    // Section table: index, payload, plans -- back to back after the
-    // header, each with its own CRC.
-    const uint64_t index_off = kHeaderBytes;
-    const uint64_t payload_off = index_off + index.size();
-    const uint64_t plans_off = payload_off + payload.size();
-    putU64(buf, index_off);
-    putU64(buf, static_cast<uint64_t>(index.size()));
-    putU32(buf, cacheCrc32(index.data(), index.size()));
-    putU32(buf, 0); // pad
-    putU64(buf, payload_off);
-    putU64(buf, static_cast<uint64_t>(payload.size()));
-    putU32(buf, cacheCrc32(payload.data(), payload.size()));
-    putU32(buf, 0); // pad
-    putU64(buf, plans_off);
-    putU64(buf, static_cast<uint64_t>(plan_bytes.size()));
-    putU32(buf, cacheCrc32(plan_bytes.data(), plan_bytes.size()));
-    putU32(buf, 0); // pad
-    putU32(buf, cacheCrc32(buf.data(), buf.size()));
-
-    buf.insert(buf.end(), index.begin(), index.end());
-    buf.insert(buf.end(), payload.begin(), payload.end());
-    buf.insert(buf.end(), plan_bytes.begin(), plan_bytes.end());
+    buf.reserve(cacheSnapshotEncodedBytes(entries.size(), payload_size)
+                + plans_size);
+    const std::vector<uint8_t> header = encodeSnapshot(
+        std::move(views), std::move(plans),
+        [&buf](const uint8_t *data, size_t n) {
+            buf.insert(buf.end(), data, data + n);
+        });
+    std::copy(header.begin(), header.end(), buf.begin());
     return buf;
 }
 
@@ -598,28 +675,45 @@ decodeCacheSnapshot(const uint8_t *data, size_t size,
 
 namespace {
 
-/** Encode the cache's published classes and `plans`, then write. */
+/**
+ * Encode the cache's published classes and `plans` straight to
+ * `path`. The classes are read in place, in key order, so no retire
+ * or clear may run on `cache` meanwhile (FleetDriver::saveCache's
+ * contract).
+ */
 CacheIoResult
 writeCacheSnapshot(const SharedDecompositionCache &cache,
                    std::vector<TranspilePlan> plans,
                    const std::string &path)
 {
-    std::vector<CacheSnapshotEntry> entries = cache.exportEntries();
+    std::vector<EntryView> entries;
+    cache.forEachPublished([&entries](const DecompositionCache::ClassKey &key,
+                                      const TwoQubitDecomposition &dec) {
+        entries.emplace_back(&key, &dec);
+    });
     const size_t entry_count = entries.size();
-    const std::vector<uint8_t> bytes =
-        encodeCacheSnapshot(std::move(entries), std::move(plans));
+
     FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
         return fail(CacheIoStatus::IoError,
                     "cannot open " + path + " for writing");
-    const size_t written =
-        bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+    bool written = true;
+    size_t bytes = 0;
+    const std::vector<uint8_t> header = encodeSnapshot(
+        std::move(entries), std::move(plans),
+        [&](const uint8_t *data, size_t n) {
+            written = written && std::fwrite(data, 1, n, f) == n;
+            bytes += n;
+        });
+    written = written && std::fseek(f, 0, SEEK_SET) == 0
+              && std::fwrite(header.data(), 1, header.size(), f)
+                     == header.size();
     const bool closed = std::fclose(f) == 0;
-    if (written != bytes.size() || !closed)
+    if (!written || !closed)
         return fail(CacheIoStatus::IoError, "short write to " + path);
     CacheIoResult r;
     r.entries = entry_count;
-    r.bytes = bytes.size();
+    r.bytes = bytes;
     return r;
 }
 

@@ -178,12 +178,17 @@ CacheIoResult decodeCacheSnapshot(const uint8_t *data, size_t size,
 bool readFileBytes(const std::string &path, std::vector<uint8_t> *out);
 
 /** Snapshot every published class of `cache` to `path` (empty plans
- *  section). */
+ *  section). The sections go straight to the file, the classes read
+ *  in place in key order, and the header last, so the bytes equal
+ *  encodeCacheSnapshot's for the same classes without an in-memory
+ *  copy of either. No clear() or retireExcept() may run on `cache`
+ *  meanwhile; publishes may. */
 CacheIoResult saveCacheSnapshot(const SharedDecompositionCache &cache,
                                 const std::string &path);
 
-/** Snapshot published classes AND the plan tier to `path`. Memo
- *  entries are not persisted (see PlanCache::exportPlans). */
+/** Snapshot published classes AND the plan tier to `path`, written
+ *  as above. Memo entries are not persisted (see
+ *  PlanCache::exportPlans). */
 CacheIoResult saveCacheSnapshot(const SharedDecompositionCache &cache,
                                 const PlanCache &plans,
                                 const std::string &path);

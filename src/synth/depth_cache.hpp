@@ -7,9 +7,8 @@
  *
  * The depth oracle is itself a multistart Adam + L-BFGS search, and
  * before this cache it reran once per class job -- every engine batch
- * and every serial synthesizeGate() paid the full oracle ladder even
- * when the (target class, basis, options) triple had been decided
- * before. Verdicts are pure functions of that triple, so they are
+ * paid the full oracle ladder even when the (target class, basis,
+ * options) triple had been decided before. Verdicts are pure functions of that triple, so they are
  * cached under a key of (basis hash + oracle-options hash +
  * max_layers, exact canonical-coordinate bit patterns).
  *
@@ -62,7 +61,8 @@ class DepthOracleCache
     /** Drop everything (tests). No predict() may be in flight. */
     void clear();
 
-    /** Process-wide instance shared by the engine and serial paths. */
+    /** Process-wide instance the engine (and the tests' serial
+     *  reference) predicts through. */
     static DepthOracleCache &shared();
 
   private:

@@ -22,7 +22,7 @@ namespace {
 
 /** A throwing restart is contained as an aborted slot. */
 const FaultSite kFaultSynthRestart("synth.restart");
-/** The phase-3b serial re-claim fallback after an owner abandoned. */
+/** The phase-3b re-claim after a concurrent owner abandoned. */
 const FaultSite kFaultSynthFallback("synth.fallback");
 
 /** The registry's batch counters; the restart counters are the
@@ -311,23 +311,24 @@ BatchState::startJob(ClassJob &job)
  * repeat classes hit DepthOracleCache and concurrent batches dedupe
  * through its in-flight claims. Verdicts are pure functions of
  * (class, basis, options), so prefetching cannot change any result
- * -- it only moves oracle work off the jobs' critical path. Like the
- * phase-1 KAK pass, the prefetch runs on the default (Normal) lane
- * regardless of the batch's wave priority.
+ * -- it only moves oracle work off the jobs' critical path. The
+ * prefetch runs on the waves' lane.
  */
 void
 prefetchDepthVerdicts(ThreadPool &pool, const SynthOptions &opts,
-                      std::vector<std::unique_ptr<ClassJob>> &jobs)
+                      std::vector<std::unique_ptr<ClassJob>> &jobs,
+                      TaskPriority priority)
 {
     if (!opts.use_depth_prediction || jobs.empty())
         return;
-    pool.parallelFor(jobs.size(), [&](size_t i) {
-        jobs[i]->predicted_depth =
-            DepthOracleCache::shared().predict(jobs[i]->class_gate,
-                                               jobs[i]->basis,
-                                               opts.max_layers,
-                                               opts.oracle);
-    });
+    pool.parallelFor(
+        jobs.size(),
+        [&](size_t i) {
+            jobs[i]->predicted_depth = DepthOracleCache::shared().predict(
+                jobs[i]->class_gate, jobs[i]->basis, opts.max_layers,
+                opts.oracle);
+        },
+        priority);
 }
 
 /**
@@ -390,6 +391,35 @@ SynthEngine::readMetrics(MetricsSource::Out &out) const
     out.counter("synth.restarts_run", restarts_run_.load());
     out.counter("synth.restarts_pruned", restarts_pruned_.load());
     out.counter("synth.restarts_failed", restarts_failed_.load());
+}
+
+std::vector<const TwoQubitDecomposition *>
+SynthEngine::synthesizeOwned(std::vector<OwnedClass> classes,
+                             SharedDecompositionCache &cache,
+                             const SynthOptions &opts,
+                             TaskPriority priority)
+{
+    std::vector<std::unique_ptr<ClassJob>> jobs;
+    jobs.reserve(classes.size());
+    for (const OwnedClass &owned : classes) {
+        auto job = std::make_unique<ClassJob>();
+        job->key = owned.claim.key();
+        job->class_gate = DecompositionCache::classGate(job->key);
+        job->basis = owned.basis;
+        jobs.push_back(std::move(job));
+    }
+    // Batch the depth-oracle verdicts, run the jobs, then publish in
+    // job order.
+    prefetchDepthVerdicts(*pool_, opts, jobs, priority);
+    runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
+                  restarts_pruned_, restarts_failed_);
+    std::vector<const TwoQubitDecomposition *> published(jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        published[j] =
+            cache.publish(jobs[j]->key, std::move(jobs[j]->result));
+        classes[j].claim.release();
+    }
+    return published;
 }
 
 std::vector<TwoQubitDecomposition>
@@ -473,9 +503,10 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
     std::vector<ClassKey> order;
     std::map<ClassKey, uint64_t> lookups;
     std::map<ClassKey, Mat4> basis_of;
+    BatchClassKeys batch_keys(opts);
     for (size_t i = 0; i < n; ++i) {
         const Mat4 &b = basis(i);
-        keys[i] = DecompositionCache::classKey(kaks[i].coords, b, opts);
+        keys[i] = batch_keys.classKey(kaks[i].coords, b);
         if (lookups[keys[i]]++ == 0) {
             order.push_back(keys[i]);
             basis_of.emplace(keys[i], b);
@@ -484,41 +515,32 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
 
     ClassMap resolved;
     std::vector<ClassKey> pending;
-    std::vector<std::unique_ptr<ClassJob>> jobs;
-    std::vector<ClaimGuard> guards; ///< Parallel to `jobs`.
+    std::vector<ClassKey> owned_keys;
+    std::vector<OwnedClass> owned; ///< Parallel to `owned_keys`.
     for (const ClassKey &key : order) {
         const TwoQubitDecomposition *dec = nullptr;
         switch (cache.acquire(key, device_id, lookups[key], &dec)) {
         case SharedDecompositionCache::Claim::Ready:
             resolved[key] = dec;
             break;
-        case SharedDecompositionCache::Claim::Owner: {
-            auto job = std::make_unique<ClassJob>();
-            job->key = key;
-            job->class_gate = DecompositionCache::classGate(key);
-            job->basis = basis_of.at(key);
-            jobs.push_back(std::move(job));
-            guards.emplace_back(&cache, key);
+        case SharedDecompositionCache::Claim::Owner:
+            owned.push_back({ClaimGuard(&cache, key), basis_of.at(key)});
+            owned_keys.push_back(key);
             break;
-        }
         case SharedDecompositionCache::Claim::Pending:
             pending.push_back(key);
             break;
         }
     }
 
-    // Phase 3: batch the depth-oracle verdicts for the owned jobs,
-    // then run them; publish in job order. The guards abandon every
-    // unpublished claim if this batch unwinds, so concurrent waiters
-    // wake and take over instead of blocking forever.
-    prefetchDepthVerdicts(*pool_, opts, jobs);
-    runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
-                  restarts_pruned_, restarts_failed_);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        resolved[jobs[j]->key] =
-            cache.publish(jobs[j]->key, std::move(jobs[j]->result));
-        guards[j].release();
-    }
+    // Phase 3: synthesize and publish the owned classes. Their claim
+    // guards abandon every unpublished claim if this batch unwinds,
+    // so concurrent waiters wake and take over instead of blocking
+    // forever.
+    const std::vector<const TwoQubitDecomposition *> published =
+        synthesizeOwned(std::move(owned), cache, opts, priority);
+    for (size_t j = 0; j < owned_keys.size(); ++j)
+        resolved[owned_keys[j]] = published[j];
 
     // Phase 3b: await classes owned by concurrent clients. Their
     // owners publish before they wait on anyone and run their own
@@ -531,19 +553,19 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
         while (dec == nullptr) {
             // The concurrent owner abandoned (its batch threw):
             // recover by re-claiming; synthesis is deterministic, so
-            // the serial fallback publishes the same bytes the owner
-            // would have.
+            // this client publishes the same bytes the owner would
+            // have.
             switch (cache.acquire(key, device_id, 0, &dec)) {
             case SharedDecompositionCache::Claim::Ready:
                 break;
             case SharedDecompositionCache::Claim::Owner: {
-                ClaimGuard guard(&cache, key);
+                std::vector<OwnedClass> reclaimed;
+                reclaimed.push_back(
+                    {ClaimGuard(&cache, key), basis_of.at(key)});
                 faultPoint(kFaultSynthFallback, key.context);
-                dec = cache.publish(
-                    key, synthesizeGate(
-                             DecompositionCache::classGate(key),
-                             basis_of.at(key), opts));
-                guard.release();
+                dec = synthesizeOwned(std::move(reclaimed), cache,
+                                      opts, priority)
+                          .front();
                 break;
             }
             case SharedDecompositionCache::Claim::Pending:

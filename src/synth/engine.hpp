@@ -24,11 +24,15 @@
  *  - if a wave fails, the job advances one depth and launches the
  *    next wave (waves of different jobs interleave freely).
  *
- * Results are bit-identical to the serial reference
- * (DecompositionCache::getOrSynthesize) for a fixed seed,
+ * This is the only synthesis implementation: compile batches,
+ * recalibration presynthesis (synthesizeOwned) and the re-claim of an
+ * abandoned class all run their classes through these waves. Results
+ * are a pure function of (class, basis, options) for a fixed seed,
  * independent of thread count and completion order: restart streams
  * are derived (not shared), selection is by index rather than by
- * completion time, and classes publish in submission order.
+ * completion time, and classes publish in submission order. The
+ * tests keep a serial transcription of the same rule
+ * (tests/serial_synth.hpp) as the byte-for-byte reference.
  *
  * Batches accept a TaskPriority: recalibration resynthesis submits
  * at TaskPriority::Background so its waves never outcompete
@@ -82,6 +86,18 @@ struct ResolvedClasses
     std::vector<CanonicalKak> kaks;
     std::vector<DecompositionCache::ClassKey> keys;
     std::vector<const TwoQubitDecomposition *> classes;
+};
+
+/**
+ * A class its caller claimed (SharedDecompositionCache::acquire
+ * returned Claim::Owner) and hands to SynthEngine::synthesizeOwned:
+ * the claim, held until the class is published, and the basis the
+ * class decomposes into.
+ */
+struct OwnedClass
+{
+    ClaimGuard claim;
+    Mat4 basis;
 };
 
 /** Thread-pooled batch synthesizer. */
@@ -138,8 +154,27 @@ class SynthEngine
                    const SynthOptions &opts, int device_id = 0,
                    TaskPriority priority = TaskPriority::Normal);
 
+    /**
+     * Synthesize classes the caller already owns and publish them in
+     * order; returns the published decompositions in that order. The
+     * classes run as one task group on `priority`'s lane, through the
+     * same depth prefetch, waves, winner rule and pruning as a
+     * batch's own classes, and the calling thread runs their tasks
+     * too, so a pool task may call it. It never waits on another
+     * client's claim. If it throws, every claim it was handed and has
+     * not published is abandoned, so waiters re-claim.
+     */
+    std::vector<const TwoQubitDecomposition *>
+    synthesizeOwned(std::vector<OwnedClass> classes,
+                    SharedDecompositionCache &cache,
+                    const SynthOptions &opts,
+                    TaskPriority priority = TaskPriority::Normal);
+
     /** Worker threads in the pool. */
     int threadCount() const { return pool_->size(); }
+
+    /** The pool the engine's batches run on. */
+    ThreadPool &pool() const { return *pool_; }
 
     /** Cumulative restart accounting across batches. */
     struct Stats

@@ -4,11 +4,8 @@
 
 #include "linalg/factor.hpp"
 #include "linalg/su2.hpp"
-#include "monodromy/depth.hpp"
 #include "opt/adam.hpp"
-#include "synth/depth_cache.hpp"
 #include "opt/lbfgs.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "weyl/cartan.hpp"
 
@@ -45,31 +42,20 @@ class SynthObjective
 
     int paramCount() const { return 6 * (n_ + 1); }
 
+    /** Objective value: valueAndGrad's forward pass alone, so the
+     *  two return the same bits. */
+    double
+    value(const std::vector<double> &p)
+    {
+        return 1.0 - std::norm(forward(p)) / 16.0;
+    }
+
     /** Objective value and analytic gradient. */
     double
     valueAndGrad(const std::vector<double> &p,
                  std::vector<double> &grad)
     {
-        // Forward pass with right partial products:
-        //   bright[j] = B_j K_{j-1} ... K_0,
-        //   right[j]  = K_j bright[j]   (so right[n] = V).
-        for (int j = 0; j <= n_; ++j) {
-            const double *a = &p[6 * j];
-            f1_[j] = U3Factors(a[0], a[1], a[2]);
-            f0_[j] = U3Factors(a[3], a[4], a[5]);
-            u1_[j] = f1_[j].matrix();
-            u0_[j] = f0_[j].matrix();
-        }
-        right_[0] = Mat4::kron(u1_[0], u0_[0]);
-        for (int j = 1; j <= n_; ++j) {
-            // One dispatched call per layer: bright[j] and right[j]
-            // in a single fused kernel (mat4_kernels.hpp).
-            fusedLayerForward(layers_[j - 1], u1_[j], u0_[j],
-                              right_[j - 1], bright_[j], right_[j]);
-        }
-        const Mat4 &v = right_[n_];
-
-        const Complex tr = adjointTraceDot(target_, v);
+        const Complex tr = forward(p);
         const double f = 1.0 - std::norm(tr) / 16.0;
 
         // Backward pass: left = K_n B ... B (up to, excluding K_j).
@@ -113,6 +99,30 @@ class SynthObjective
     }
 
   private:
+    /** Forward pass with right partial products:
+     *    bright[j] = B_j K_{j-1} ... K_0,
+     *    right[j]  = K_j bright[j]   (so right[n] = V);
+     *  returns Tr(T^dag V). */
+    Complex
+    forward(const std::vector<double> &p)
+    {
+        for (int j = 0; j <= n_; ++j) {
+            const double *a = &p[6 * j];
+            f1_[j] = U3Factors(a[0], a[1], a[2]);
+            f0_[j] = U3Factors(a[3], a[4], a[5]);
+            u1_[j] = f1_[j].matrix();
+            u0_[j] = f0_[j].matrix();
+        }
+        right_[0] = Mat4::kron(u1_[0], u0_[0]);
+        for (int j = 1; j <= n_; ++j) {
+            // One dispatched call per layer: bright[j] and right[j]
+            // in a single fused kernel (mat4_kernels.hpp).
+            fusedLayerForward(layers_[j - 1], u1_[j], u0_[j],
+                              right_[j - 1], bright_[j], right_[j]);
+        }
+        return adjointTraceDot(target_, right_[n_]);
+    }
+
     Mat4 target_, target_dag_;
     const std::vector<Mat4> &layers_;
     int n_;
@@ -149,6 +159,9 @@ synthesizeRestart(const Mat4 &target, const std::vector<Mat4> &layers,
                                  std::vector<double> &g) {
         return obj.valueAndGrad(x, g);
     };
+    const auto value_obj = [&obj](const std::vector<double> &x) {
+        return obj.value(x);
+    };
 
     // Coarse global descent with Adam (robust against the many
     // saddle points), then a superlinear L-BFGS endgame (Adam's
@@ -165,7 +178,8 @@ synthesizeRestart(const Mat4 &target, const std::vector<Mat4> &layers,
     lbfgs.max_iters = opts.polish_iters;
     lbfgs.target = adam.target;
     lbfgs.should_stop = should_stop;
-    OptResult pres = lbfgsMinimize(grad_obj, std::move(ares.x), lbfgs);
+    OptResult pres =
+        lbfgsMinimize(grad_obj, value_obj, std::move(ares.x), lbfgs);
 
     // L-BFGS tracks the best iterate including its start point, so
     // pres is never worse than ares.
@@ -210,82 +224,6 @@ synthesizeLocalTarget(const Mat4 &target)
     d.phase = f.phase;
     d.infidelity = traceInfidelity(d.reconstruct(), target);
     return d;
-}
-
-TwoQubitDecomposition
-synthesizeGateSequence(const Mat4 &target,
-                       const std::vector<Mat4> &layers,
-                       const SynthOptions &opts)
-{
-    if (layers.empty())
-        return synthesizeLocalTarget(target);
-
-    // Serial multistart over independently seeded restart streams.
-    // Selection takes the first restart (in index order) that reaches
-    // the target, else the best infidelity with earliest-index
-    // tie-break -- the same deterministic rule the parallel engine
-    // applies, so both produce bit-identical decompositions.
-    TwoQubitDecomposition best;
-    best.infidelity = 1.0;
-    std::vector<double> best_p;
-
-    for (int r = 0; r < opts.restarts; ++r) {
-        SynthRestartResult res = synthesizeRestart(
-            target, layers,
-            synthRestartSeed(opts.seed, layers.size(), r), opts);
-        if (res.infidelity < best.infidelity) {
-            best_p = std::move(res.params);
-            best.infidelity = res.infidelity;
-        }
-        if (best.infidelity <= opts.target_infidelity)
-            break;
-    }
-
-    if (best_p.empty())
-        panic("synthesis produced no candidate parameters");
-    return assembleDecomposition(target, layers, best_p,
-                                 best.infidelity);
-}
-
-TwoQubitDecomposition
-synthesizeGateFixedDepth(const Mat4 &target, const Mat4 &basis,
-                         int layers, const SynthOptions &opts)
-{
-    if (layers < 0)
-        panic("synthesizeGateFixedDepth: negative layer count");
-    return synthesizeGateSequence(
-        target, std::vector<Mat4>(layers, basis), opts);
-}
-
-TwoQubitDecomposition
-synthesizeGate(const Mat4 &target, const Mat4 &basis,
-               const SynthOptions &opts)
-{
-    int start = 1;
-    if (opts.use_depth_prediction) {
-        // Verdicts are cached process-wide: the oracle's multistart
-        // Adam + L-BFGS search runs once per (basis, options, class).
-        start = DepthOracleCache::shared().predict(
-            target, basis, opts.max_layers, opts.oracle);
-        if (start == 0)
-            return synthesizeLocalTarget(target);
-        if (start > opts.max_layers)
-            start = opts.max_layers; // best effort at the cap
-    }
-
-    TwoQubitDecomposition best;
-    best.infidelity = 1.0;
-    for (int n = start; n <= opts.max_layers; ++n) {
-        TwoQubitDecomposition d =
-            synthesizeGateFixedDepth(target, basis, n, opts);
-        if (d.infidelity < best.infidelity)
-            best = std::move(d);
-        if (best.infidelity <= opts.target_infidelity)
-            return best;
-    }
-    warn("synthesizeGate: target not reached (best infidelity %.3e "
-         "at %d layers)", best.infidelity, best.layers());
-    return best;
 }
 
 } // namespace qbasis

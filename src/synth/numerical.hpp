@@ -21,7 +21,7 @@
 
 namespace qbasis {
 
-/** Options for synthesizeGate(). */
+/** Options of a synthesis: the depth search, its restarts and seed. */
 struct SynthOptions
 {
     int max_layers = 4;              ///< Depth search upper bound.
@@ -34,41 +34,13 @@ struct SynthOptions
     OracleOptions oracle;            ///< Oracle settings for depth.
 };
 
-/**
- * Synthesize `target` from layers of `basis` with interleaved 1Q
- * gates.
- *
- * The returned decomposition satisfies
- * infidelity <= opts.target_infidelity when synthesis succeeded;
- * otherwise the best effort at max_layers is returned (check the
- * infidelity field).
- */
-TwoQubitDecomposition synthesizeGate(const Mat4 &target,
-                                     const Mat4 &basis,
-                                     const SynthOptions &opts = {});
-
-/**
- * Synthesize with a fixed layer count (no depth search). Exposed for
- * ablation studies of the depth-prediction speedup.
- */
-TwoQubitDecomposition synthesizeGateFixedDepth(
-    const Mat4 &target, const Mat4 &basis, int layers,
-    const SynthOptions &opts = {});
-
-/**
- * Synthesize with an explicit (possibly heterogeneous) sequence of
- * 2Q layer gates -- e.g. the paper's Fig. 3(b) two-layer SWAP from a
- * gate and its Appendix-B mirror: layers = {B, mirror(B)}.
- */
-TwoQubitDecomposition synthesizeGateSequence(
-    const Mat4 &target, const std::vector<Mat4> &layers,
-    const SynthOptions &opts = {});
-
 // ---------------------------------------------------------------------------
-// Restart-level primitives shared by the serial paths above and the
-// parallel SynthEngine. Both drive the exact same optimizer code with
-// the exact same derived seeds, which is what makes engine results
-// bit-identical to serial ones for a fixed SynthOptions::seed.
+// Restart-level primitives of the SynthEngine (synth/engine.hpp), the
+// one synthesis implementation: it runs these restarts in depth waves
+// from the predicted depth and keeps the first restart, in index
+// order, that reaches the target. The tests' serial reference
+// (tests/serial_synth.hpp) drives the same primitives with the same
+// derived seeds, which is what makes the two bit-identical.
 // ---------------------------------------------------------------------------
 
 /** Outcome of one multistart restart at a fixed layer sequence. */

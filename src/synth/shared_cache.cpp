@@ -216,27 +216,6 @@ SharedDecompositionCache::size() const
     return n;
 }
 
-std::vector<std::pair<SharedDecompositionCache::ClassKey,
-                      TwoQubitDecomposition>>
-SharedDecompositionCache::exportEntries() const
-{
-    std::vector<std::pair<ClassKey, TwoQubitDecomposition>> out;
-    for (const auto &stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe->mutex);
-        for (const auto &[key, entry] : stripe->entries) {
-            if (entry.ready)
-                out.emplace_back(key, entry.dec);
-        }
-    }
-    // Stripe order interleaves keys; sort so the export (and hence
-    // the snapshot bytes) depends only on the entry set.
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return out;
-}
-
 void
 SharedDecompositionCache::forEachPublished(
     const std::function<void(const ClassKey &,

@@ -161,18 +161,11 @@ class SharedDecompositionCache
     // -- Persistence + retirement (synth/cache_io, core/fleet) ------
 
     /**
-     * Snapshot every *published* class, sorted by key -- the input of
-     * the serializer (sorting makes snapshot bytes a pure function of
-     * the entry set). Claimed-but-unpublished classes are skipped:
-     * their owner publishes the same bytes later anyway.
-     */
-    std::vector<std::pair<ClassKey, TwoQubitDecomposition>>
-    exportEntries() const;
-
-    /**
      * Visit every published class under the stripe locks, without
      * copying decompositions -- manifest accounting (live/dead
-     * counts, encoded-size sums) at O(1) extra memory. `fn` must not
+     * counts, encoded-size sums) at O(1) extra memory, and the
+     * snapshot writer, which keeps the references (valid until
+     * clear() or retireExcept()) and sorts them by key. `fn` must not
      * reenter the cache. Visit order is stripe-interleaved, not
      * key-sorted.
      */
@@ -281,6 +274,9 @@ class ClaimGuard
 
     /** True while the guard still owns an unpublished claim. */
     bool held() const { return cache_ != nullptr; }
+
+    /** The claimed class. */
+    const SharedDecompositionCache::ClassKey &key() const { return key_; }
 
   private:
     void

@@ -147,13 +147,12 @@ resolvePublished(
 {
     out.kaks.reserve(sites.size());
     out.classes.reserve(sites.size());
+    BatchClassKeys keys(opts);
     for (const TwoQubitSite &site : sites) {
         const CanonicalKak kak = canonicalKakDecompose(
             orientedTarget(*site.gate, site.q0, cm, site.eid));
-        const TwoQubitDecomposition *cls =
-            peek(DecompositionCache::classKey(
-                kak.coords, bases[static_cast<size_t>(site.eid)].gate,
-                opts));
+        const TwoQubitDecomposition *cls = peek(keys.classKey(
+            kak.coords, bases[static_cast<size_t>(site.eid)].gate));
         if (cls == nullptr)
             return false;
         out.kaks.push_back(kak);

@@ -81,6 +81,21 @@ sabreRouteCore(const Circuit &logical, bool reversed,
     Rng rng(opts.seed);
     int swaps_since_reset = 0;
     size_t swaps = 0;
+    // The release valve: after this many SWAPs in a row without a
+    // gate executed, the scored search is livelocked.
+    const size_t valve_after = 10 * static_cast<size_t>(np);
+    size_t swaps_since_gate = 0;
+
+    auto applySwap = [&](int pa, int pb) {
+        if (ops != nullptr)
+            ops->push_back({-1, pa, pb});
+        ++swaps;
+        std::swap(inverse[pa], inverse[pb]);
+        if (inverse[pa] >= 0)
+            layout[inverse[pa]] = pa;
+        if (inverse[pb] >= 0)
+            layout[inverse[pb]] = pb;
+    };
 
     auto executable = [&](size_t gi) {
         const Gate &g = gate(gi);
@@ -110,9 +125,6 @@ sabreRouteCore(const Circuit &logical, bool reversed,
     };
 
     size_t executed = 0;
-    size_t stall_guard = 0;
-    const size_t stall_limit = 10 * total + 1000;
-
     while (executed < total) {
         // Execute every ready gate.
         bool progressed = true;
@@ -136,13 +148,50 @@ sabreRouteCore(const Circuit &logical, bool reversed,
             if (progressed) {
                 std::fill(decay.begin(), decay.end(), 1.0);
                 swaps_since_reset = 0;
+                swaps_since_gate = 0;
             }
         }
         if (executed >= total)
             break;
 
-        if (++stall_guard > stall_limit)
-            panic("sabreRoute made no progress (stall guard hit)");
+        if (swaps_since_gate >= valve_after) {
+            // Release valve: walk the first qubit of the nearest
+            // blocked gate (first in the front on ties) toward the
+            // second along a shortest path, lowest-index neighbour
+            // first, until the gate is executable.
+            int best_gap = std::numeric_limits<int>::max();
+            int pa = -1, pb = -1;
+            for (size_t gi : front) {
+                const Gate &g = gate(gi);
+                if (!g.isTwoQubit())
+                    continue;
+                const int gap =
+                    cm.distance(layout[g.qubits[0]], layout[g.qubits[1]]);
+                if (gap < best_gap) {
+                    best_gap = gap;
+                    pa = layout[g.qubits[0]];
+                    pb = layout[g.qubits[1]];
+                }
+            }
+            while (cm.distance(pa, pb) > 1) {
+                int step = -1;
+                for (int nb : cm.neighbors(pa)) {
+                    if (cm.distance(nb, pb) == cm.distance(pa, pb) - 1
+                        && (step < 0 || nb < step))
+                        step = nb;
+                }
+                if (step < 0)
+                    panic("sabreRoute: blocked gate on disconnected "
+                          "qubits %d and %d", pa, pb);
+                const auto [lo, hi] = cm.edges()[cm.edgeId(pa, step)];
+                applySwap(lo, hi);
+                pa = step;
+            }
+            std::fill(decay.begin(), decay.end(), 1.0);
+            swaps_since_reset = 0;
+            swaps_since_gate = 0;
+            continue;
+        }
 
         // All front gates are blocked 2Q gates: pick the best SWAP.
         // Candidate swaps touch a physical qubit of a blocked gate.
@@ -244,14 +293,8 @@ sabreRouteCore(const Circuit &logical, bool reversed,
         }
 
         const auto [pa, pb] = cm.edges()[best_edge];
-        if (ops != nullptr)
-            ops->push_back({-1, pa, pb});
-        ++swaps;
-        std::swap(inverse[pa], inverse[pb]);
-        if (inverse[pa] >= 0)
-            layout[inverse[pa]] = pa;
-        if (inverse[pb] >= 0)
-            layout[inverse[pb]] = pb;
+        applySwap(pa, pb);
+        ++swaps_since_gate;
         decay[pa] += opts.decay_increment;
         decay[pb] += opts.decay_increment;
         if (++swaps_since_reset >= opts.decay_reset_interval) {

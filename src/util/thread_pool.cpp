@@ -150,10 +150,11 @@ ThreadPool::workerLoop(size_t self)
 }
 
 void
-ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
+ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn,
+                        TaskPriority priority)
 {
     std::vector<std::exception_ptr> errors(n);
-    TaskGroup group(*this);
+    TaskGroup group(*this, priority);
     for (size_t i = 0; i < n; ++i) {
         group.run([&fn, &errors, i] {
             try {

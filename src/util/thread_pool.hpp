@@ -73,9 +73,11 @@ class ThreadPool
      * are done; the calling thread runs indices too, so it may be a
      * pool worker. Exceptions thrown by tasks are captured and the
      * one with the smallest index is rethrown on the caller (results
-     * for other indices are still completed first).
+     * for other indices are still completed first). The group's
+     * tickets go on `priority`'s lane.
      */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
+    void parallelFor(size_t n, const std::function<void(size_t)> &fn,
+                     TaskPriority priority = TaskPriority::Normal);
 
     /** Number of worker threads. */
     int size() const { return static_cast<int>(threads_.size()); }

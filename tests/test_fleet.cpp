@@ -27,6 +27,8 @@
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
 
+#include "serial_synth.hpp"
+
 namespace qbasis {
 namespace {
 
@@ -222,7 +224,7 @@ TEST(SharedBatch, BitIdenticalToSerialCache)
         requests.push_back(cnot_req);
     }
 
-    DecompositionCache serial;
+    SerialDecompositionCache serial;
     std::vector<TwoQubitDecomposition> base;
     for (const SynthRequest &r : requests)
         base.push_back(

@@ -19,6 +19,7 @@
 #include "weyl/gates.hpp"
 
 #include "circuit_unitary.hpp"
+#include "serial_synth.hpp"
 #include "textbook.hpp"
 
 namespace qbasis {

@@ -255,6 +255,52 @@ TEST_F(PersistTest, FileSaveLoadSaveIsByteStable)
     std::remove(path2.c_str());
 }
 
+TEST_F(PersistTest, SavedFileEqualsTheEncoderBytes)
+{
+    // Classes spread over the stripes, so the cache visits them out
+    // of key order, plus plans stored out of key order.
+    SharedDecompositionCache cache(4);
+    for (const CacheSnapshotEntry &e : sampleEntries())
+        ASSERT_TRUE(cache.insertLoaded(e.first, e.second));
+    for (int i = 0; i < 300; ++i) {
+        ASSERT_TRUE(cache.insertLoaded(
+            makeKey(0xD00Dull + static_cast<uint64_t>(i % 7), 300 - i,
+                    i, -i),
+            makeDec(i % 4, 100 + static_cast<uint64_t>(i))));
+    }
+    PlanCache plans;
+    for (int i = 0; i < 40; ++i) {
+        TranspilePlan plan;
+        plan.key.structural_hash = 0x9000ull - static_cast<uint64_t>(i);
+        plan.key.epochs = {{i % 3, static_cast<uint64_t>(i)}};
+        plan.num_physical = 4;
+        plan.initial_layout = {0, 1, 2, 3};
+        plan.final_layout = {1, 0, 2, 3};
+        plan.swaps_inserted = 1;
+        plan.ops = {{0, 0, 1}, {-1, 0, 1}, {1, 2, -1}};
+        plan.class_keys = {makeKey(0xA11CEull, i, 2, 3)};
+        plans.store(plan);
+    }
+
+    const std::string path =
+        ::testing::TempDir() + "qbasis_persist_streamed.qbwc";
+    const CacheIoResult saved = saveCacheSnapshot(cache, plans, path);
+    ASSERT_TRUE(saved.ok()) << saved.message;
+    std::vector<uint8_t> file;
+    ASSERT_TRUE(readFileBytes(path, &file));
+    std::vector<CacheSnapshotEntry> entries;
+    cache.forEachPublished(
+        [&entries](const ClassKey &key, const TwoQubitDecomposition &dec) {
+            entries.emplace_back(key, dec);
+        });
+    const std::vector<uint8_t> encoded =
+        encodeCacheSnapshot(std::move(entries), plans.exportPlans());
+    EXPECT_EQ(file, encoded);
+    EXPECT_EQ(saved.bytes, encoded.size());
+    EXPECT_EQ(saved.entries, cache.size());
+    std::remove(path.c_str());
+}
+
 // --- Merge semantics -----------------------------------------------
 
 TEST_F(PersistTest, ExistingEntriesWinTheMerge)

@@ -27,6 +27,8 @@
 #include "weyl/invariants.hpp"
 #include "weyl/kak.hpp"
 
+#include "serial_synth.hpp"
+
 namespace qbasis {
 namespace {
 

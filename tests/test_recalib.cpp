@@ -4,12 +4,15 @@
  * independent of evaluation order, versioned basis sets that never
  * tear under concurrent publish (the sanitizer job's canary for this
  * subsystem), sync-vs-async bit-identical post-cycle reports, retunes
- * reproducing the initial calibration, the depth-oracle verdict
- * cache, and engine restart pruning.
+ * reproducing the initial calibration, presynthesis racing a compile
+ * batch on the same classes, the depth-oracle verdict cache, and
+ * engine restart pruning.
  */
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,9 @@
 #include "util/logging.hpp"
 #include "weyl/gates.hpp"
 #include "weyl/invariants.hpp"
+#include "weyl/kak.hpp"
+
+#include "serial_synth.hpp"
 
 namespace qbasis {
 namespace {
@@ -404,6 +410,102 @@ TEST_F(RecalibTest, UndriftedRetuneRepublishesTheInitialCalibration)
         EXPECT_EQ(edgeBytes(initial->edges[e], initial->bases[e]),
                   edgeBytes(retuned->edges[e], retuned->bases[e]))
             << "edge " << e;
+    }
+}
+
+/** Drifted cycle-1 retunes of every edge of device 0. */
+std::vector<RecalibEdgeRequest>
+driftAllEdges(FleetDriver &driver, size_t edges)
+{
+    const DriftModel model{1e-4, 5e-3};
+    std::vector<RecalibEdgeRequest> requests;
+    for (size_t e = 0; e < edges; ++e) {
+        RecalibEdgeRequest req;
+        req.device_id = 0;
+        req.edge_id = static_cast<int>(e);
+        req.cycle = 1;
+        req.params = driftParamsAt(driver.device(0).device.edgeParams(
+                                       req.edge_id),
+                                   model, 77, req.edge_id, 1);
+        requests.push_back(std::move(req));
+    }
+    return requests;
+}
+
+TEST_F(RecalibTest, PresynthesisRacesACompileBatchOnTheSameClasses)
+{
+    // Recalibration presynthesizes each retuned edge's SWAP and CNOT
+    // classes through the fleet's engine on the Background lane while
+    // a compile batch on the same pool claims those very classes (the
+    // new bases are known from a reference run). Whoever wins each
+    // claim, every class is published once, the presynthesis tally
+    // adds up, and the bytes are the serial reference's.
+    FleetDeviceSpec spec = tinySpec(11);
+    spec.grid.rows = 2; // 2x2 grid: four edges
+    const FleetOptions opts = tinyFleetOptions(1);
+
+    FleetDriver reference(opts);
+    reference.initDevices({spec});
+    const size_t n_edges = reference.calibrationSnapshot(0)->edges.size();
+    const auto t0 = std::chrono::steady_clock::now();
+    reference.recalibrate(driftAllEdges(reference, n_edges));
+    reference.drainRecalibration();
+    const auto cycle = std::chrono::steady_clock::now() - t0;
+    const CalibrationSnapshot retuned = reference.calibrationSnapshot(0);
+
+    std::vector<SynthRequest> batch;
+    std::set<DecompositionCache::ClassKey> classes;
+    for (size_t e = 0; e < n_edges; ++e) {
+        for (const Mat4 &target : {swapGate(), cnotGate()}) {
+            const Mat4 &basis = retuned->bases[e].gate;
+            batch.push_back({static_cast<int>(e), target, basis});
+            classes.insert(DecompositionCache::classKey(
+                canonicalKakDecompose(target).coords, basis, opts.synth));
+        }
+    }
+    SerialDecompositionCache serial;
+    std::vector<std::vector<uint8_t>> expected;
+    for (const SynthRequest &r : batch) {
+        expected.push_back(canonicalBytes(serial.getOrSynthesize(
+            r.edge_id, r.target, r.basis, opts.synth)));
+    }
+
+    // Start the batch at fractions of the reference cycle's wall
+    // time, so it meets the edges' pipelines at different hops.
+    for (const int eighths : {0, 4, 6, 7, 8}) {
+        SCOPED_TRACE(eighths);
+        FleetDriver driver(opts);
+        driver.initDevices({spec});
+        const uint64_t misses_before = driver.cache().stats().misses;
+
+        std::vector<TwoQubitDecomposition> compiled;
+        std::thread compile([&] {
+            std::this_thread::sleep_for(cycle * eighths / 8);
+            SynthEngine engine(driver.pool());
+            compiled =
+                engine.synthesizeBatch(batch, driver.cache(), opts.synth);
+        });
+        driver.recalibrate(driftAllEdges(driver, n_edges));
+        driver.drainRecalibration();
+        compile.join();
+
+        // One claim, hence one publish, per distinct class.
+        EXPECT_EQ(driver.cache().stats().misses - misses_before,
+                  classes.size());
+        const RecalibScheduler::Stats st = driver.recalibStats();
+        EXPECT_EQ(st.presynth_owned + st.presynth_ready
+                      + st.presynth_pending,
+                  2 * n_edges);
+        for (const DecompositionCache::ClassKey &key : classes) {
+            const TwoQubitDecomposition *dec =
+                driver.cache().peekPublished(key);
+            ASSERT_NE(dec, nullptr);
+            EXPECT_EQ(canonicalBytes(*dec),
+                      canonicalBytes(*serial.peekClass(key)));
+        }
+        ASSERT_EQ(compiled.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i)
+            EXPECT_EQ(canonicalBytes(compiled[i]), expected[i]) << i;
     }
 }
 

@@ -10,15 +10,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "linalg/mat4_kernels.hpp"
 #include "linalg/random.hpp"
 #include "linalg/su2.hpp"
+#include "obs/metrics.hpp"
 #include "opt/adam.hpp"
 #include "opt/lbfgs.hpp"
 #include "synth/cache.hpp"
+#include "synth/cache_io.hpp"
 #include "synth/engine.hpp"
 #include "synth/numerical.hpp"
 #include "util/fault.hpp"
@@ -27,6 +30,7 @@
 #include "weyl/gates.hpp"
 #include "weyl/kak.hpp"
 
+#include "serial_synth.hpp"
 #include "textbook.hpp"
 #include "u3_reference.hpp"
 
@@ -218,7 +222,7 @@ TEST(Synth, DurationModelMatchesPaperTableOne)
 
 TEST(Cache, HitsAndMisses)
 {
-    DecompositionCache cache;
+    SerialDecompositionCache cache;
     const SynthOptions o = fastSynth();
     const auto d1 =
         cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o);
@@ -258,7 +262,7 @@ TEST(Cache, WeylClassSharing)
     // equivalent: the first lookup synthesizes the class, every
     // dressed variant afterwards is a hit, and each dressed result
     // still reconstructs its own target exactly.
-    DecompositionCache cache;
+    SerialDecompositionCache cache;
     const SynthOptions o = fastSynth();
     const Mat4 basis = canonicalGate(0.28, 0.21, 0.05);
     const Mat4 core = canonicalGate(0.37, 0.16, 0.02);
@@ -284,7 +288,7 @@ TEST(Cache, OrientationSharing)
 {
     // SWAP-conjugated (qubit-reversed) targets keep their canonical
     // coordinates, so both orientations of a gate share one class.
-    DecompositionCache cache;
+    SerialDecompositionCache cache;
     const SynthOptions o = fastSynth();
     const Mat4 basis = canonicalGate(0.28, 0.21, 0.05);
     const Mat4 target = cphaseGate(0.9) * Mat4::kron(rx(0.3), rz(0.7));
@@ -303,7 +307,7 @@ TEST(Cache, BasisChangeInvalidates)
     // The drift-cycle bug the raw (edge, target) key had: after the
     // edge's basis gate changes, the same target must re-synthesize
     // instead of returning the stale decomposition.
-    DecompositionCache cache;
+    SerialDecompositionCache cache;
     const SynthOptions o = fastSynth();
     const Mat4 basis_old = canonicalGate(0.28, 0.21, 0.05);
     const Mat4 basis_new = canonicalGate(0.30, 0.22, 0.06);
@@ -324,7 +328,7 @@ TEST(Cache, BasisChangeInvalidates)
 
 TEST(Cache, OptionsChangeInvalidates)
 {
-    DecompositionCache cache;
+    SerialDecompositionCache cache;
     SynthOptions o = fastSynth();
     cache.getOrSynthesize(0, cnotGate(), sqrtIswapGate(), o);
     SynthOptions o2 = o;
@@ -417,7 +421,7 @@ TEST(Engine, DeterministicAcrossThreadCounts)
 
     SynthEngine e1(1), e4(4);
     SharedDecompositionCache c1, c4;
-    DecompositionCache cs;
+    SerialDecompositionCache cs;
     const auto r1 = e1.synthesizeBatch(reqs, c1, o);
     const auto r4 = e4.synthesizeBatch(reqs, c4, o);
     std::vector<TwoQubitDecomposition> rs;
@@ -451,6 +455,47 @@ TEST(Engine, ReusesWarmCacheAcrossBatches)
     EXPECT_GE(cache.hits(), reqs.size());
 }
 
+TEST(Engine, ReclaimsAnAbandonedClassThroughItsOwnWaves)
+{
+    // A batch that finds its class claimed by another client waits;
+    // when that owner abandons the claim, the batch re-claims it and
+    // synthesizes it through the engine (one more job), publishing
+    // the serial reference's bytes.
+    const SynthOptions o = fastSynth();
+    const std::vector<SynthRequest> reqs{
+        {0, cnotGate(), sqrtIswapGate()}};
+    const DecompositionCache::ClassKey key = DecompositionCache::classKey(
+        canonicalKakDecompose(cnotGate()).coords, sqrtIswapGate(), o);
+    SharedDecompositionCache cache;
+    const TwoQubitDecomposition *dec = nullptr;
+    ASSERT_EQ(cache.acquire(key, 1, 1, &dec),
+              SharedDecompositionCache::Claim::Owner);
+    ClaimGuard other_owner(&cache, key);
+
+    Counter &waits = MetricsRegistry::instance().counter("cache.waits");
+    Counter &jobs = MetricsRegistry::instance().counter("synth.jobs");
+    const uint64_t waits_before = waits.value();
+    const uint64_t jobs_before = jobs.value();
+    SynthEngine engine(2);
+    std::vector<TwoQubitDecomposition> out;
+    std::thread batch(
+        [&] { out = engine.synthesizeBatch(reqs, cache, o); });
+    while (waits.value() == waits_before)
+        std::this_thread::yield();
+    { // The other owner unwinds.
+        ClaimGuard abandon = std::move(other_owner);
+    }
+    batch.join();
+
+    EXPECT_EQ(jobs.value() - jobs_before, 1u);
+    ASSERT_EQ(out.size(), 1u);
+    SerialDecompositionCache serial;
+    EXPECT_EQ(canonicalBytes(out[0]),
+              canonicalBytes(serial.getOrSynthesize(
+                  0, cnotGate(), sqrtIswapGate(), o)));
+    EXPECT_EQ(canonicalBytes(*cache.peekPublished(key)),
+              canonicalBytes(*serial.peekClass(key)));
+}
 
 /** Arms fault injection for one test scope; disarms on exit. */
 struct ScopedFaults
@@ -650,7 +695,8 @@ TEST(SynthObjective, ReferenceGradientMatchesFiniteDifference)
 }
 
 /** synthesizeRestart's search (start point, Adam, L-BFGS polish and
- *  their settings) run on the reference objective. */
+ *  their settings) run on the reference objective, with the polish's
+ *  trial points evaluated in full rather than for their value only. */
 SynthRestartResult
 referenceRestart(const Mat4 &target, const std::vector<Mat4> &layers,
                  uint64_t stream_seed, const SynthOptions &opts)
@@ -674,7 +720,12 @@ referenceRestart(const Mat4 &target, const std::vector<Mat4> &layers,
     LbfgsOptions lbfgs;
     lbfgs.max_iters = opts.polish_iters;
     lbfgs.target = adam.target;
-    OptResult pres = lbfgsMinimize(grad_obj, std::move(ares.x), lbfgs);
+    std::vector<double> unused(obj.paramCount());
+    const auto value_obj = [&obj, &unused](const std::vector<double> &x) {
+        return obj.valueAndGrad(x, unused);
+    };
+    OptResult pres =
+        lbfgsMinimize(grad_obj, value_obj, std::move(ares.x), lbfgs);
 
     SynthRestartResult out;
     out.params = std::move(pres.x);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/qft.hpp"
+#include "apps/workloads.hpp"
 #include "circuit/schedule.hpp"
 #include "circuit/statevector.hpp"
 #include "linalg/random.hpp"
@@ -26,6 +27,7 @@
 #include "weyl/gates.hpp"
 
 #include "circuit_unitary.hpp"
+#include "serial_synth.hpp"
 
 namespace qbasis {
 namespace {
@@ -130,6 +132,55 @@ TEST(Routing, ReversedCoreProgramIndexesTheLogicalCircuit)
         }
     }
     EXPECT_EQ(k, 0u);
+}
+
+TEST(Routing, ReleaseValveEndsALivelock)
+{
+    // With this tie-break seed the scored SWAP search on the 115-qubit
+    // lattice's Ising chain livelocks; the release valve ends it.
+    WorkloadParams params;
+    params.qubits = 115;
+    params.theta = 0.35;
+    const Circuit logical = trotterIsingCircuit(params);
+    const CouplingMap cm = CouplingMap::heavyHex(4, 9);
+    SabreOptions opts;
+    opts.seed = Rng::deriveSeed(0x5ab3e, 1);
+    ASSERT_EQ(opts.seed, 0x29fbad5bc534e2ebull);
+
+    std::vector<int> layout;
+    ASSERT_NO_THROW(layout = sabreLayout(logical, cm, 3, opts));
+    SabreRouting routed;
+    ASSERT_NO_THROW(routed = sabreRouting(logical, cm, layout, opts));
+    EXPECT_EQ(routed.initial_layout, layout);
+
+    // Replay the program from the initial layout: every gate runs on
+    // its logical qubits' current wires, every 2Q op on a coupled
+    // pair, and the SWAPs end at the final layout.
+    std::vector<int> current = routed.initial_layout;
+    std::vector<int> inverse(cm.numQubits(), -1);
+    for (size_t l = 0; l < current.size(); ++l)
+        inverse[current[l]] = static_cast<int>(l);
+    size_t executed = 0;
+    for (const RouteOp &op : routed.ops) {
+        if (op.q1 >= 0) {
+            EXPECT_TRUE(cm.connected(op.q0, op.q1));
+        }
+        if (op.source < 0) {
+            std::swap(inverse[op.q0], inverse[op.q1]);
+            for (int p : {op.q0, op.q1})
+                if (inverse[p] >= 0)
+                    current[inverse[p]] = p;
+            continue;
+        }
+        const Gate &g = logical.gates()[static_cast<size_t>(op.source)];
+        EXPECT_EQ(current[g.qubits[0]], op.q0);
+        if (g.isTwoQubit()) {
+            EXPECT_EQ(current[g.qubits[1]], op.q1);
+        }
+        ++executed;
+    }
+    EXPECT_EQ(executed, logical.size());
+    EXPECT_EQ(current, routed.final_layout);
 }
 
 TEST(Routing, PreservesSemantics)
@@ -335,7 +386,7 @@ TEST(Translate, EngineMatchesSerialBitExactly)
     c.cphase(0, 1, 0.77);
 
     const SynthOptions opts;
-    DecompositionCache cache_serial;
+    SerialDecompositionCache cache_serial;
     for (const SynthRequest &r : collectSynthRequests(c, cm, bases))
         cache_serial.getOrSynthesize(r.edge_id, r.target, r.basis, opts);
     const std::optional<Circuit> serial = translateFromPublishedClasses(
@@ -768,6 +819,60 @@ TEST(StreamedPipeline, MatchesTwoStepOnRandomGridAndHeavyHexCircuits)
                 randomStreamCircuit(n, 60, seed++), cm, bases);
             EXPECT_GT(r.swaps_inserted, 0u);
         }
+    }
+}
+
+TEST(Translate, BatchClassKeysEqualClassKey)
+{
+    // One BatchClassKeys over a whole routed circuit keys every 2Q
+    // gate as DecompositionCache::classKey does, with distinct bases
+    // per edge, bases repeated on several edges, and a basis whose
+    // bits differ from another's only in the sign of a zero.
+    const SynthOptions opts;
+    const auto expectSameKeys = [&opts](const Circuit &logical,
+                                        const CouplingMap &cm,
+                                        const std::vector<EdgeBasis> &bases) {
+        const RoutedCircuit routed =
+            sabreRoute(logical, cm, sabreLayout(logical, cm));
+        BatchClassKeys batch(opts);
+        size_t checked = 0;
+        for (const SynthRequest &r :
+             collectSynthRequests(routed.circuit, cm, bases)) {
+            const CartanCoords c = canonicalKakDecompose(r.target).coords;
+            const DecompositionCache::ClassKey a =
+                DecompositionCache::classKey(c, r.basis, opts);
+            const DecompositionCache::ClassKey b = batch.classKey(c, r.basis);
+            EXPECT_EQ(a.context, b.context);
+            EXPECT_EQ(a.qx, b.qx);
+            EXPECT_EQ(a.qy, b.qy);
+            EXPECT_EQ(a.qz, b.qz);
+            ++checked;
+        }
+        EXPECT_EQ(checked, routed.circuit.countTwoQubit());
+    };
+
+    const std::vector<Mat4> gates = {sqrtIswapGate(),
+                                     canonicalGate(0.45, 0.23, 0.07),
+                                     canonicalGate(0.26, 0.24, 0.03)};
+    const auto mixedBases = [&gates](const CouplingMap &cm) {
+        auto bases = uniformBases(cm, gates[0], 83.0, "b");
+        for (size_t e = 0; e < bases.size(); ++e)
+            bases[e].gate = gates[e % gates.size()];
+        Mat4 signed_zero = Mat4::identity();
+        signed_zero(0, 1) = Complex(-0.0, 0.0);
+        bases.front().gate = Mat4::identity();
+        bases.back().gate = signed_zero;
+        return bases;
+    };
+    {
+        const CouplingMap cm = CouplingMap::grid(2, 3);
+        expectSameKeys(qftCircuit(5), cm, mixedBases(cm));
+    }
+    uint64_t seed = 0xbeefull;
+    for (const CouplingMap &cm :
+         {CouplingMap::grid(3, 4), CouplingMap::heavyHex(2, 2)}) {
+        expectSameKeys(randomStreamCircuit(cm.numQubits(), 80, seed++), cm,
+                       mixedBases(cm));
     }
 }
 
