@@ -7,10 +7,10 @@
  * (scripts/check_bench.py).
  *
  * The synchronous baseline models the repo's documented pre-subsystem
- * cycle practice (see examples/calibration_cycle.cpp and the
- * FleetDriver::run() docs): every cycle clears the Weyl-class cache
- * ("the cache is rebuilt against the refreshed gate") and all
- * compilation waits behind the retune drain. The async mode never
+ * cycle practice (see examples/calibration_cycle.cpp): every cycle
+ * clears the Weyl-class cache ("the cache is rebuilt against the
+ * refreshed gate") and all compilation waits behind the retune
+ * drain. The async mode never
  * clears -- basis-hash cache keys keep classes of the old and new
  * basis coexisting -- and compiles immediately against each edge's
  * last published basis while the RecalibScheduler's

@@ -27,18 +27,6 @@ edgeFaultKey(int device_id, int edge_id)
            | static_cast<uint32_t>(edge_id);
 }
 
-std::string
-describeError(const std::exception_ptr &error)
-{
-    try {
-        std::rethrow_exception(error);
-    } catch (const std::exception &e) {
-        return e.what();
-    } catch (...) {
-        return "unknown error";
-    }
-}
-
 } // namespace
 
 /** One in-flight edge pipeline (owned by its hop closures). */
@@ -61,14 +49,7 @@ RecalibScheduler::RecalibScheduler(SynthEngine &engine,
 
 RecalibScheduler::~RecalibScheduler()
 {
-    try {
-        drain();
-    } catch (const std::exception &e) {
-        warn("RecalibScheduler: dropping error at destruction: %s",
-             e.what());
-    } catch (...) {
-        warn("RecalibScheduler: dropping error at destruction");
-    }
+    drain();
 }
 
 double
@@ -257,8 +238,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
     std::shared_ptr<Task> next;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (error && policy.contain_failures
-            && task->retries_used < policy.max_stage_retries) {
+        if (error && task->retries_used < policy.max_stage_retries) {
             // Bounded retry: restart the whole pipeline on a fresh
             // Task from the calibrate hop. The edge queue stays
             // `running`, so FIFO order is preserved.
@@ -268,45 +248,28 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
             next->retries_used = task->retries_used + 1;
         } else {
             ++stats_.completed;
-            uint64_t release_cycle = 0;
-            bool quarantined = false;
-            if (error) {
-                if (policy.contain_failures) {
-                    // Retry budget exhausted: quarantine the edge.
-                    // Its device keeps serving the last-good basis;
-                    // drain() does not fail.
-                    ++stats_.contained_errors;
-                    Quarantine &quar = quarantine_[key];
-                    quar.since_cycle = task->job.cycle;
-                    quar.release_cycle =
-                        task->job.cycle
-                        + std::max<uint64_t>(1,
-                                             policy.quarantine_cycles);
-                    quar.failures +=
-                        static_cast<uint64_t>(task->retries_used) + 1;
-                    quar.error = describeError(error);
-                    release_cycle = quar.release_cycle;
-                    quarantined = true;
-                    warn("RecalibScheduler: quarantined edge %d of "
-                         "device %d until cycle %llu: %s",
-                         task->job.edge_id, task->job.device_id,
-                         static_cast<unsigned long long>(
-                             release_cycle),
-                         quar.error.c_str());
-                } else {
-                    errors_.emplace(
-                        std::make_tuple(task->job.device_id,
-                                        task->job.edge_id,
-                                        task->job.cycle),
-                        error);
-                }
-            }
             EdgeQueue &q = queues_[key];
-            if (quarantined) {
+            if (error) {
+                // Retry budget exhausted: quarantine the edge. Its
+                // device keeps serving the last-good basis.
+                ++stats_.contained_errors;
+                Quarantine &quar = quarantine_[key];
+                quar.since_cycle = task->job.cycle;
+                quar.release_cycle =
+                    task->job.cycle
+                    + std::max<uint64_t>(1, policy.quarantine_cycles);
+                quar.failures +=
+                    static_cast<uint64_t>(task->retries_used) + 1;
+                quar.error = describeError(error);
+                warn("RecalibScheduler: quarantined edge %d of device "
+                     "%d until cycle %llu: %s",
+                     task->job.edge_id, task->job.device_id,
+                     static_cast<unsigned long long>(quar.release_cycle),
+                     quar.error.c_str());
                 // Drop queued jobs inside the quarantine window; a
                 // queued job at/after the release cycle lifts it.
                 while (!q.pending.empty()
-                       && q.pending.front().cycle < release_cycle) {
+                       && q.pending.front().cycle < quar.release_cycle) {
                     ++stats_.quarantine_skipped;
                     q.pending.pop_front();
                 }
@@ -331,17 +294,8 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
 void
 RecalibScheduler::drain()
 {
-    std::exception_ptr first;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        idle_cv_.wait(lock, [this] { return inflight_ == 0; });
-        if (!errors_.empty()) {
-            first = errors_.begin()->second;
-            errors_.clear();
-        }
-    }
-    if (first)
-        std::rethrow_exception(first);
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 RecalibScheduler::Stats

@@ -54,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/recalib.hpp"
@@ -92,9 +91,6 @@ struct RecalibJob
  */
 struct RecalibPolicy
 {
-    /** Contain pipeline failures (retry/quarantine). When false,
-     *  failures propagate out of drain() exactly as before. */
-    bool contain_failures = true;
     /** Whole-pipeline restarts of a failed task before the edge is
      *  quarantined (a retry restarts the task from its first hop). */
     int max_stage_retries = 2;
@@ -141,8 +137,7 @@ class RecalibScheduler
                      SharedDecompositionCache &cache,
                      RecalibSchedulerOptions opts = {});
 
-    /** Drains before destruction (swallows nothing: terminate-safe
-     *  only when drain() was called; see ~RecalibScheduler()). */
+    /** Drains before destruction. */
     ~RecalibScheduler();
 
     RecalibScheduler(const RecalibScheduler &) = delete;
@@ -156,9 +151,9 @@ class RecalibScheduler
     void schedule(RecalibJob job);
 
     /**
-     * Block until every scheduled job has completed, then rethrow
-     * the first error in (device, edge, cycle) order, if any. Must
-     * be called from a non-pool thread.
+     * Block until every scheduled job has completed. Never throws: a
+     * failed pipeline is retried, then its edge quarantined (see
+     * RecalibPolicy). Must be called from a non-pool thread.
      */
     void drain();
 
@@ -179,7 +174,7 @@ class RecalibScheduler
          *  whole-pipeline retry, not per hop). */
         uint64_t retries = 0;
         /** Tasks whose retry budget ran out and whose edge was
-         *  quarantined instead of failing drain(). */
+         *  quarantined. */
         uint64_t contained_errors = 0;
         /** Jobs dropped because their edge was quarantined and the
          *  job's cycle was below the release cycle. */
@@ -251,8 +246,6 @@ class RecalibScheduler
     std::map<EdgeKey, EdgeQueue> queues_;
     std::map<EdgeKey, Quarantine> quarantine_;
     size_t inflight_ = 0; ///< Edges with a running pipeline.
-    std::map<std::tuple<int, int, uint64_t>, std::exception_ptr>
-        errors_;
     Stats stats_;
     /** Last member: the registry reads stats_ here. */
     MetricsSource metrics_{

@@ -97,6 +97,28 @@ fleetRequest(const FleetOptions &opts, const FleetCircuit &fc,
     return req;
 }
 
+/** Pair each compiled result with its circuit's name. */
+std::vector<FleetCircuitResult>
+namedResults(const std::vector<FleetCircuit> &circuits,
+             std::vector<VersionedCompileResult> results)
+{
+    std::vector<FleetCircuitResult> named;
+    named.reserve(results.size());
+    for (size_t i = 0; i < results.size(); ++i)
+        named.push_back({circuits[i].name, std::move(results[i].result)});
+    return named;
+}
+
+/** Rethrow the lowest device id's error, if any device failed. */
+void
+rethrowFirst(const std::vector<std::exception_ptr> &errors)
+{
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -206,135 +228,9 @@ fleetReportDigest(const FleetReport &report)
 }
 
 FleetDriver::FleetDriver(FleetOptions opts)
-    : opts_(std::move(opts)),
-      pool_(opts_.threads),
-      engine_(pool_),
-      cache_(opts_.cache_stripes)
+    : opts_(std::move(opts)), pool_(opts_.threads), engine_(pool_)
 {
 }
-
-CalibratedBasisSet
-FleetDriver::calibrateSpec(int device_id, const FleetDeviceSpec &spec,
-                           const GridDevice &device,
-                           const std::string &label)
-{
-    QBASIS_TRACE_SCOPE("fleet.calibrate", "device",
-                       static_cast<uint64_t>(device_id), "edges",
-                       device.coupling().edges().size());
-    DeviceCalibrationOptions calib = opts_.calib;
-    if (spec.apply_drift) {
-        calib.apply_drift = true;
-        calib.drift = spec.drift;
-        calib.drift_seed = Rng::deriveSeed(opts_.seed,
-                                           static_cast<uint64_t>(
-                                               device_id));
-    }
-    return calibrateDevice(pool_, device, spec.xi, spec.criterion,
-                           label, calib);
-}
-
-FleetDeviceReport
-FleetDriver::runDevice(int device_id, const FleetDeviceSpec &spec,
-                       const std::vector<FleetCircuit> &circuits)
-{
-    FleetDeviceReport report;
-    report.device_id = device_id;
-    report.label = spec.label.empty()
-                       ? "dev" + std::to_string(device_id)
-                       : spec.label;
-
-    const GridDevice device(spec.grid);
-    report.set = calibrateSpec(device_id, spec, device, report.label);
-
-    const SynthClient client{engine_, cache_, device_id};
-    report.summary = summarizeGateSet(device, report.set, client,
-                                      opts_.synth, opts_.t_1q_ns,
-                                      opts_.t_coherence_ns);
-
-    report.circuits.reserve(circuits.size());
-    for (const FleetCircuit &fc : circuits) {
-        FleetCircuitResult cr;
-        cr.name = fc.name;
-        const CompileRequest req =
-            fleetRequest(opts_, fc, device_id);
-        const CompileResponse resp = runCompile(
-            device, report.set, client, req);
-        if (resp.status != CompileStatus::Ok)
-            throw std::runtime_error(resp.error);
-        cr.result = resp.result;
-        report.circuits.push_back(std::move(cr));
-    }
-    return report;
-}
-
-FleetReport
-FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
-                 const std::vector<FleetCircuit> &circuits)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-
-    FleetReport report;
-    report.devices.resize(specs.size());
-    report.statuses.resize(specs.size());
-    const int n_devices = static_cast<int>(specs.size());
-    if (n_devices == 0) {
-        report.cache = cache_.stats();
-        return report;
-    }
-    report.shards = shardCount(n_devices);
-
-    // Every device synthesizes through the driver's one engine,
-    // which holds no synthesis state, only the pool and its restart
-    // counters. A shard thread runs its own batches' tasks while it
-    // joins them, but it sleeps in shared-cache waits for classes
-    // another device is synthesizing, which is why shards are
-    // std::threads rather than pool tasks.
-    //
-    // Per-device failure domain: a throwing device is contained into
-    // its FleetDeviceStatus -- the rest of the fleet completes and
-    // run() never throws for a device-scoped error.
-    forEachDeviceSharded(specs.size(), [&, this](int d) {
-        const size_t di = static_cast<size_t>(d);
-        FleetDeviceStatus &status = report.statuses[di];
-        status.device_id = d;
-        try {
-            report.devices[di] = runDevice(d, specs[di], circuits);
-            status.ok = true;
-        } catch (const std::exception &e) {
-            status.ok = false;
-            status.error = e.what();
-        } catch (...) {
-            status.ok = false;
-            status.error = "unknown error";
-        }
-        if (!status.ok) {
-            report.devices[di] = FleetDeviceReport{};
-            report.devices[di].device_id = d;
-            report.devices[di].label =
-                specs[di].label.empty() ? "dev" + std::to_string(d)
-                                        : specs[di].label;
-            warn("FleetDriver: device %d (%s) failed, contained: %s",
-                 d, report.devices[di].label.c_str(),
-                 status.error.c_str());
-            device_failures_.fetch_add(1);
-            std::lock_guard<std::mutex> lock(health_mutex_);
-            if (d < first_device_error_id_) {
-                first_device_error_id_ = d;
-                first_device_error_ = status.error;
-            }
-        }
-    });
-
-    report.cache = cache_.stats();
-    report.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    return report;
-}
-
-// ---------------------------------------------------------------------------
-// Cycle serving
-// ---------------------------------------------------------------------------
 
 int
 FleetDriver::shardCount(int n_devices) const
@@ -343,39 +239,37 @@ FleetDriver::shardCount(int n_devices) const
                              : std::min(opts_.shards, n_devices);
 }
 
-void
-FleetDriver::forEachDeviceSharded(
-    size_t n, const std::function<void(int)> &fn) const
+std::vector<std::exception_ptr>
+FleetDriver::forEachDevice(
+    const std::function<void(FleetDeviceState &)> &fn)
 {
-    const int n_devices = static_cast<int>(n);
-    if (n_devices == 0)
-        return;
+    // Shards are std::threads rather than pool tasks: a shard runs
+    // its own batches' tasks while it joins them, but it sleeps in
+    // shared-cache waits for classes another device is synthesizing.
+    const int n_devices = static_cast<int>(devices_.size());
     const int shards = shardCount(n_devices);
-    std::vector<std::exception_ptr> errors(
-        static_cast<size_t>(shards));
+    std::vector<std::exception_ptr> errors(devices_.size());
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(shards));
     for (int s = 0; s < shards; ++s) {
-        threads.emplace_back([s, shards, n_devices, &fn, &errors] {
-            try {
-                for (int d = s; d < n_devices; d += shards)
-                    fn(d);
-            } catch (...) {
-                errors[static_cast<size_t>(s)] =
-                    std::current_exception();
+        threads.emplace_back([this, s, shards, n_devices, &fn, &errors] {
+            for (int d = s; d < n_devices; d += shards) {
+                const size_t di = static_cast<size_t>(d);
+                try {
+                    fn(*devices_[di]);
+                } catch (...) {
+                    errors[di] = std::current_exception();
+                }
             }
         });
     }
-    for (auto &t : threads)
+    for (std::thread &t : threads)
         t.join();
-    for (const auto &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    return errors;
 }
 
-void
-FleetDriver::initDevices(const std::vector<FleetDeviceSpec> &specs)
+std::vector<std::exception_ptr>
+FleetDriver::calibrateDevices(const std::vector<FleetDeviceSpec> &specs)
 {
     // In-flight pipelines hold pointers into the device states being
     // replaced; settle them before tearing anything down.
@@ -386,11 +280,114 @@ FleetDriver::initDevices(const std::vector<FleetDeviceSpec> &specs)
         devices_.push_back(std::make_unique<FleetDeviceState>(
             static_cast<int>(d), specs[d]));
     }
-    forEachDeviceSharded(devices_.size(), [this](int d) {
-        FleetDeviceState &state = *devices_[static_cast<size_t>(d)];
-        state.calibration.publish(calibrateSpec(
-            d, state.spec, state.device, state.label));
+    return forEachDevice([this](FleetDeviceState &state) {
+        QBASIS_TRACE_SCOPE("fleet.calibrate", "device",
+                           static_cast<uint64_t>(state.device_id),
+                           "edges",
+                           state.device.coupling().edges().size());
+        DeviceCalibrationOptions calib = opts_.calib;
+        if (state.spec.apply_drift) {
+            calib.apply_drift = true;
+            calib.drift = state.spec.drift;
+            calib.drift_seed = Rng::deriveSeed(
+                opts_.seed, static_cast<uint64_t>(state.device_id));
+        }
+        state.calibration.publish(
+            calibrateDevice(pool_, state.device, state.spec.xi,
+                            state.spec.criterion, state.label, calib));
     });
+}
+
+void
+FleetDriver::initDevices(const std::vector<FleetDeviceSpec> &specs)
+{
+    rethrowFirst(calibrateDevices(specs));
+}
+
+std::vector<VersionedCompileResult>
+FleetDriver::compileDevice(const FleetDeviceState &state,
+                           const std::vector<FleetCircuit> &circuits)
+{
+    std::vector<VersionedCompileResult> out;
+    if (state.calibration.version() == 0)
+        return out; // Its calibration never published.
+    const SynthClient client{engine_, cache_, state.device_id};
+    out.reserve(circuits.size());
+    for (const FleetCircuit &fc : circuits) {
+        const CompileResponse resp =
+            runCompile(state.device, state.calibration, client,
+                       fleetRequest(opts_, fc, state.device_id));
+        if (resp.status != CompileStatus::Ok)
+            throw std::runtime_error(resp.error);
+        VersionedCompileResult r;
+        r.basis_version = resp.basis_epoch;
+        r.snapshot_wait_ms = resp.snapshot_wait_ms;
+        r.result = resp.result;
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
+FleetReport
+FleetDriver::run(const std::vector<FleetDeviceSpec> &specs,
+                 const std::vector<FleetCircuit> &circuits)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<std::exception_ptr> errors = calibrateDevices(specs);
+
+    FleetReport report;
+    report.devices.resize(devices_.size());
+    report.statuses.resize(devices_.size());
+    report.shards = shardCount(static_cast<int>(devices_.size()));
+    const std::vector<std::exception_ptr> served =
+        forEachDevice([&, this](FleetDeviceState &state) {
+            const CalibrationSnapshot snap =
+                state.calibration.snapshot();
+            if (!snap.set)
+                return; // Its calibration failed: serve nothing.
+            FleetDeviceReport &out =
+                report.devices[static_cast<size_t>(state.device_id)];
+            const SynthClient client{engine_, cache_, state.device_id};
+            out.summary = summarizeGateSet(
+                state.device, *snap.set, client, opts_.synth,
+                opts_.t_1q_ns, opts_.t_coherence_ns);
+            out.circuits =
+                namedResults(circuits, compileDevice(state, circuits));
+            out.set = *snap.set;
+        });
+
+    // Per-device failure domain: a throwing device is contained into
+    // its FleetDeviceStatus -- the rest of the fleet completes and
+    // run() never throws for a device-scoped error.
+    for (size_t d = 0; d < devices_.size(); ++d) {
+        const FleetDeviceState &state = *devices_[d];
+        FleetDeviceStatus &status = report.statuses[d];
+        FleetDeviceReport &out = report.devices[d];
+        const std::exception_ptr error = errors[d] ? errors[d] : served[d];
+        status.device_id = state.device_id;
+        status.ok = !error;
+        if (error) {
+            status.error = describeError(error);
+            out = FleetDeviceReport{};
+            warn("FleetDriver: device %d (%s) failed, contained: %s",
+                 state.device_id, state.label.c_str(),
+                 status.error.c_str());
+            device_failures_.fetch_add(1);
+            std::lock_guard<std::mutex> lock(health_mutex_);
+            if (state.device_id < first_device_error_id_) {
+                first_device_error_id_ = state.device_id;
+                first_device_error_ = status.error;
+            }
+        }
+        out.device_id = state.device_id;
+        out.label = state.label;
+    }
+
+    report.cache = cache_.stats();
+    report.wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    return report;
 }
 
 const FleetDeviceState &
@@ -612,35 +609,14 @@ FleetDriver::compileCircuits(const std::vector<FleetCircuit> &circuits)
     const auto t0 = std::chrono::steady_clock::now();
     FleetCompilePass pass;
     pass.results.resize(devices_.size());
-
-    std::mutex wait_mutex;
-    double snapshot_wait_ms = 0.0;
-    forEachDeviceSharded(devices_.size(), [&, this](int d) {
-        FleetDeviceState &state = *devices_[static_cast<size_t>(d)];
-        const SynthClient client{engine_, cache_, d,
-                                 TaskPriority::Normal};
-        std::vector<VersionedCompileResult> &out =
-            pass.results[static_cast<size_t>(d)];
-        out.reserve(circuits.size());
-        double waited = 0.0;
-        for (const FleetCircuit &fc : circuits) {
-            const CompileRequest req = fleetRequest(opts_, fc, d);
-            const CompileResponse resp = runCompile(
-                state.device, state.calibration, client, req);
-            if (resp.status != CompileStatus::Ok)
-                throw std::runtime_error(resp.error);
-            VersionedCompileResult r;
-            r.basis_version = resp.basis_epoch;
-            r.snapshot_wait_ms = resp.snapshot_wait_ms;
-            r.result = resp.result;
-            waited += r.snapshot_wait_ms;
-            out.push_back(std::move(r));
-        }
-        std::lock_guard<std::mutex> lock(wait_mutex);
-        snapshot_wait_ms += waited;
-    });
-
-    pass.snapshot_wait_ms = snapshot_wait_ms;
+    rethrowFirst(forEachDevice([&, this](FleetDeviceState &state) {
+        pass.results[static_cast<size_t>(state.device_id)] =
+            compileDevice(state, circuits);
+    }));
+    for (const auto &device : pass.results) {
+        for (const VersionedCompileResult &r : device)
+            pass.snapshot_wait_ms += r.snapshot_wait_ms;
+    }
     pass.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -656,30 +632,18 @@ FleetDriver::cycleReport(uint64_t cycle,
     RecalibCycleReport report;
     report.cycle = cycle;
     report.devices.resize(devices_.size());
-    forEachDeviceSharded(devices_.size(), [&, this](int d) {
-        FleetDeviceState &state = *devices_[static_cast<size_t>(d)];
+    rethrowFirst(forEachDevice([&, this](FleetDeviceState &state) {
         RecalibDeviceCycle &out =
-            report.devices[static_cast<size_t>(d)];
-        out.device_id = d;
+            report.devices[static_cast<size_t>(state.device_id)];
+        out.device_id = state.device_id;
         const CalibrationSnapshot snap = state.calibration.snapshot();
+        if (!snap.set)
+            return; // Never published: the row holds only its id.
         out.calibration_version = snap.version;
         out.edges = snap.set->edges;
         out.bases = snap.set->bases;
-        const SynthClient client{engine_, cache_, d,
-                                 TaskPriority::Normal};
-        out.verify.reserve(verify.size());
-        for (const FleetCircuit &fc : verify) {
-            FleetCircuitResult cr;
-            cr.name = fc.name;
-            const CompileRequest req = fleetRequest(opts_, fc, d);
-            const CompileResponse resp = runCompile(
-                state.device, *snap.set, client, req);
-            if (resp.status != CompileStatus::Ok)
-                throw std::runtime_error(resp.error);
-            cr.result = resp.result;
-            out.verify.push_back(std::move(cr));
-        }
-    });
+        out.verify = namedResults(verify, compileDevice(state, verify));
+    }));
     report.cache = cacheManifest();
 
     // Failure-domain accounting (excluded from the bit-identical

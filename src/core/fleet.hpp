@@ -7,15 +7,18 @@
  * summarized (Table I), and compiled against (Table II) concurrently.
  *
  * The driver owns one process-wide ThreadPool, one SynthEngine on
- * it, and one process-wide SharedDecompositionCache. Devices are
- * dealt round-robin onto `shards` shard threads; each shard runs its
- * devices in increasing device order, and every shard synthesizes
- * through the driver's engine (it holds no synthesis state, only the
- * pool and its restart counters). Every synthesis job, regardless of
- * originating device, lands in the shared cache keyed by (basis
- * hash, options, Weyl class) -- so two devices with byte-identical
- * bases (replicated hardware, or a device whose drift left an edge
- * unchanged) synthesize each class exactly once fleet-wide.
+ * it, and one process-wide SharedDecompositionCache. Every pass
+ * deals the devices round-robin onto `shards` shard threads; each
+ * shard runs its devices in increasing device order, and every shard
+ * synthesizes through the driver's engine (it holds no synthesis
+ * state, only the pool and its restart counters). A device's failure
+ * never stops another's, and a failing pass throws the lowest failing
+ * device id's error at any shard count. Every synthesis job,
+ * regardless of originating device, lands in the shared cache keyed
+ * by (basis hash, options, Weyl class) -- so two devices with
+ * byte-identical bases (replicated hardware, or a device whose drift
+ * left an edge unchanged) synthesize each class exactly once
+ * fleet-wide.
  *
  * Determinism: per-device work only reads fleet-global state through
  * the shared cache, whose published entries are pure functions of
@@ -33,6 +36,7 @@
 
 #include <atomic>
 #include <climits>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -83,8 +87,6 @@ struct FleetOptions
     int shards = 0;
     /** Workers in the shared pool; 0 = hardware concurrency. */
     int threads = 0;
-    /** Lock stripes of the shared cache. */
-    int cache_stripes = 16;
     /** Fleet master seed (per-device drift streams derive from it). */
     uint64_t seed = 2022;
     DeviceCalibrationOptions calib; ///< Per-device calibration.
@@ -94,7 +96,7 @@ struct FleetOptions
                                     ///< share classes).
     TranspileOptions transpile;     ///< Circuit compilation options.
     /** Failure-domain policy for async recalibration (retry budget,
-     *  quarantine length, containment on/off). */
+     *  quarantine length). */
     RecalibPolicy recalib;
     double t_1q_ns = 20.0;
     double t_coherence_ns = 80e3;
@@ -357,14 +359,15 @@ class FleetDriver
     explicit FleetDriver(FleetOptions opts = {});
 
     /**
-     * Calibrate + summarize every device and compile every circuit
-     * on it, sharded across threads. A failing device never throws
-     * out of run(): its error is contained into
+     * The paper's case study through the cycle API: initDevices()'
+     * calibration (so run() replaces the live devices), then, per
+     * calibrated device, summarizeGateSet() (Table I) and
+     * compileCircuits()' per-device loop (Table II). A failing
+     * device never throws out of run(): its error is contained into
      * FleetReport::statuses[d] (and counted into the HealthReport's
      * device_failures) while every other device completes normally.
      * The shared cache persists across run() calls (a warm fleet
-     * recompiles without resynthesis); call cache().clear() between
-     * calibration cycles instead.
+     * recompiles without resynthesis).
      */
     FleetReport run(const std::vector<FleetDeviceSpec> &specs,
                     const std::vector<FleetCircuit> &circuits = {});
@@ -373,10 +376,12 @@ class FleetDriver
 
     /**
      * Build persistent device state: sample every device, calibrate
-     * it (sharded, like run()), and install the result behind a
+     * it (sharded), and install the result behind a
      * VersionedBasisSet. Drains any in-flight recalibration first
      * (pipelines hold pointers into the states being replaced),
-     * then replaces any previous device state.
+     * then replaces any previous device state. Once every device has
+     * settled, rethrows the lowest failing device id's error; a
+     * failed device publishes no calibration, and no pass serves it.
      */
     void initDevices(const std::vector<FleetDeviceSpec> &specs);
 
@@ -394,7 +399,9 @@ class FleetDriver
      */
     void recalibrate(const std::vector<RecalibEdgeRequest> &edges);
 
-    /** Join every in-flight recalibration (rethrows task errors). */
+    /** Join every in-flight recalibration. Never throws: a failed
+     *  pipeline is retried, then its edge quarantined (see
+     *  RecalibPolicy). */
     void drainRecalibration();
 
     /** Scheduler counters (zeroed when no recalibrate() ran yet). */
@@ -416,7 +423,8 @@ class FleetDriver
      * Compile every circuit on every initDevices() device against
      * its current calibration snapshot, sharded across threads. The
      * compile path never blocks on recalibration: an edge
-     * mid-recalibration serves its last published basis.
+     * mid-recalibration serves its last published basis. Throws
+     * like initDevices().
      */
     FleetCompilePass
     compileCircuits(const std::vector<FleetCircuit> &circuits);
@@ -424,7 +432,8 @@ class FleetDriver
     /**
      * Post-drain cycle report: final published calibrations plus
      * verification compiles of `verify` against them. Call after
-     * drainRecalibration().
+     * drainRecalibration(). A device with no published calibration
+     * reports only its id. Throws like initDevices().
      */
     RecalibCycleReport
     cycleReport(uint64_t cycle,
@@ -469,9 +478,8 @@ class FleetDriver
      * between drift cycles, after drainRecalibration() and before
      * saveCache() (a sweep during an in-flight recalibration could
      * drop classes presynthesized for a not yet published basis). A
-     * no-op (returns 0) when no devices are live: run()-style fleets
-     * have no versioned calibrations to refcount against. Returns the
-     * number of *classes* retired; plan sweeps are reported through
+     * no-op (returns 0) when no devices are live. Returns the number
+     * of *classes* retired; plan sweeps are reported through
      * planCache().stats().retired.
      */
     size_t retireCache();
@@ -498,25 +506,27 @@ class FleetDriver
     const FleetOptions &options() const { return opts_; }
 
   private:
-    FleetDeviceReport
-    runDevice(int device_id, const FleetDeviceSpec &spec,
-              const std::vector<FleetCircuit> &circuits);
+    /** Replace the live devices with `specs` and calibrate each on
+     *  the shared pool (its shard thread calibrates edges beside the
+     *  workers); returns each device's error by device id. */
+    std::vector<std::exception_ptr>
+    calibrateDevices(const std::vector<FleetDeviceSpec> &specs);
 
-    /** Initial calibration of one device on the shared pool; the
-     *  calling shard thread calibrates edges alongside the workers. */
-    CalibratedBasisSet calibrateSpec(int device_id,
-                                     const FleetDeviceSpec &spec,
-                                     const GridDevice &device,
-                                     const std::string &label);
+    /** Compile `circuits` on one device, each against a fresh
+     *  snapshot of its calibration, throwing the first failed
+     *  compile's error; empty when the calibration never published. */
+    std::vector<VersionedCompileResult>
+    compileDevice(const FleetDeviceState &state,
+                  const std::vector<FleetCircuit> &circuits);
 
     RecalibScheduler &scheduler();
 
-    /** Run fn(device_id) for device ids [0, n), dealt round-robin
-     *  onto opts_.shards shard threads; collects per-shard errors
-     *  and rethrows the first in shard order (~ first failing
-     *  device order). */
-    void forEachDeviceSharded(
-        size_t n, const std::function<void(int)> &fn) const;
+    /** Run fn on every live device, dealt round-robin onto
+     *  opts_.shards shard threads. One device's exception never
+     *  stops another; returns each device's error by device id
+     *  (null where fn returned). */
+    std::vector<std::exception_ptr>
+    forEachDevice(const std::function<void(FleetDeviceState &)> &fn);
 
     void readMetrics(MetricsSource::Out &out) const;
 

@@ -143,4 +143,16 @@ strformat(const char *fmt, ...)
     return s;
 }
 
+std::string
+describeError(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown error";
+    }
+}
+
 } // namespace qbasis

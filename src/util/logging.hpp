@@ -13,6 +13,7 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <exception>
 #include <string>
 
 namespace qbasis {
@@ -63,6 +64,10 @@ void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** printf-style formatting into a std::string. */
 std::string strformat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** what() of a captured exception ("unknown error" for a non-
+ *  std::exception). */
+std::string describeError(const std::exception_ptr &error);
 
 } // namespace qbasis
 

@@ -324,22 +324,6 @@ TEST_F(FaultTest, QuarantineReleasesAfterCycleDenominatedBackoff)
     EXPECT_EQ(driver.recalibStats().published, 1u);
 }
 
-TEST_F(FaultTest, ContainmentOffPreservesTheOldFailFastPath)
-{
-    FleetOptions opts = tinyFleetOptions();
-    opts.recalib.contain_failures = false;
-    FleetDriver driver(opts);
-    driver.initDevices({tinySpec(11)});
-
-    FaultPlan plan;
-    plan.seed = 13;
-    plan.probability = 1.0;
-    plan.site_filter = "recalib.simulate";
-    ScopedFaults faults(plan);
-    driver.recalibrate({driftRequest(driver, 0, 1)});
-    EXPECT_THROW(driver.drainRecalibration(), FaultInjected);
-}
-
 // --- Full-site sweep ------------------------------------------------
 
 TEST_F(FaultTest, SweepEverySiteNoHangNoCrashAlwaysLastGoodBasis)

@@ -3,8 +3,9 @@
  * Fleet-driver and shared-cache tests: claim/publish semantics,
  * concurrent insert/lookup stress (the sanitizer job's canary),
  * cross-device Weyl-class dedupe, bit-determinism of fleet results
- * at 1 vs N shards, and the canonical byte encodings that every
- * determinism contract compares.
+ * at 1 vs N shards, run() as the cycle API, failing passes that
+ * throw the same error at any shard count, and the canonical byte
+ * encodings that every determinism contract compares.
  */
 
 #include <atomic>
@@ -354,6 +355,141 @@ TEST_F(FleetTest, DriftedCalibrationIsDeterministic)
     FleetDriver fleet_b(tinyFleetOptions(1));
     const FleetReport b = fleet_b.run({spec});
     EXPECT_EQ(canonicalBytes(a), canonicalBytes(b));
+}
+
+/** One device's calibrated set and compiled circuits as a post-cycle
+ *  row, so that canonicalBytes() can compare them. */
+RecalibDeviceCycle
+deviceRow(int device_id, uint64_t version, const CalibratedBasisSet &set,
+          std::vector<FleetCircuitResult> circuits)
+{
+    RecalibDeviceCycle row;
+    row.device_id = device_id;
+    row.calibration_version = version;
+    row.edges = set.edges;
+    row.bases = set.bases;
+    row.verify = std::move(circuits);
+    return row;
+}
+
+TEST_F(FleetTest, RunIsTheCycleApi)
+{
+    std::vector<FleetDeviceSpec> specs{tinySpec(11), tinySpec(12)};
+    std::vector<FleetCircuit> circuits;
+    circuits.push_back({"bv2", bvAllOnesCircuit(2)});
+
+    FleetDriver by_run(tinyFleetOptions(2));
+    const FleetReport report = by_run.run(specs, circuits);
+    FleetDriver by_cycle(tinyFleetOptions(2));
+    by_cycle.initDevices(specs);
+    const FleetCompilePass pass = by_cycle.compileCircuits(circuits);
+
+    // run() replaced the live devices with the ones it calibrated.
+    ASSERT_EQ(by_run.deviceCount(), specs.size());
+    RecalibCycleReport from_run;
+    RecalibCycleReport live_after_run;
+    RecalibCycleReport from_cycle;
+    for (int d = 0; d < static_cast<int>(specs.size()); ++d) {
+        const size_t di = static_cast<size_t>(d);
+        ASSERT_TRUE(report.statuses[di].ok);
+        const CalibrationSnapshot live = by_run.calibrationSnapshot(d);
+        ASSERT_TRUE(live.set);
+        from_run.devices.push_back(deviceRow(
+            d, live.version, report.devices[di].set,
+            report.devices[di].circuits));
+        live_after_run.devices.push_back(deviceRow(
+            d, live.version, *live.set, report.devices[di].circuits));
+
+        const CalibrationSnapshot cycle = by_cycle.calibrationSnapshot(d);
+        std::vector<FleetCircuitResult> compiled;
+        for (size_t c = 0; c < circuits.size(); ++c) {
+            compiled.push_back(
+                {circuits[c].name, pass.results[di][c].result});
+        }
+        from_cycle.devices.push_back(
+            deviceRow(d, cycle.version, *cycle.set, compiled));
+    }
+    EXPECT_EQ(canonicalBytes(from_run), canonicalBytes(live_after_run));
+    EXPECT_EQ(canonicalBytes(from_run), canonicalBytes(from_cycle));
+}
+
+/** Two healthy devices around two whose drive is too weak for any
+ *  trajectory to satisfy their criterion. */
+std::vector<FleetDeviceSpec>
+fleetWithFailingCalibrations()
+{
+    std::vector<FleetDeviceSpec> specs{tinySpec(11), tinySpec(12),
+                                       tinySpec(13), tinySpec(14)};
+    specs[1].xi = 1e-9;
+    specs[1].criterion = SelectionCriterion::Criterion1;
+    specs[2].xi = 1e-9;
+    specs[2].criterion = SelectionCriterion::Criterion2;
+    return specs;
+}
+
+/** Fleet options for fleetWithFailingCalibrations(): no window
+ *  doublings, so a failing device gives up after one window. */
+FleetOptions
+failingFleetOptions(int shards)
+{
+    FleetOptions opts = tinyFleetOptions(shards);
+    opts.calib.max_extensions = 0;
+    return opts;
+}
+
+TEST_F(FleetTest, PassErrorAndCalibratedDevicesDoNotDependOnShardCount)
+{
+    const std::vector<FleetDeviceSpec> specs =
+        fleetWithFailingCalibrations();
+    std::string first_error;
+    for (int shards = 1; shards <= 3; ++shards) {
+        SCOPED_TRACE(shards);
+        FleetDriver driver(failingFleetOptions(shards));
+        std::string error;
+        try {
+            driver.initDevices(specs);
+        } catch (const std::exception &e) {
+            error = e.what();
+        }
+        // Device 1's error, whichever shard ran it and whatever its
+        // shard ran before or after it.
+        EXPECT_NE(error.find("criterion1"), std::string::npos) << error;
+        if (shards == 1)
+            first_error = error;
+        EXPECT_EQ(error, first_error);
+        const std::vector<uint64_t> versions{
+            driver.calibrationSnapshot(0).version,
+            driver.calibrationSnapshot(1).version,
+            driver.calibrationSnapshot(2).version,
+            driver.calibrationSnapshot(3).version};
+        EXPECT_EQ(versions, (std::vector<uint64_t>{1, 0, 0, 1}));
+    }
+}
+
+TEST_F(FleetTest, UnpublishedDevicesServeNothing)
+{
+    FleetDriver driver(failingFleetOptions(1));
+    EXPECT_THROW(driver.initDevices(fleetWithFailingCalibrations()),
+                 std::runtime_error);
+    std::vector<FleetCircuit> circuits;
+    circuits.push_back({"bv2", bvAllOnesCircuit(2)});
+
+    const FleetCompilePass pass = driver.compileCircuits(circuits);
+    ASSERT_EQ(pass.results.size(), 4u);
+    const RecalibCycleReport report = driver.cycleReport(0, circuits);
+    ASSERT_EQ(report.devices.size(), 4u);
+    for (int d = 0; d < 4; ++d) {
+        SCOPED_TRACE(d);
+        const size_t di = static_cast<size_t>(d);
+        const bool healthy = d == 0 || d == 3;
+        EXPECT_EQ(pass.results[di].size(), healthy ? 1u : 0u);
+        const RecalibDeviceCycle &row = report.devices[di];
+        EXPECT_EQ(row.device_id, d);
+        EXPECT_EQ(row.calibration_version, healthy ? 1u : 0u);
+        EXPECT_EQ(row.edges.size(), healthy ? 1u : 0u);
+        EXPECT_EQ(row.bases.size(), healthy ? 1u : 0u);
+        EXPECT_EQ(row.verify.size(), healthy ? 1u : 0u);
+    }
 }
 
 // --- Canonical bytes -----------------------------------------------
