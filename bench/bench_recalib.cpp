@@ -13,12 +13,13 @@
  * drain. The async mode never
  * clears -- basis-hash cache keys keep classes of the old and new
  * basis coexisting -- and compiles immediately against each edge's
- * last published basis while the RecalibScheduler's
- * simulate/select/resynthesize pipelines run in the pool's
- * Background lane. The speedup therefore has two sources: avoided
- * resynthesis (only genuinely new bases synthesize classes) and
- * recalibration/compilation overlap (visible in overlap_ratio; on a
- * multi-core runner it also compounds the wall-time win).
+ * last published basis while the RecalibScheduler's per-edge
+ * calibrate-and-publish tasks run in the pool's Background lane. The
+ * speedup therefore has two sources: avoided resynthesis (only
+ * genuinely new bases synthesize classes, when a compile first asks
+ * for them) and recalibration/compilation overlap (visible in
+ * overlap_ratio; on a multi-core runner it also compounds the
+ * wall-time win).
  *
  * Determinism gate: the post-cycle report (published calibrations +
  * verification compiles after the drain) must be bit-identical
@@ -49,7 +50,6 @@
  *              "overlap_ratio": double,  // fraction of the serving
  *                                        // window with recalibration
  *                                        // in flight (sync: 0)
- *              "presynth_owned": int,
  *              "restarts_pruned": int }, // depends on thread timing
  *                                        // (restarts skipped once a
  *                                        // smaller index of their
@@ -190,7 +190,6 @@ struct ModeResult
                                    ///< recalibration state.
     double overlap_ratio = 0.0;    ///< Mean over cycles (async).
     int recalibrated_edges = 0;
-    RecalibScheduler::Stats sched;
     SynthEngine::Stats engine;
     RecalibCycleReport post;       ///< Post-drain report, last cycle.
 };
@@ -285,7 +284,6 @@ runMode(const BenchConfig &cfg, int shards, bool overlap,
     }
     if (overlap_cycles > 0)
         r.overlap_ratio = overlap_sum / overlap_cycles;
-    r.sched = driver.recalibStats();
     r.post = driver.cycleReport(static_cast<uint64_t>(cfg.cycles),
                                 verify);
     r.engine = driver.engineStats();
@@ -396,7 +394,6 @@ writeJson(const char *path, bool quick, bool smoke,
         "    \"compile_ms\": %.3f,\n"
         "    \"compile_stall_ms\": %.3f,\n"
         "    \"overlap_ratio\": %.4f,\n"
-        "    \"presynth_owned\": %llu,\n"
         "    \"restarts_pruned\": %llu\n  },\n"
         "  \"speedup\": %.4f,\n"
         "  \"determinism\": {\n"
@@ -409,7 +406,6 @@ writeJson(const char *path, bool quick, bool smoke,
         sync.compile_ms, sync.compile_stall_ms, async_r.wall_ms,
         async_r.compile_ms, async_r.compile_stall_ms,
         async_r.overlap_ratio,
-        static_cast<unsigned long long>(async_r.sched.presynth_owned),
         static_cast<unsigned long long>(restarts_pruned),
         async_r.wall_ms > 0.0 ? sync.wall_ms / async_r.wall_ms : 0.0,
         shards_async, results_match ? "true" : "false");
@@ -563,15 +559,7 @@ main(int argc, char **argv)
     std::printf("%-22s %12s %12.2f\n", "overlap ratio", "-",
                 async_r.overlap_ratio);
     std::printf("speedup (sync/async wall): %.2fx\n", speedup);
-    std::printf("recalibrated edges: %d; presynth owned/ready/"
-                "pending: %llu/%llu/%llu\n",
-                async_r.recalibrated_edges,
-                static_cast<unsigned long long>(
-                    async_r.sched.presynth_owned),
-                static_cast<unsigned long long>(
-                    async_r.sched.presynth_ready),
-                static_cast<unsigned long long>(
-                    async_r.sched.presynth_pending));
+    std::printf("recalibrated edges: %d\n", async_r.recalibrated_edges);
     std::printf("determinism (sync@1 vs async@%d shards): %s\n",
                 shards_async,
                 results_match ? "bit-identical" : "MISMATCH");

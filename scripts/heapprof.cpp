@@ -8,9 +8,17 @@
  * counters: live bytes, the peak of live bytes, and the number of
  * allocations. Sizes are malloc_usable_size() of each block, so they
  * read what the allocator handed out, not what was asked for. At
- * exit it prints one summary line to stderr:
+ * exit it prints two lines to stderr:
  *
  *   heapprof: peak_bytes=<n> live_bytes=<n> allocs=<n>
+ *   heapprof: arena_bytes=<n> free_bytes=<n> mmap_bytes=<n>
+ *
+ * The second is glibc's mallinfo2() over all arenas at exit: the
+ * bytes the allocator holds from the kernel in its arenas (arena),
+ * how much of that is free chunks (free), and the bytes in mmap'd
+ * blocks (mmap). Resident memory follows what the allocator holds,
+ * not what is live, so two runs with equal live peaks can differ in
+ * RSS by their arena bytes.
  *
  * With HEAPPROF_BACKTRACE_BYTES=<n> in the environment it also
  * prints the size and a backtrace (backtrace_symbols_fd) of every
@@ -115,6 +123,9 @@ finish()
 {
     say("heapprof: peak_bytes=%lld live_bytes=%lld allocs=%llu\n",
         g_peak.load(), g_live.load(), g_allocs.load());
+    const struct mallinfo2 info = mallinfo2();
+    say("heapprof: arena_bytes=%zu free_bytes=%zu mmap_bytes=%zu\n",
+        info.arena, info.fordblks, info.hblkhd);
 }
 
 } // namespace

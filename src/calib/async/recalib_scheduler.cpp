@@ -1,23 +1,22 @@
 #include "calib/async/recalib_scheduler.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
-#include "weyl/gates.hpp"
-#include "weyl/kak.hpp"
 
 namespace qbasis {
 
 namespace {
 
-// Probes of the calibrate hop (simulate, select) and of the publish
-// hop; keys are the logical edge identity, so a fault campaign
-// replays bit-identically at any shard count.
+// Probes of the calibration (simulate, select) and of the publish;
+// keys are the logical edge identity, so a fault campaign replays
+// bit-identically at any shard count.
 const FaultSite kFaultRecalibSimulate("recalib.simulate");
 const FaultSite kFaultRecalibSelect("recalib.select");
-const FaultSite kFaultRecalibResynth("recalib.resynth");
+const FaultSite kFaultRecalibPublish("recalib.publish");
 
 uint64_t
 edgeFaultKey(int device_id, int edge_id)
@@ -29,20 +28,9 @@ edgeFaultKey(int device_id, int edge_id)
 
 } // namespace
 
-/** One in-flight edge pipeline (owned by its hop closures). */
-struct RecalibScheduler::Task
-{
-    RecalibJob job;
-    /** Whole-pipeline restarts already consumed by this task. */
-    int retries_used = 0;
-    EdgeCalibration cal;
-};
-
-RecalibScheduler::RecalibScheduler(SynthEngine &engine,
-                                   SharedDecompositionCache &cache,
+RecalibScheduler::RecalibScheduler(ThreadPool &pool,
                                    RecalibSchedulerOptions opts)
-    : engine_(engine), pool_(engine.pool()), cache_(cache),
-      opts_(std::move(opts)),
+    : pool_(pool), opts_(std::move(opts)),
       epoch_(std::chrono::steady_clock::now())
 {
 }
@@ -61,7 +49,7 @@ RecalibScheduler::nowMs() const
 }
 
 void
-RecalibScheduler::noteStage(double t0_ms)
+RecalibScheduler::noteTask(double t0_ms)
 {
     const double t1_ms = nowMs();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -79,7 +67,7 @@ RecalibScheduler::schedule(RecalibJob job)
     if (job.device == nullptr || job.target == nullptr)
         panic("RecalibScheduler: job without device/target");
     const EdgeKey key{job.device_id, job.edge_id};
-    std::shared_ptr<Task> start;
+    std::optional<Task> start;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto quarantined = quarantine_.find(key);
@@ -96,156 +84,87 @@ RecalibScheduler::schedule(RecalibJob job)
         ++stats_.scheduled;
         EdgeQueue &q = queues_[key];
         if (q.running) {
-            // The edge already has a pipeline in flight: strict FIFO
-            // per edge, so cycle c+1 observes cycle c's publish.
+            // The edge already has a task in flight: strict FIFO per
+            // edge, so cycle c+1 observes cycle c's publish.
             q.pending.push_back(std::move(job));
         } else {
             q.running = true;
             ++inflight_;
-            start = std::make_shared<Task>();
-            start->job = std::move(job);
+            start = Task{std::move(job)};
         }
     }
     if (start)
-        submitCalibrate(std::move(start));
+        submit(std::move(*start));
 }
 
 void
-RecalibScheduler::submitCalibrate(std::shared_ptr<Task> task)
+RecalibScheduler::submit(Task task)
 {
     pool_.submit(
         [this, task = std::move(task)] {
             const double t0 = nowMs();
+            std::exception_ptr error;
             try {
-                stageCalibrate(task);
+                recalibrateEdge(task.job);
             } catch (...) {
-                noteStage(t0);
-                completeTask(task, std::current_exception());
-                return;
+                error = std::current_exception();
             }
-            noteStage(t0);
-            submitResynthesize(task);
+            noteTask(t0);
+            completeTask(task, error);
         },
         TaskPriority::Background);
 }
 
 void
-RecalibScheduler::submitResynthesize(std::shared_ptr<Task> task)
+RecalibScheduler::recalibrateEdge(const RecalibJob &job)
 {
-    pool_.submit(
-        [this, task = std::move(task)] {
-            const double t0 = nowMs();
-            try {
-                stageResynthesize(task);
-            } catch (...) {
-                noteStage(t0);
-                completeTask(task, std::current_exception());
-                return;
-            }
-            noteStage(t0);
-            completeTask(task, nullptr);
-        },
-        TaskPriority::Background);
-}
-
-void
-RecalibScheduler::stageCalibrate(const std::shared_ptr<Task> &task)
-{
-    const RecalibJob &job = task->job;
     const uint64_t key = edgeFaultKey(job.device_id, job.edge_id);
     faultPoint(kFaultRecalibSimulate, key);
     faultPoint(kFaultRecalibSelect, key);
+    EdgeCalibration cal;
     const int doublings = calibrateEdge(
         job.edge_id, job.params, job.device->couplerOmegaMax(), job.xi,
-        job.criterion, opts_.calib, task->cal);
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.window_extensions += static_cast<uint64_t>(doublings);
-}
-
-void
-RecalibScheduler::stageResynthesize(const std::shared_ptr<Task> &task)
-{
-    QBASIS_TRACE_SCOPE("recalib.resynth", "device",
-                       static_cast<uint64_t>(static_cast<uint32_t>(
-                           task->job.device_id)),
-                       "edge",
-                       static_cast<uint64_t>(static_cast<uint32_t>(
-                           task->job.edge_id)));
-    // Probe before any side effect: a firing probe must leave the
-    // edge's published state untouched (no torn publish).
-    faultPoint(kFaultRecalibResynth,
-               edgeFaultKey(task->job.device_id, task->job.edge_id));
-    EdgeCalibration &cal = task->cal;
-    cal.calibrated_cycle = task->job.cycle;
-
-    // Warm the SWAP and CNOT classes of the new basis through the
-    // shared cache's claim/publish protocol so the first compile
-    // against the new basis pays no synthesis. The owned classes go
-    // to the engine, which runs their waves on the Background lane
-    // with this worker joining in. Never wait(): a Pending class is
-    // already being synthesized by its claim owner.
-    const Mat4 targets[] = {swapGate(), cnotGate()};
-    std::vector<OwnedClass> owned;
-    for (const Mat4 &target : targets) {
-        const CanonicalKak kak = canonicalKakDecompose(target);
-        const DecompositionCache::ClassKey key =
-            DecompositionCache::classKey(kak.coords, cal.gate.gate,
-                                         opts_.synth);
-        const TwoQubitDecomposition *dec = nullptr;
-        switch (cache_.acquire(key, task->job.device_id, 1, &dec)) {
-        case SharedDecompositionCache::Claim::Owner:
-            // The guard abandons the claim if synthesis throws, so a
-            // waiter re-claims instead of blocking forever.
-            owned.push_back({ClaimGuard(&cache_, key), cal.gate.gate});
-            break;
-        case SharedDecompositionCache::Claim::Ready: {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.presynth_ready;
-            break;
-        }
-        case SharedDecompositionCache::Claim::Pending: {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.presynth_pending;
-            break;
-        }
-        }
-    }
-    const size_t n_owned = owned.size();
-    engine_.synthesizeOwned(std::move(owned), cache_, opts_.synth,
-                            TaskPriority::Background);
+        job.criterion, opts_.calib, cal);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        stats_.presynth_owned += n_owned;
+        stats_.window_extensions += static_cast<uint64_t>(doublings);
     }
 
+    QBASIS_TRACE_SCOPE("recalib.publish", "device",
+                       static_cast<uint64_t>(
+                           static_cast<uint32_t>(job.device_id)),
+                       "edge",
+                       static_cast<uint64_t>(
+                           static_cast<uint32_t>(job.edge_id)));
+    // Probe before any side effect: a firing probe must leave the
+    // edge's published state untouched (no torn publish).
+    faultPoint(kFaultRecalibPublish, key);
+    cal.calibrated_cycle = job.cycle;
     // Atomic swap: readers see the new edges[e]/bases[e] pair
     // together or not at all.
     EdgeBasis basis;
     basis.gate = cal.gate.gate;
     basis.duration_ns = cal.gate.duration_ns;
-    basis.label = task->job.label;
-    task->job.target->publishEdge(cal, basis);
+    basis.label = job.label;
+    job.target->publishEdge(cal, basis);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.published;
 }
 
 void
-RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
+RecalibScheduler::completeTask(const Task &task,
                                std::exception_ptr error)
 {
     const RecalibPolicy &policy = opts_.policy;
-    const EdgeKey key{task->job.device_id, task->job.edge_id};
-    std::shared_ptr<Task> next;
+    const EdgeKey key{task.job.device_id, task.job.edge_id};
+    std::optional<Task> next;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (error && task->retries_used < policy.max_stage_retries) {
-            // Bounded retry: restart the whole pipeline on a fresh
-            // Task from the calibrate hop. The edge queue stays
-            // `running`, so FIFO order is preserved.
+        if (error && task.retries_used < policy.max_stage_retries) {
+            // Bounded retry: rerun the whole task. The edge queue
+            // stays `running`, so FIFO order is preserved.
             ++stats_.retries;
-            next = std::make_shared<Task>();
-            next->job = task->job;
-            next->retries_used = task->retries_used + 1;
+            next = Task{task.job, task.retries_used + 1};
         } else {
             ++stats_.completed;
             EdgeQueue &q = queues_[key];
@@ -254,16 +173,16 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                 // device keeps serving the last-good basis.
                 ++stats_.contained_errors;
                 Quarantine &quar = quarantine_[key];
-                quar.since_cycle = task->job.cycle;
+                quar.since_cycle = task.job.cycle;
                 quar.release_cycle =
-                    task->job.cycle
+                    task.job.cycle
                     + std::max<uint64_t>(1, policy.quarantine_cycles);
                 quar.failures +=
-                    static_cast<uint64_t>(task->retries_used) + 1;
+                    static_cast<uint64_t>(task.retries_used) + 1;
                 quar.error = describeError(error);
                 warn("RecalibScheduler: quarantined edge %d of device "
                      "%d until cycle %llu: %s",
-                     task->job.edge_id, task->job.device_id,
+                     task.job.edge_id, task.job.device_id,
                      static_cast<unsigned long long>(quar.release_cycle),
                      quar.error.c_str());
                 // Drop queued jobs inside the quarantine window; a
@@ -277,8 +196,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
                     quarantine_.erase(key);
             }
             if (!q.pending.empty()) {
-                next = std::make_shared<Task>();
-                next->job = std::move(q.pending.front());
+                next = Task{std::move(q.pending.front())};
                 q.pending.pop_front();
             } else {
                 q.running = false;
@@ -288,7 +206,7 @@ RecalibScheduler::completeTask(const std::shared_ptr<Task> &task,
         }
     }
     if (next)
-        submitCalibrate(std::move(next));
+        submit(std::move(*next));
 }
 
 void

@@ -7,23 +7,22 @@
  * "retuning" stage reorganized so a retuning edge never stalls fleet
  * compilation.
  *
- * Each drifted edge becomes a two-hop pipeline running on the
- * fleet's shared ThreadPool, entirely in the Background lane:
+ * Each drifted edge becomes one task on the fleet's shared
+ * ThreadPool, on the Background lane:
  *
- *   1. *calibrate* -- calibrateEdge() (core/experiment), the same
- *      per-edge loop as the initial tuneup: rebuild the unit-cell
- *      simulator on the drifted parameters, recalibrate the drive
- *      frequency, then integrate the Cartan trajectory once,
- *      streaming samples into the selector until one satisfies the
- *      criterion, doubling the window when none does;
- *   2. *resynthesize + publish* -- claim the SWAP/CNOT Weyl classes
- *      of the *new* basis through SharedDecompositionCache's
- *      claim/publish protocol and synthesize the owned ones through
- *      the fleet's SynthEngine (SynthEngine::synthesizeOwned, its
- *      waves forked from this pool task on the Background lane;
- *      never wait(): a Pending class is already being synthesized
- *      by its claim owner), then atomically swap the edge's
- *      EdgeCalibration into the device's VersionedBasisSet.
+ *   calibrateEdge() (core/experiment), the same per-edge loop as the
+ *   initial tuneup -- rebuild the unit-cell simulator on the drifted
+ *   parameters, recalibrate the drive frequency, then integrate the
+ *   Cartan trajectory once, streaming samples into the selector until
+ *   one satisfies the criterion, doubling the window when none does
+ *   -- then atomically swap the edge's EdgeCalibration into the
+ *   device's VersionedBasisSet.
+ *
+ * A retune synthesizes nothing. The new basis goes live as soon as
+ * it is calibrated, and the first compile that needs one of its Weyl
+ * classes claims and synthesizes it through SharedDecompositionCache's
+ * claim/publish protocol and the engine's waves, as it would any
+ * other class.
  *
  * Tasks for the same (device, edge) run in FIFO order -- cycle c+1
  * can be scheduled while cycle c is still in flight and will observe
@@ -51,14 +50,13 @@
 #include <deque>
 #include <exception>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/recalib.hpp"
 #include "obs/metrics.hpp"
-#include "synth/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qbasis {
 
@@ -78,7 +76,7 @@ struct RecalibJob
 };
 
 /**
- * Failure-domain policy: what happens when an edge's pipeline throws.
+ * Failure-domain policy: what happens when an edge's task throws.
  *
  * Backoff is cycle-denominated, never wall-clock: a failed task is
  * retried immediately (bounded by max_stage_retries), and when the
@@ -91,8 +89,8 @@ struct RecalibJob
  */
 struct RecalibPolicy
 {
-    /** Whole-pipeline restarts of a failed task before the edge is
-     *  quarantined (a retry restarts the task from its first hop). */
+    /** Restarts of a failed task before the edge is quarantined (a
+     *  retry reruns the whole task). */
     int max_stage_retries = 2;
     /** Drift cycles a quarantined edge sits out; jobs stamped below
      *  `failure cycle + quarantine_cycles` are skipped (clamped to
@@ -121,21 +119,16 @@ struct EdgeQuarantine
 struct RecalibSchedulerOptions
 {
     DeviceCalibrationOptions calib; ///< Sim/selector/window settings.
-    SynthOptions synth;             ///< For the class warm-up; must
-                                    ///< match the fleet's compile
-                                    ///< options to share cache lines.
     RecalibPolicy policy;           ///< Retry/quarantine behavior.
 };
 
-/** Per-edge async recalibration pipeline on a borrowed engine's
- *  pool. */
+/** Per-edge async recalibration on a borrowed pool. */
 class RecalibScheduler
 {
   public:
-    /** Engine (with its pool) and cache must outlive the scheduler. */
-    RecalibScheduler(SynthEngine &engine,
-                     SharedDecompositionCache &cache,
-                     RecalibSchedulerOptions opts = {});
+    /** The pool must outlive the scheduler. */
+    explicit RecalibScheduler(ThreadPool &pool,
+                              RecalibSchedulerOptions opts = {});
 
     /** Drains before destruction. */
     ~RecalibScheduler();
@@ -152,26 +145,23 @@ class RecalibScheduler
 
     /**
      * Block until every scheduled job has completed. Never throws: a
-     * failed pipeline is retried, then its edge quarantined (see
+     * failed task is retried, then its edge quarantined (see
      * RecalibPolicy). Must be called from a non-pool thread.
      */
     void drain();
 
-    /** Pipeline accounting (all counters cumulative). */
+    /** Task accounting (all counters cumulative). */
     struct Stats
     {
         uint64_t scheduled = 0;
         uint64_t completed = 0;
         uint64_t published = 0;
-        /** Window doublings of successful calibrate hops. */
+        /** Window doublings of successful calibrations. */
         uint64_t window_extensions = 0;
-        /** Class warm-ups this scheduler synthesized / found
-         *  published / found claimed by a concurrent owner. */
+        /** Always 0: a retune synthesizes no class. Kept because the
+         *  repository benchmark (qbench/) reads it. */
         uint64_t presynth_owned = 0;
-        uint64_t presynth_ready = 0;
-        uint64_t presynth_pending = 0;
-        /** Failed tasks restarted under RecalibPolicy (one per
-         *  whole-pipeline retry, not per hop). */
+        /** Failed tasks restarted under RecalibPolicy. */
         uint64_t retries = 0;
         /** Tasks whose retry budget ran out and whose edge was
          *  quarantined. */
@@ -179,7 +169,7 @@ class RecalibScheduler
         /** Jobs dropped because their edge was quarantined and the
          *  job's cycle was below the release cycle. */
         uint64_t quarantine_skipped = 0;
-        double busy_ms = 0.0; ///< Sum of hop execution times.
+        double busy_ms = 0.0; ///< Sum of task execution times.
         /** Task-execution window since the scheduler epoch (or the
          *  last resetWindow()); <0 when no task ran yet. The bench
          *  intersects this with its compile window to measure the
@@ -205,7 +195,13 @@ class RecalibScheduler
     double nowMs() const;
 
   private:
-    struct Task; // One in-flight edge pipeline.
+    /** One in-flight edge recalibration. */
+    struct Task
+    {
+        RecalibJob job;
+        /** Restarts already consumed by this task. */
+        int retries_used = 0;
+    };
 
     using EdgeKey = std::pair<int, int>; // (device_id, edge_id)
 
@@ -215,20 +211,16 @@ class RecalibScheduler
         bool running = false;
     };
 
-    void submitCalibrate(std::shared_ptr<Task> task);
-    void submitResynthesize(std::shared_ptr<Task> task);
-    void stageCalibrate(const std::shared_ptr<Task> &task);
-    void stageResynthesize(const std::shared_ptr<Task> &task);
-    void completeTask(const std::shared_ptr<Task> &task,
-                      std::exception_ptr error);
-    void noteStage(double t0_ms);
+    void submit(Task task);
+    /** Calibrate the job's edge and publish the result. */
+    void recalibrateEdge(const RecalibJob &job);
+    void completeTask(const Task &task, std::exception_ptr error);
+    void noteTask(double t0_ms);
     /** Takes mutex_ under the registry lock, so no code may call the
      *  registry while it holds mutex_. */
     void readMetrics(MetricsSource::Out &out) const;
 
-    SynthEngine &engine_;
-    ThreadPool &pool_; ///< engine_'s pool.
-    SharedDecompositionCache &cache_;
+    ThreadPool &pool_;
     RecalibSchedulerOptions opts_;
     std::chrono::steady_clock::time_point epoch_;
 
@@ -245,7 +237,7 @@ class RecalibScheduler
     std::condition_variable idle_cv_;
     std::map<EdgeKey, EdgeQueue> queues_;
     std::map<EdgeKey, Quarantine> quarantine_;
-    size_t inflight_ = 0; ///< Edges with a running pipeline.
+    size_t inflight_ = 0; ///< Edges with a running task.
     Stats stats_;
     /** Last member: the registry reads stats_ here. */
     MetricsSource metrics_{

@@ -271,7 +271,7 @@ FleetDriver::forEachDevice(
 std::vector<std::exception_ptr>
 FleetDriver::calibrateDevices(const std::vector<FleetDeviceSpec> &specs)
 {
-    // In-flight pipelines hold pointers into the device states being
+    // In-flight retunes hold pointers into the device states being
     // replaced; settle them before tearing anything down.
     drainRecalibration();
     devices_.clear();
@@ -411,10 +411,8 @@ FleetDriver::scheduler()
     if (!recalib_) {
         RecalibSchedulerOptions opts;
         opts.calib = opts_.calib;
-        opts.synth = opts_.synth; // shared cache lines with compile
         opts.policy = opts_.recalib;
-        recalib_ = std::make_unique<RecalibScheduler>(engine_, cache_,
-                                                      opts);
+        recalib_ = std::make_unique<RecalibScheduler>(pool_, opts);
     }
     return *recalib_;
 }
@@ -422,10 +420,30 @@ FleetDriver::scheduler()
 void
 FleetDriver::recalibrate(const std::vector<RecalibEdgeRequest> &edges)
 {
+    // Check every request before scheduling any, so a bad one leaves
+    // no edge retuning.
+    for (const RecalibEdgeRequest &req : edges) {
+        if (req.device_id < 0
+            || static_cast<size_t>(req.device_id) >= devices_.size())
+            fatal("FleetDriver: recalibrate edge %d of unknown device "
+                  "%d (%zu devices)",
+                  req.edge_id, req.device_id, devices_.size());
+        const FleetDeviceState &state =
+            *devices_[static_cast<size_t>(req.device_id)];
+        if (state.calibration.version() == 0)
+            fatal("FleetDriver: recalibrate edge %d of device %d, "
+                  "which has no published calibration",
+                  req.edge_id, req.device_id);
+        const size_t n_edges = state.device.coupling().edges().size();
+        if (req.edge_id < 0 || static_cast<size_t>(req.edge_id) >= n_edges)
+            fatal("FleetDriver: recalibrate unknown edge %d of device "
+                  "%d (%zu edges)",
+                  req.edge_id, req.device_id, n_edges);
+    }
     RecalibScheduler &sched = scheduler();
     for (const RecalibEdgeRequest &req : edges) {
         FleetDeviceState &state =
-            *devices_.at(static_cast<size_t>(req.device_id));
+            *devices_[static_cast<size_t>(req.device_id)];
         RecalibJob job;
         job.device = &state.device;
         job.target = &state.calibration;

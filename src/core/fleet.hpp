@@ -48,6 +48,7 @@
 #include "core/recalib.hpp"
 #include "obs/metrics.hpp"
 #include "synth/cache_io.hpp"
+#include "synth/engine.hpp"
 #include "synth/plan_cache.hpp"
 #include "synth/shared_cache.hpp"
 
@@ -278,7 +279,7 @@ struct HealthReport
      *  stale_cycles filled in from the live snapshots (report cycle
      *  minus the edge's last published calibration cycle). */
     std::vector<EdgeQuarantine> quarantined;
-    uint64_t stage_retries = 0;      ///< Pipeline restarts (scheduler).
+    uint64_t stage_retries = 0;      ///< Task restarts (scheduler).
     uint64_t contained_errors = 0;   ///< Tasks quarantined, not failed.
     uint64_t quarantine_skipped = 0; ///< Jobs dropped in quarantine.
     /** Synthesis restarts that threw and were contained as aborted
@@ -378,7 +379,7 @@ class FleetDriver
      * Build persistent device state: sample every device, calibrate
      * it (sharded), and install the result behind a
      * VersionedBasisSet. Drains any in-flight recalibration first
-     * (pipelines hold pointers into the states being replaced),
+     * (retunes hold pointers into the states being replaced),
      * then replaces any previous device state. Once every device has
      * settled, rethrows the lowest failing device id's error; a
      * failed device publishes no calibration, and no pass serves it.
@@ -392,15 +393,17 @@ class FleetDriver
     CalibrationSnapshot calibrationSnapshot(int device_id) const;
 
     /**
-     * Schedule per-edge recalibration pipelines on the shared pool
+     * Schedule one recalibration task per edge on the shared pool
      * (Background lane) and return immediately. Compilation keeps
-     * serving the last published basis of every edge; each pipeline
-     * atomically swaps its edge when done.
+     * serving the last published basis of every edge; each task
+     * atomically swaps its edge when done. Throws (fatal) and
+     * schedules nothing if any request names an unknown device, a
+     * device with no published calibration, or an unknown edge.
      */
     void recalibrate(const std::vector<RecalibEdgeRequest> &edges);
 
     /** Join every in-flight recalibration. Never throws: a failed
-     *  pipeline is retried, then its edge quarantined (see
+     *  task is retried, then its edge quarantined (see
      *  RecalibPolicy). */
     void drainRecalibration();
 
@@ -476,8 +479,8 @@ class FleetDriver
      * died (some device it references was recalibrated past the
      * epoch the plan was captured at, or no longer exists). Run
      * between drift cycles, after drainRecalibration() and before
-     * saveCache() (a sweep during an in-flight recalibration could
-     * drop classes presynthesized for a not yet published basis). A
+     * saveCache(), with no compile batch in flight: the sweep frees
+     * classes whose decompositions a running batch still reads. A
      * no-op (returns 0) when no devices are live. Returns the number
      * of *classes* retired; plan sweeps are reported through
      * planCache().stats().retired.

@@ -264,8 +264,7 @@ CompileService::dispatchLoop()
         QBASIS_TRACE_SCOPE("serve.dispatch", "batch", batch.size());
         for (PendingRequest &pending : batch) {
             const SynthClient client{engine, driver_.cache(),
-                                     pending.req.device_id,
-                                     TaskPriority::Normal};
+                                     pending.req.device_id};
             serveOne(pending, client);
         }
     }

@@ -25,7 +25,7 @@
  *    heuristic.
  *
  *  - **Serving during recalibration.** recalibrate() schedules
- *    per-edge retuning pipelines on the Background lane of the same
+ *    per-edge retuning tasks on the Background lane of the same
  *    pool; compile traffic keeps being served from each device's
  *    last published VersionedBasisSet snapshot and never blocks on a
  *    retune (see core/recalib.hpp).

@@ -311,24 +311,19 @@ BatchState::startJob(ClassJob &job)
  * repeat classes hit DepthOracleCache and concurrent batches dedupe
  * through its in-flight claims. Verdicts are pure functions of
  * (class, basis, options), so prefetching cannot change any result
- * -- it only moves oracle work off the jobs' critical path. The
- * prefetch runs on the waves' lane.
+ * -- it only moves oracle work off the jobs' critical path.
  */
 void
 prefetchDepthVerdicts(ThreadPool &pool, const SynthOptions &opts,
-                      std::vector<std::unique_ptr<ClassJob>> &jobs,
-                      TaskPriority priority)
+                      std::vector<std::unique_ptr<ClassJob>> &jobs)
 {
     if (!opts.use_depth_prediction || jobs.empty())
         return;
-    pool.parallelFor(
-        jobs.size(),
-        [&](size_t i) {
-            jobs[i]->predicted_depth = DepthOracleCache::shared().predict(
-                jobs[i]->class_gate, jobs[i]->basis, opts.max_layers,
-                opts.oracle);
-        },
-        priority);
+    pool.parallelFor(jobs.size(), [&](size_t i) {
+        jobs[i]->predicted_depth = DepthOracleCache::shared().predict(
+            jobs[i]->class_gate, jobs[i]->basis, opts.max_layers,
+            opts.oracle);
+    });
 }
 
 /**
@@ -339,7 +334,6 @@ prefetchDepthVerdicts(ThreadPool &pool, const SynthOptions &opts,
 void
 runJobsOnPool(ThreadPool &pool, const SynthOptions &opts,
               std::vector<std::unique_ptr<ClassJob>> &jobs,
-              TaskPriority priority,
               std::atomic<uint64_t> &restarts_run,
               std::atomic<uint64_t> &restarts_pruned,
               std::atomic<uint64_t> &restarts_failed)
@@ -348,7 +342,7 @@ runJobsOnPool(ThreadPool &pool, const SynthOptions &opts,
         return;
     SynthMetrics::instance().jobs.add(jobs.size());
     BatchState state{opts, restarts_run, restarts_pruned,
-                     restarts_failed, TaskGroup(pool, priority)};
+                     restarts_failed, TaskGroup(pool)};
     const uint64_t corr = currentTraceCorrelation();
     for (auto &job : jobs) {
         ClassJob *j = job.get();
@@ -396,8 +390,7 @@ SynthEngine::readMetrics(MetricsSource::Out &out) const
 std::vector<const TwoQubitDecomposition *>
 SynthEngine::synthesizeOwned(std::vector<OwnedClass> classes,
                              SharedDecompositionCache &cache,
-                             const SynthOptions &opts,
-                             TaskPriority priority)
+                             const SynthOptions &opts)
 {
     std::vector<std::unique_ptr<ClassJob>> jobs;
     jobs.reserve(classes.size());
@@ -410,9 +403,9 @@ SynthEngine::synthesizeOwned(std::vector<OwnedClass> classes,
     }
     // Batch the depth-oracle verdicts, run the jobs, then publish in
     // job order.
-    prefetchDepthVerdicts(*pool_, opts, jobs, priority);
-    runJobsOnPool(*pool_, opts, jobs, priority, restarts_run_,
-                  restarts_pruned_, restarts_failed_);
+    prefetchDepthVerdicts(*pool_, opts, jobs);
+    runJobsOnPool(*pool_, opts, jobs, restarts_run_, restarts_pruned_,
+                  restarts_failed_);
     std::vector<const TwoQubitDecomposition *> published(jobs.size());
     for (size_t j = 0; j < jobs.size(); ++j) {
         published[j] =
@@ -425,8 +418,7 @@ SynthEngine::synthesizeOwned(std::vector<OwnedClass> classes,
 std::vector<TwoQubitDecomposition>
 SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
                              SharedDecompositionCache &cache,
-                             const SynthOptions &opts, int device_id,
-                             TaskPriority priority)
+                             const SynthOptions &opts, int device_id)
 {
     const size_t n = requests.size();
     std::vector<TwoQubitDecomposition> results(n);
@@ -440,7 +432,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
     const ClassMap resolved = resolveBatch(
         n, [&](size_t i) -> const Mat4 & { return requests[i].target; },
         [&](size_t i) -> const Mat4 & { return requests[i].basis; },
-        cache, opts, device_id, priority, kaks, keys);
+        cache, opts, device_id, kaks, keys);
 
     // Phase 4: dress every request from its class decomposition
     // (read-only over `resolved`; pointers are stable until clear()).
@@ -454,8 +446,7 @@ SynthEngine::synthesizeBatch(const std::vector<SynthRequest> &requests,
 ResolvedClasses
 SynthEngine::resolveClasses(const SynthBatchView &batch,
                             SharedDecompositionCache &cache,
-                            const SynthOptions &opts, int device_id,
-                            TaskPriority priority)
+                            const SynthOptions &opts, int device_id)
 {
     const size_t n = batch.size;
     ResolvedClasses out;
@@ -466,7 +457,7 @@ SynthEngine::resolveClasses(const SynthBatchView &batch,
                            static_cast<uint32_t>(device_id)));
     const ClassMap resolved =
         resolveBatch(n, batch.target, batch.basis, cache, opts,
-                     device_id, priority, out.kaks, out.keys);
+                     device_id, out.kaks, out.keys);
     out.classes.resize(n);
     for (size_t i = 0; i < n; ++i)
         out.classes[i] = resolved.at(out.keys[i]);
@@ -479,7 +470,6 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
                           const Basis &basis,
                           SharedDecompositionCache &cache,
                           const SynthOptions &opts, int device_id,
-                          TaskPriority priority,
                           std::vector<CanonicalKak> &kaks,
                           std::vector<DecompositionCache::ClassKey> &keys)
 {
@@ -538,7 +528,7 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
     // so concurrent waiters wake and take over instead of blocking
     // forever.
     const std::vector<const TwoQubitDecomposition *> published =
-        synthesizeOwned(std::move(owned), cache, opts, priority);
+        synthesizeOwned(std::move(owned), cache, opts);
     for (size_t j = 0; j < owned_keys.size(); ++j)
         resolved[owned_keys[j]] = published[j];
 
@@ -564,7 +554,7 @@ SynthEngine::resolveBatch(size_t n, const Target &target,
                     {ClaimGuard(&cache, key), basis_of.at(key)});
                 faultPoint(kFaultSynthFallback, key.context);
                 dec = synthesizeOwned(std::move(reclaimed), cache,
-                                      opts, priority)
+                                      opts)
                           .front();
                 break;
             }

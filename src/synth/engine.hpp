@@ -24,20 +24,17 @@
  *  - if a wave fails, the job advances one depth and launches the
  *    next wave (waves of different jobs interleave freely).
  *
- * This is the only synthesis implementation: compile batches,
- * recalibration presynthesis (synthesizeOwned) and the re-claim of an
- * abandoned class all run their classes through these waves. Results
- * are a pure function of (class, basis, options) for a fixed seed,
- * independent of thread count and completion order: restart streams
- * are derived (not shared), selection is by index rather than by
- * completion time, and classes publish in submission order. The
- * tests keep a serial transcription of the same rule
+ * This is the only synthesis implementation: a batch's own classes
+ * and the re-claim of a class whose concurrent owner abandoned it
+ * both run through these waves, on the pool's Normal lane. A
+ * recalibration synthesizes nothing: the first compile against a
+ * retuned basis claims and synthesizes its classes like any other.
+ * Results are a pure function of (class, basis, options) for a fixed
+ * seed, independent of thread count and completion order: restart
+ * streams are derived (not shared), selection is by index rather
+ * than by completion time, and classes publish in submission order.
+ * The tests keep a serial transcription of the same rule
  * (tests/serial_synth.hpp) as the byte-for-byte reference.
- *
- * Batches accept a TaskPriority: recalibration resynthesis submits
- * at TaskPriority::Background so its waves never outcompete
- * compile-path (Normal) jobs for pool workers. Priority only biases
- * dequeue order; results are bit-identical across lanes.
  */
 
 #include <atomic>
@@ -89,10 +86,10 @@ struct ResolvedClasses
 };
 
 /**
- * A class its caller claimed (SharedDecompositionCache::acquire
- * returned Claim::Owner) and hands to SynthEngine::synthesizeOwned:
- * the claim, held until the class is published, and the basis the
- * class decomposes into.
+ * A class a batch claimed (SharedDecompositionCache::acquire
+ * returned Claim::Owner) and synthesizes itself: the claim, held
+ * until the class is published, and the basis the class decomposes
+ * into.
  */
 struct OwnedClass
 {
@@ -137,8 +134,7 @@ class SynthEngine
     std::vector<TwoQubitDecomposition>
     synthesizeBatch(const std::vector<SynthRequest> &requests,
                     SharedDecompositionCache &cache,
-                    const SynthOptions &opts, int device_id = 0,
-                    TaskPriority priority = TaskPriority::Normal);
+                    const SynthOptions &opts, int device_id = 0);
 
     /**
      * synthesizeBatch without its last phase: resolve every request's
@@ -151,24 +147,7 @@ class SynthEngine
     ResolvedClasses
     resolveClasses(const SynthBatchView &batch,
                    SharedDecompositionCache &cache,
-                   const SynthOptions &opts, int device_id = 0,
-                   TaskPriority priority = TaskPriority::Normal);
-
-    /**
-     * Synthesize classes the caller already owns and publish them in
-     * order; returns the published decompositions in that order. The
-     * classes run as one task group on `priority`'s lane, through the
-     * same depth prefetch, waves, winner rule and pruning as a
-     * batch's own classes, and the calling thread runs their tasks
-     * too, so a pool task may call it. It never waits on another
-     * client's claim. If it throws, every claim it was handed and has
-     * not published is abandoned, so waiters re-claim.
-     */
-    std::vector<const TwoQubitDecomposition *>
-    synthesizeOwned(std::vector<OwnedClass> classes,
-                    SharedDecompositionCache &cache,
-                    const SynthOptions &opts,
-                    TaskPriority priority = TaskPriority::Normal);
+                   const SynthOptions &opts, int device_id = 0);
 
     /** Worker threads in the pool. */
     int threadCount() const { return pool_->size(); }
@@ -201,6 +180,20 @@ class SynthEngine
                               const TwoQubitDecomposition *>;
 
     /**
+     * Synthesize classes the batch owns and publish them in order;
+     * returns the published decompositions in that order. The
+     * classes run as one task group, through the depth prefetch,
+     * waves, winner rule and pruning, and the calling thread runs
+     * their tasks too. It never waits on another client's claim. If
+     * it throws, every claim it was handed and has not published is
+     * abandoned, so waiters re-claim.
+     */
+    std::vector<const TwoQubitDecomposition *>
+    synthesizeOwned(std::vector<OwnedClass> classes,
+                    SharedDecompositionCache &cache,
+                    const SynthOptions &opts);
+
+    /**
      * Phases 1-3 over `n` requests read through `target(i)` (called
      * from pool threads) and `basis(i)`: fill each request's KAK and
      * class key, and return every distinct class's decomposition.
@@ -212,7 +205,6 @@ class SynthEngine
                           const Basis &basis,
                           SharedDecompositionCache &cache,
                           const SynthOptions &opts, int device_id,
-                          TaskPriority priority,
                           std::vector<CanonicalKak> &kaks,
                           std::vector<DecompositionCache::ClassKey> &keys);
 
@@ -230,7 +222,7 @@ class SynthEngine
 
 /**
  * One synthesis client: an engine on a pool, the shared Weyl-class
- * cache, a device id and a lane. It is the only route synthesis
+ * cache and a device id. It is the only route synthesis
  * takes: the transpiler, the experiment drivers, the fleet driver,
  * the compile service and the bench drivers all submit through it,
  * which is what lets identical bases on different devices dedupe
@@ -242,24 +234,20 @@ struct SynthClient
     SynthEngine &engine;
     SharedDecompositionCache &cache;
     int device_id = 0;
-    /** Lane of this client's pool submissions; recalibration clients
-     *  use Background so they never starve compile-path batches. */
-    TaskPriority priority = TaskPriority::Normal;
 
     std::vector<TwoQubitDecomposition>
     synthesizeBatch(const std::vector<SynthRequest> &requests,
                     const SynthOptions &opts) const
     {
         return engine.synthesizeBatch(requests, cache, opts,
-                                      device_id, priority);
+                                      device_id);
     }
 
     ResolvedClasses
     resolveClasses(const SynthBatchView &batch,
                    const SynthOptions &opts) const
     {
-        return engine.resolveClasses(batch, cache, opts, device_id,
-                                     priority);
+        return engine.resolveClasses(batch, cache, opts, device_id);
     }
 };
 

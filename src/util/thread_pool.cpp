@@ -150,11 +150,10 @@ ThreadPool::workerLoop(size_t self)
 }
 
 void
-ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn,
-                        TaskPriority priority)
+ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
 {
     std::vector<std::exception_ptr> errors(n);
-    TaskGroup group(*this, priority);
+    TaskGroup group(*this);
     for (size_t i = 0; i < n; ++i) {
         group.run([&fn, &errors, i] {
             try {
@@ -202,9 +201,8 @@ struct TaskGroup::State
     }
 };
 
-TaskGroup::TaskGroup(ThreadPool &pool, TaskPriority priority)
-    : pool_(pool), priority_(priority),
-      state_(std::make_shared<State>())
+TaskGroup::TaskGroup(ThreadPool &pool)
+    : pool_(pool), state_(std::make_shared<State>())
 {
 }
 
@@ -219,7 +217,7 @@ TaskGroup::run(std::function<void()> task)
     // before the task is queued: if the push then throws, run() has
     // queued nothing and only a spare ticket is left, which is
     // harmless because tickets take whichever task is oldest.
-    pool_.submit([state = state_] { state->runOne(); }, priority_);
+    pool_.submit([state = state_] { state->runOne(); });
     st.queued.push_back(std::move(task));
     ++st.unfinished;
     st.cv.notify_all();

@@ -23,8 +23,8 @@
  * deque, and both the local pop and the steal scan exhaust Normal
  * work pool-wide before touching a Background task. Background is
  * for work that must not starve the serving path -- recalibration
- * pipelines submit there so compile-path synthesis restarts always
- * win a free worker first. A Background task that is already running
+ * tasks submit there so compile-path synthesis restarts always win
+ * a free worker first. A Background task that is already running
  * is never preempted; the lane only biases dequeue order, so overall
  * throughput (and determinism) is unchanged.
  */
@@ -46,7 +46,7 @@ namespace qbasis {
 enum class TaskPriority
 {
     Normal,     ///< Serving path (default); always dequeued first.
-    Background, ///< Maintenance work (recalibration pipelines);
+    Background, ///< Maintenance work (recalibration tasks);
                 ///< runs only when no Normal task is pending.
 };
 
@@ -73,11 +73,9 @@ class ThreadPool
      * are done; the calling thread runs indices too, so it may be a
      * pool worker. Exceptions thrown by tasks are captured and the
      * one with the smallest index is rethrown on the caller (results
-     * for other indices are still completed first). The group's
-     * tickets go on `priority`'s lane.
+     * for other indices are still completed first).
      */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn,
-                     TaskPriority priority = TaskPriority::Normal);
+    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
     /** Number of worker threads. */
     int size() const { return static_cast<int>(threads_.size()); }
@@ -109,14 +107,14 @@ class ThreadPool
  * A fork-join batch on a pool, waited for by the thread that owns it.
  *
  * run() queues a task on the group and submits one ticket on the
- * group's lane; a ticket that a worker dequeues runs the group's
+ * Normal lane; a ticket that a worker dequeues runs the group's
  * oldest not-yet-started task, if any is left. wait() runs the
  * group's not-yet-started tasks on the calling thread and sleeps
  * (under a `pool.wait` span) only while every remaining task is
  * already running on a worker. The caller only ever runs its own
  * group's tasks: never another group's, and never a task submitted
  * straight to the pool, such as a Background-lane recalibration
- * pipeline.
+ * task.
  *
  * A running task may add tasks to its own group; wait() returns once
  * every task ever added has finished. Tasks must not throw (as with
@@ -127,8 +125,7 @@ class ThreadPool
 class TaskGroup
 {
   public:
-    explicit TaskGroup(ThreadPool &pool,
-                       TaskPriority priority = TaskPriority::Normal);
+    explicit TaskGroup(ThreadPool &pool);
     ~TaskGroup();
 
     TaskGroup(const TaskGroup &) = delete;
@@ -146,7 +143,6 @@ class TaskGroup
     struct State;
 
     ThreadPool &pool_;
-    TaskPriority priority_;
     /** Shared with the tickets, which may outlive the group. */
     std::shared_ptr<State> state_;
 };

@@ -140,7 +140,7 @@ TEST_F(FaultTest, EveryLayerRegistersItsSites)
     };
     EXPECT_TRUE(has("recalib.simulate"));
     EXPECT_TRUE(has("recalib.select"));
-    EXPECT_TRUE(has("recalib.resynth"));
+    EXPECT_TRUE(has("recalib.publish"));
     EXPECT_TRUE(has("synth.restart"));
     EXPECT_TRUE(has("synth.fallback"));
     EXPECT_TRUE(has("fleet.load_cache"));

@@ -492,6 +492,51 @@ TEST_F(FleetTest, UnpublishedDevicesServeNothing)
     }
 }
 
+TEST_F(FleetTest, RecalibrateRejectsBadRequestsBeforeSchedulingAny)
+{
+    // Device 0 is healthy; device 1 never published a calibration.
+    FleetDriver driver(failingFleetOptions(1));
+    EXPECT_THROW(driver.initDevices(fleetWithFailingCalibrations()),
+                 std::runtime_error);
+    const auto request = [&driver](int device_id, int edge_id) {
+        RecalibEdgeRequest req;
+        req.device_id = device_id;
+        req.edge_id = edge_id;
+        req.cycle = 1;
+        req.params = driver.device(0).device.edgeParams(0);
+        return req;
+    };
+    struct Case
+    {
+        RecalibEdgeRequest bad;
+        std::string device, edge; ///< What the error must name.
+    };
+    const std::vector<Case> cases{
+        {request(5, 0), "device 5", "edge 0"},  // unknown device
+        {request(-1, 0), "device -1", "edge 0"},
+        {request(0, 7), "device 0", "edge 7"},  // unknown edge
+        {request(0, -1), "device 0", "edge -1"},
+        {request(1, 0), "device 1", "edge 0"},  // never published
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.device + " " + c.edge);
+        std::string error;
+        try {
+            // The valid request comes first: it must not be
+            // scheduled either.
+            driver.recalibrate({request(0, 0), c.bad});
+        } catch (const std::runtime_error &e) {
+            error = e.what();
+        }
+        EXPECT_NE(error.find(c.device), std::string::npos) << error;
+        EXPECT_NE(error.find(c.edge), std::string::npos) << error;
+        driver.drainRecalibration();
+        EXPECT_EQ(driver.recalibStats().scheduled, 0u);
+        EXPECT_EQ(driver.calibrationSnapshot(0).version, 1u);
+        EXPECT_TRUE(driver.cycleReport(1).health.quarantined.empty());
+    }
+}
+
 // --- Canonical bytes -----------------------------------------------
 //
 // One encoder per compared report type; equality is byte equality

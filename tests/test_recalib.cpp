@@ -4,9 +4,9 @@
  * independent of evaluation order, versioned basis sets that never
  * tear under concurrent publish (the sanitizer job's canary for this
  * subsystem), sync-vs-async bit-identical post-cycle reports, retunes
- * reproducing the initial calibration, presynthesis racing a compile
- * batch on the same classes, the depth-oracle verdict cache, and
- * engine restart pruning.
+ * reproducing the initial calibration, a compile batch racing a
+ * retune that synthesizes nothing, the depth-oracle verdict cache,
+ * and engine restart pruning.
  */
 
 #include <atomic>
@@ -432,14 +432,13 @@ driftAllEdges(FleetDriver &driver, size_t edges)
     return requests;
 }
 
-TEST_F(RecalibTest, PresynthesisRacesACompileBatchOnTheSameClasses)
+TEST_F(RecalibTest, CompileBatchRacingARetuneClaimsEachClassOnce)
 {
-    // Recalibration presynthesizes each retuned edge's SWAP and CNOT
-    // classes through the fleet's engine on the Background lane while
-    // a compile batch on the same pool claims those very classes (the
-    // new bases are known from a reference run). Whoever wins each
-    // claim, every class is published once, the presynthesis tally
-    // adds up, and the bytes are the serial reference's.
+    // A retune only calibrates and publishes: it claims no class. A
+    // compile batch on the same pool asks for the SWAP and CNOT
+    // classes of the retuned bases (known from a reference run)
+    // while the edges retune; every class is claimed and published
+    // once, by the batch, with the serial reference's bytes.
     FleetDeviceSpec spec = tinySpec(11);
     spec.grid.rows = 2; // 2x2 grid: four edges
     const FleetOptions opts = tinyFleetOptions(1);
@@ -447,11 +446,18 @@ TEST_F(RecalibTest, PresynthesisRacesACompileBatchOnTheSameClasses)
     FleetDriver reference(opts);
     reference.initDevices({spec});
     const size_t n_edges = reference.calibrationSnapshot(0)->edges.size();
+    const uint64_t reference_misses = reference.cache().stats().misses;
+    const size_t reference_classes = reference.cache().size();
     const auto t0 = std::chrono::steady_clock::now();
     reference.recalibrate(driftAllEdges(reference, n_edges));
     reference.drainRecalibration();
     const auto cycle = std::chrono::steady_clock::now() - t0;
     const CalibrationSnapshot retuned = reference.calibrationSnapshot(0);
+    // The retune alone synthesized nothing.
+    EXPECT_EQ(reference.cache().stats().misses, reference_misses);
+    EXPECT_EQ(reference.cache().size(), reference_classes);
+    EXPECT_EQ(reference.recalibStats().published, n_edges);
+    EXPECT_EQ(reference.recalibStats().presynth_owned, 0u);
 
     std::vector<SynthRequest> batch;
     std::set<DecompositionCache::ClassKey> classes;
@@ -471,7 +477,8 @@ TEST_F(RecalibTest, PresynthesisRacesACompileBatchOnTheSameClasses)
     }
 
     // Start the batch at fractions of the reference cycle's wall
-    // time, so it meets the edges' pipelines at different hops.
+    // time, so it meets the edges' tasks before, during and after
+    // their publishes.
     for (const int eighths : {0, 4, 6, 7, 8}) {
         SCOPED_TRACE(eighths);
         FleetDriver driver(opts);
@@ -492,10 +499,7 @@ TEST_F(RecalibTest, PresynthesisRacesACompileBatchOnTheSameClasses)
         // One claim, hence one publish, per distinct class.
         EXPECT_EQ(driver.cache().stats().misses - misses_before,
                   classes.size());
-        const RecalibScheduler::Stats st = driver.recalibStats();
-        EXPECT_EQ(st.presynth_owned + st.presynth_ready
-                      + st.presynth_pending,
-                  2 * n_edges);
+        EXPECT_EQ(driver.recalibStats().presynth_owned, 0u);
         for (const DecompositionCache::ClassKey &key : classes) {
             const TwoQubitDecomposition *dec =
                 driver.cache().peekPublished(key);
